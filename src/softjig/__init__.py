@@ -29,7 +29,7 @@ from .planner import (
     configure_fixing_parts,
     select_posture,
 )
-from .queries import intersects, min_distance, min_distance_brute_force
+from .queries import intersects, min_distance
 from .relations import (
     DIRECTION_ORDER,
     Direction,
@@ -38,7 +38,6 @@ from .relations import (
     SweepParams,
     compute_all_interference_free,
     compute_contact_matrix,
-    compute_interference_free_matrix,
     compute_reachable_matrix,
     compute_relation_matrices,
     merge_entity,
@@ -66,7 +65,6 @@ __all__ = [
     "cog_height",
     "compute_all_interference_free",
     "compute_contact_matrix",
-    "compute_interference_free_matrix",
     "compute_reachable_matrix",
     "compute_relation_matrices",
     "configure_fixing_parts",
@@ -80,7 +78,6 @@ __all__ = [
     "mass_properties",
     "merge_entity",
     "min_distance",
-    "min_distance_brute_force",
     "peak_forces",
     "peg_assembly",
     "proxy_assembly",

@@ -43,10 +43,9 @@ from .planner import AssemblySequence, PlannerError, configure_fixing_parts
 from .relations import (
     DIRECTION_ORDER,
     RelationError,
-    RelationMatrices,
     SweepParams,
     compute_all_interference_free,
-    compute_contact_matrix,
+    compute_relation_matrices,
 )
 
 _INPUT_ERROR = 1
@@ -147,15 +146,9 @@ def _cmd_plan(args) -> int:
     return 0 if plan.complete else _PARTIAL_OR_FAILURE
 
 
-def _compute_matrices(assembly: AssemblyModel, params: SweepParams) -> RelationMatrices:
-    contact = compute_contact_matrix(assembly)
-    free = compute_all_interference_free(assembly, params)
-    return RelationMatrices(tuple(assembly.part_ids), contact, free)
-
-
 def _cmd_matrices(args) -> int:
     assembly, params = _load_assembly(args)
-    matrices = _compute_matrices(assembly, params)
+    matrices = compute_relation_matrices(assembly, params)
     if args.oracle:
         oracle_params = SweepParams(params.max_distance, params.step_count, oracle_mode=True)
         oracle = compute_all_interference_free(assembly, oracle_params)

@@ -1,10 +1,13 @@
-"""Distance, intersection, and containment queries between triangle meshes.
+"""Distance and penetration queries between triangle meshes.
 
 Conventions that everything downstream relies on:
 
-* Surface contact is not an intersection. ``intersects`` reports true only
-  for positive penetration (a transversal surface crossing) or containment,
-  so parts resting or sliding on each other stay legal.
+* Surface contact is not an intersection. Penetration means a transversal
+  surface crossing or containment, so parts resting or sliding on each
+  other stay legal.
+* One kernel, ``penetrates_along``, decides penetration of a mesh shifted by
+  a set of offsets along an axis. ``intersects`` is its zero-offset case and
+  the translational sweeps in ``relations`` are its sampled case.
 * ``min_distance`` is exactly symmetric in its arguments and the BVH
   accelerated path returns the same float as the all-pairs scan.
 
@@ -23,9 +26,10 @@ TOUCH_TOLERANCE_MM = 1e-9
 
 # winding fraction above this counts as strictly inside a closed mesh
 # (inside = 1, outside = 0, on-surface = 0.5)
-_INSIDE_WINDING = 0.75
+INSIDE_WINDING = 0.75
 
-_CHUNK_ROWS = 1 << 18
+# rows per narrow-phase batch; bounds the kernels' temporaries
+_CHUNK_ROWS = 1 << 17
 
 
 # -- low-level kernels -------------------------------------------------------
@@ -288,105 +292,87 @@ def surface_probe_points(mesh: TriangleMesh) -> np.ndarray:
     return np.vstack([probes, interior_probe_point(mesh)[None, :]])
 
 
-def _probes_strictly_inside(probes: np.ndarray, target: TriangleMesh) -> bool:
-    lo, hi = target.aabb
-    keep = np.all((probes > lo) & (probes < hi), axis=1)
-    if not keep.any():
-        return False
-    w = winding_fraction(probes[keep], target.corners)
-    return bool((w > _INSIDE_WINDING).any())
+# -- penetration kernel ------------------------------------------------------
 
+def penetrates_along(static: TriangleMesh, moving: TriangleMesh, axis: int,
+                     offsets: np.ndarray) -> bool:
+    """True iff ``moving``, shifted along ``axis`` by some signed offset in
+    ``offsets`` (mm, any order), penetrates ``static``.
 
-def _containment(mesh_a: TriangleMesh, mesh_b: TriangleMesh) -> bool:
-    """True when either surface dips strictly inside the other solid.
-
-    Surface probes also catch penetrations whose boundaries meet only along
-    tangent planes, where no transversal triangle crossing exists.
+    Penetration is a transversal triangle crossing (:func:`proper_crossings`)
+    or a surface/interior probe of either mesh strictly inside the other
+    solid; probes also catch overlaps whose boundaries meet only along
+    tangent planes. Surface contact is not penetration. Each triangle pair
+    whose boxes overlap somewhere on the offset range is checked only at the
+    offsets where they do, padded by 1e-9 of the largest offset magnitude;
+    skipping the rest is exact, not approximate.
     """
-    if _probes_strictly_inside(surface_probe_points(mesh_a), mesh_b):
-        return True
-    return _probes_strictly_inside(surface_probe_points(mesh_b), mesh_a)
+    offsets = np.sort(np.asarray(offsets, dtype=np.float64))
+    st_lo, st_hi = static.triangle_bounds
+    mv_lo, mv_hi = moving.triangle_bounds
 
+    # broad phase: static boxes against moving boxes stretched over the range
+    ext_lo = mv_lo.copy()
+    ext_hi = mv_hi.copy()
+    ext_lo[:, axis] += offsets[0]
+    ext_hi[:, axis] += offsets[-1]
+    overlap = np.ones((len(st_lo), len(mv_lo)), dtype=bool)
+    for ax in range(3):
+        overlap &= st_lo[:, ax][:, None] <= ext_hi[:, ax][None, :]
+        overlap &= ext_lo[:, ax][None, :] <= st_hi[:, ax][:, None]
+    si, mi = np.nonzero(overlap)
 
-# -- broad phase -------------------------------------------------------------
+    # per pair, the offsets at which its boxes overlap along the axis
+    margin = 1e-9 * np.abs(offsets).max()
+    first = np.searchsorted(offsets, st_lo[si, axis] - mv_hi[mi, axis] - margin, side="left")
+    last = np.searchsorted(offsets, st_hi[si, axis] - mv_lo[mi, axis] + margin, side="right")
+    counts = last - first
+    row_pair = np.repeat(np.arange(len(si)), counts)
+    starts = np.cumsum(counts) - counts
+    row_offset = offsets[np.arange(len(row_pair)) - starts[row_pair] + first[row_pair]]
 
-def _boxes_overlap(lo_a, hi_a, lo_b, hi_b) -> bool:
-    return bool(np.all(lo_a <= hi_b) and np.all(lo_b <= hi_a))
+    sc = static.corners
+    mc = moving.corners
+    for start in range(0, len(row_pair), _CHUNK_ROWS):
+        sl = slice(start, start + _CHUNK_ROWS)
+        rows = row_pair[sl]
+        shifted = mc[mi[rows]]
+        shifted[:, :, axis] += row_offset[sl][:, None]
+        if proper_crossings(sc[si[rows]], shifted).any():
+            return True
 
-
-def candidate_triangle_pairs(mesh_a: TriangleMesh, mesh_b: TriangleMesh) -> tuple[np.ndarray, np.ndarray]:
-    """Triangle index pairs whose boxes overlap, from a BVH-BVH walk."""
-    ta, tb = mesh_a.bvh, mesh_b.bvh
-    out_a: list[np.ndarray] = []
-    out_b: list[np.ndarray] = []
-    stack = [(0, 0)]
-    while stack:
-        ia, ib = stack.pop()
-        if not _boxes_overlap(ta.lo[ia], ta.hi[ia], tb.lo[ib], tb.hi[ib]):
-            continue
-        leaf_a = ta.left[ia] < 0
-        leaf_b = tb.left[ib] < 0
-        if leaf_a and leaf_b:
-            idx_a = ta.order[ta.start[ia]:ta.start[ia] + ta.count[ia]]
-            idx_b = tb.order[tb.start[ib]:tb.start[ib] + tb.count[ib]]
-            ga, gb = np.meshgrid(idx_a, idx_b, indexing="ij")
-            out_a.append(ga.ravel())
-            out_b.append(gb.ravel())
-        elif leaf_a or (not leaf_b and _node_extent(tb, ib) > _node_extent(ta, ia)):
-            stack.append((ia, int(tb.left[ib])))
-            stack.append((ia, int(tb.right[ib])))
-        else:
-            stack.append((int(ta.left[ia]), ib))
-            stack.append((int(ta.right[ia]), ib))
-    if not out_a:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    pa = np.concatenate(out_a)
-    pb = np.concatenate(out_b)
-    lo_a, hi_a = mesh_a.triangle_bounds
-    lo_b, hi_b = mesh_b.triangle_bounds
-    tight = np.all(lo_a[pa] <= hi_b[pb], axis=1) & np.all(lo_b[pb] <= hi_a[pa], axis=1)
-    return pa[tight], pb[tight]
-
-
-def _node_extent(tree, i) -> float:
-    return float((tree.hi[i] - tree.lo[i]).max())
+    # containment: moving probes in the static solid, static probes in the
+    # shifted moving solid, on the (probe, offset) grid inside the target box
+    other = [ax for ax in range(3) if ax != axis]
+    for probes, target, sign in ((surface_probe_points(moving), static, 1.0),
+                                 (surface_probe_points(static), moving, -1.0)):
+        lo, hi = target.aabb
+        coord = probes[:, axis][:, None] + sign * offsets[None, :]
+        inside = (coord > lo[axis]) & (coord < hi[axis])
+        inside &= np.all((probes[:, other] > lo[other]) & (probes[:, other] < hi[other]),
+                         axis=1)[:, None]
+        pi, oi = np.nonzero(inside)
+        points = probes[pi]
+        points[:, axis] = coord[pi, oi]
+        for start in range(0, len(points), _CHUNK_ROWS):
+            w = winding_fraction(points[start:start + _CHUNK_ROWS], target.corners)
+            if (w > INSIDE_WINDING).any():
+                return True
+    return False
 
 
 # -- public queries ----------------------------------------------------------
 
 def intersects(mesh_a: TriangleMesh, mesh_b: TriangleMesh) -> bool:
-    """True iff the solids overlap with positive penetration.
-
-    Either some triangle pair crosses transversally, or one mesh's surface
-    or interior probe lies strictly inside the other (containment). Pure
-    surface touching returns False.
+    """True iff the solids overlap with positive penetration: the
+    zero-offset case of :func:`penetrates_along`. Pure surface touching
+    returns False.
     """
     lo_a, hi_a = mesh_a.aabb
     lo_b, hi_b = mesh_b.aabb
-    if not _boxes_overlap(lo_a, hi_a, lo_b, hi_b):
+    if np.any(lo_a > hi_b) or np.any(lo_b > hi_a):
         return False
-    pa, pb = candidate_triangle_pairs(mesh_a, mesh_b)
-    ca = mesh_a.corners
-    cb = mesh_b.corners
-    for start in range(0, len(pa), _CHUNK_ROWS):
-        sl = slice(start, start + _CHUNK_ROWS)
-        if proper_crossings(ca[pa[sl]], cb[pb[sl]]).any():
-            return True
-    return _containment(mesh_a, mesh_b)
-
-
-def min_distance_brute_force(mesh_a: TriangleMesh, mesh_b: TriangleMesh) -> float:
-    """All-pairs reference for :func:`min_distance` (same kernels, no BVH)."""
-    na, nb = len(mesh_a.triangles), len(mesh_b.triangles)
-    ia, ib = np.meshgrid(np.arange(na), np.arange(nb), indexing="ij")
-    best = np.inf
-    ca, cb = mesh_a.corners, mesh_b.corners
-    fa, fb = ia.ravel(), ib.ravel()
-    for start in range(0, len(fa), _CHUNK_ROWS):
-        sl = slice(start, start + _CHUNK_ROWS)
-        d = triangle_pair_distance_sq(ca[fa[sl]], cb[fb[sl]])
-        best = min(best, float(d.min()))
-    return _finalize_distance(best, mesh_a, mesh_b)
+    return penetrates_along(mesh_a, mesh_b, 0, np.zeros(1))
 
 
 def min_distance(mesh_a: TriangleMesh, mesh_b: TriangleMesh) -> float:
@@ -429,6 +415,10 @@ def min_distance(mesh_a: TriangleMesh, mesh_b: TriangleMesh) -> float:
                 counter += 1
                 heapq.heappush(heap, (bound_sq(ja, jb), counter, ja, jb))
     return _finalize_distance(best, mesh_a, mesh_b)
+
+
+def _node_extent(tree, i) -> float:
+    return float((tree.hi[i] - tree.lo[i]).max())
 
 
 def _finalize_distance(best_sq: float, mesh_a: TriangleMesh, mesh_b: TriangleMesh) -> float:

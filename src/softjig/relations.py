@@ -5,7 +5,8 @@ For parts i, k of an assembled product:
 * ``contact[i, k]`` — the surfaces are within the contact tolerance.
 * ``interference_free[j][i, k]`` — part k can translate along axis
   direction j from its assembled pose all the way out of the assembly
-  without ever penetrating part i, checked at uniform samples.
+  without ever penetrating part i, checked at uniform samples by the
+  penetration kernel ``queries.penetrates_along``.
 * ``reachable[j]`` — elementwise gate of contact with interference
   freedom: ``(C | C^T) & M_j``. A pair's six reachable flags, in the fixed
   order +x, -x, +y, -y, +z, -z, form its reachable-direction list.
@@ -25,14 +26,7 @@ import numpy as np
 
 from .mesh import TriangleMesh
 from .parts import AssemblyModel
-from .queries import (
-    proper_crossings,
-    surface_probe_points,
-    winding_fraction,
-)
-
-_INSIDE_WINDING = 0.75
-_ROW_CHUNK = 1 << 17
+from .queries import min_distance, penetrates_along
 
 
 class RelationError(ValueError):
@@ -173,10 +167,10 @@ def sweep_translation_is_free(static: TriangleMesh, moving: TriangleMesh,
                               n_steps: int) -> bool:
     """True iff ``moving`` never penetrates ``static`` at any sampled offset.
 
-    Penetration at one sample means a transversal triangle crossing or a
-    surface/interior probe of one mesh strictly inside the other, exactly as
-    in :func:`softjig.queries.intersects`. Samples whose swept bounding
-    boxes cannot overlap are skipped; that skip is exact, not approximate.
+    Samples where the two whole bounding boxes cannot overlap are cropped;
+    the rest go to :func:`softjig.queries.penetrates_along`, the same kernel
+    that :func:`softjig.queries.intersects` runs at offset zero, so a
+    sample blocks exactly when ``intersects`` would report the shifted pair.
     """
     axis, sign = direction.axis, direction.sign
     s_lo, s_hi = static.aabb
@@ -195,92 +189,7 @@ def sweep_translation_is_free(static: TriangleMesh, moving: TriangleMesh,
     if k_lo > k_hi:
         return True
     samples = sweep_sample_distances(max_distance, n_steps)[k_lo - 1:k_hi]
-    shift = sign * samples
-
-    if _swept_crossing_hits(static, moving, axis, sign, samples, k_lo, scale):
-        return False
-    return not _swept_containment_hits(static, moving, axis, shift)
-
-
-def _swept_crossing_hits(static: TriangleMesh, moving: TriangleMesh,
-                         axis: int, sign: float, samples: np.ndarray,
-                         k_lo: int, scale: float) -> bool:
-    st_lo, st_hi = static.triangle_bounds
-    mv_lo, mv_hi = moving.triangle_bounds
-
-    lo_shift, hi_shift = sorted((sign * samples[0], sign * samples[-1]))
-    ext_lo = mv_lo.copy()
-    ext_hi = mv_hi.copy()
-    ext_lo[:, axis] += lo_shift
-    ext_hi[:, axis] += hi_shift
-
-    overlap = np.ones((len(st_lo), len(mv_lo)), dtype=bool)
-    for ax in range(3):
-        overlap &= st_lo[:, ax][:, None] <= ext_hi[:, ax][None, :]
-        overlap &= ext_lo[:, ax][None, :] <= st_hi[:, ax][:, None]
-    si, mi = np.nonzero(overlap)
-    if len(si) == 0:
-        return False
-
-    if sign > 0:
-        pair_lo = st_lo[si, axis] - mv_hi[mi, axis]
-        pair_hi = st_hi[si, axis] - mv_lo[mi, axis]
-    else:
-        pair_lo = mv_lo[mi, axis] - st_hi[si, axis]
-        pair_hi = mv_hi[mi, axis] - st_lo[si, axis]
-    k0 = np.maximum(k_lo, np.ceil(pair_lo * scale - 1e-9).astype(np.int64))
-    k1 = np.minimum(k_lo + len(samples) - 1, np.floor(pair_hi * scale + 1e-9).astype(np.int64))
-    counts = np.maximum(0, k1 - k0 + 1)
-    keep = counts > 0
-    si, mi, k0, counts = si[keep], mi[keep], k0[keep], counts[keep]
-    if len(si) == 0:
-        return False
-
-    row_pair = np.repeat(np.arange(len(si)), counts)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    k_row = np.arange(counts.sum()) - starts[row_pair] + k0[row_pair]
-    t_row = samples[k_row - k_lo]
-
-    unit = np.zeros(3)
-    unit[axis] = sign
-    sc = static.corners
-    mc = moving.corners
-    for start in range(0, len(row_pair), _ROW_CHUNK):
-        sl = slice(start, start + _ROW_CHUNK)
-        rows = row_pair[sl]
-        shifted = mc[mi[rows]] + t_row[sl][:, None, None] * unit
-        if proper_crossings(sc[si[rows]], shifted).any():
-            return True
-    return False
-
-
-def _swept_containment_hits(static: TriangleMesh, moving: TriangleMesh,
-                            axis: int, shift: np.ndarray) -> bool:
-    # moving-mesh probes against the static solid: probe + shift, and
-    # static probes against the displaced moving solid: probe - shift
-    unit_shift = np.zeros((len(shift), 3))
-    unit_shift[:, axis] = shift
-    if _grid_probe_hits(surface_probe_points(moving), unit_shift, static):
-        return True
-    return _grid_probe_hits(surface_probe_points(static), -unit_shift, moving)
-
-
-def _grid_probe_hits(probes: np.ndarray, shifts: np.ndarray, target: TriangleMesh) -> bool:
-    lo, hi = target.aabb
-    # (probe, sample) grid of shifted points strictly inside the target box
-    inside = np.ones((len(probes), len(shifts)), dtype=bool)
-    for ax in range(3):
-        coord = probes[:, ax][:, None] + shifts[:, ax][None, :]
-        inside &= (coord > lo[ax]) & (coord < hi[ax])
-    pi, ki = np.nonzero(inside)
-    if len(pi) == 0:
-        return False
-    points = probes[pi] + shifts[ki]
-    for start in range(0, len(points), _ROW_CHUNK):
-        w = winding_fraction(points[start:start + _ROW_CHUNK], target.corners)
-        if (w > _INSIDE_WINDING).any():
-            return True
-    return False
+    return not penetrates_along(static, moving, axis, sign * samples)
 
 
 # -- relation matrices -------------------------------------------------------
@@ -297,7 +206,7 @@ class RelationMatrices:
     entity_ids: tuple[str, ...]
     contact: np.ndarray
     interference_free: dict[Direction, np.ndarray]
-    reachable: dict[Direction, np.ndarray] = field(default=None)  # type: ignore[assignment]
+    reachable: dict[Direction, np.ndarray] = field(init=False)
 
     def __post_init__(self) -> None:
         n = len(self.entity_ids)
@@ -316,11 +225,7 @@ class RelationMatrices:
             np.fill_diagonal(m, False)
             m.setflags(write=False)
             free[d] = m
-        reach = self.reachable
-        if reach is None:
-            reach = {d: compute_reachable_matrix(contact, free[d]) for d in DIRECTION_ORDER}
-        else:
-            reach = {d: np.array(reach[d], dtype=bool) for d in DIRECTION_ORDER}
+        reach = {d: compute_reachable_matrix(contact, free[d]) for d in DIRECTION_ORDER}
         contact.setflags(write=False)
         for d in DIRECTION_ORDER:
             reach[d].setflags(write=False)
@@ -360,8 +265,6 @@ def compute_contact_matrix(assembly: AssemblyModel) -> np.ndarray:
     Parts are in contact when their surface distance is within the
     assembly's contact tolerance.
     """
-    from .queries import min_distance
-
     n = len(assembly.parts)
     contact = np.zeros((n, n), dtype=bool)
     for i in range(n):
@@ -393,26 +296,12 @@ def _pair_sweep(assembly: AssemblyModel, params: SweepParams, max_distance: floa
     return sweep_translation_is_free(static, moving, direction, max_distance, n_steps)
 
 
-def compute_interference_free_matrix(assembly: AssemblyModel, direction: Direction,
-                                     params: SweepParams | None = None) -> np.ndarray:
-    """Matrix of free translations along one direction: entry (i, k) is true
-    when part k sweeps out along ``direction`` without penetrating part i."""
-    params = params or SweepParams()
-    max_distance = params.resolved_distance(assembly)
-    n = len(assembly.parts)
-    free = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for k in range(n):
-            if i != k:
-                free[i, k] = _pair_sweep(assembly, params, max_distance, i, k, direction)
-    return free
-
-
 def compute_all_interference_free(assembly: AssemblyModel,
                                   params: SweepParams | None = None
                                   ) -> dict[Direction, np.ndarray]:
     """All six interference-free matrices from one canonical sweep per
-    unordered pair and direction (half the work of six separate calls)."""
+    unordered pair and direction. Entry (i, k) of matrix j is true when part
+    k sweeps out along j without penetrating part i."""
     params = params or SweepParams()
     max_distance = params.resolved_distance(assembly)
     n = len(assembly.parts)

@@ -9,7 +9,7 @@ from softjig import (
     proxy_assembly,
 )
 from softjig.fixtures import box_mesh, compound_mesh
-from softjig.queries import intersects
+from softjig.queries import intersects, triangle_pair_distance_sq
 from softjig.relations import sweep_sample_distances
 
 
@@ -62,3 +62,17 @@ def naive_sweep_is_free(static_mesh, moving_mesh, direction, max_distance, n_ste
         if intersects(static_mesh, moving_mesh.translated(t * unit)):
             return False
     return True
+
+
+def min_distance_brute_force(mesh_a, mesh_b) -> float:
+    """All-pairs reference for ``min_distance``: the same triangle kernel
+    over every triangle pair, no BVH."""
+    ca, cb = mesh_a.corners, mesh_b.corners
+    ia, ib = np.meshgrid(np.arange(len(ca)), np.arange(len(cb)), indexing="ij")
+    ia, ib = ia.ravel(), ib.ravel()
+    chunk = 1 << 17
+    best = min(float(triangle_pair_distance_sq(ca[ia[s:s + chunk]], cb[ib[s:s + chunk]]).min())
+               for s in range(0, len(ia), chunk))
+    if best == 0.0 or intersects(mesh_a, mesh_b):
+        return 0.0
+    return float(np.sqrt(best))

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import min_distance_brute_force
+
 from softjig.fixtures import box_mesh, generate_proxy_fixture
 from softjig.queries import (
     intersects,
     min_distance,
-    min_distance_brute_force,
     point_triangle_distance_sq,
     proper_crossings,
     triangle_pair_distance_sq,

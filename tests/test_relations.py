@@ -7,6 +7,7 @@ from conftest import ROT_Z_QUARTER, naive_sweep_is_free, rotated_assembly
 
 from softjig.fixtures import box_mesh, generate_proxy_fixture
 from softjig.parts import AssemblyModel, PartModel
+from softjig.queries import intersects
 from softjig.relations import (
     DIRECTION_ORDER,
     Direction,
@@ -16,7 +17,6 @@ from softjig.relations import (
     SweepParams,
     compute_all_interference_free,
     compute_contact_matrix,
-    compute_interference_free_matrix,
     compute_reachable_matrix,
     compute_relation_matrices,
     merge_entity,
@@ -84,10 +84,10 @@ def test_contact_symmetry_on_random_stacks(cube_stacks):
 def test_fully_separated_cubes_free_in_all_directions():
     a = PartModel("a", box_mesh((0, 0, 0), (5, 5, 5)), 1.0)
     b = PartModel("b", box_mesh((20, 30, 40), (25, 35, 45)), 1.0)
-    asm = AssemblyModel((a, b))
+    free = compute_all_interference_free(AssemblyModel((a, b)))
     for d in DIRECTION_ORDER:
-        assert compute_interference_free_matrix(asm, d)[0, 1]
-        assert compute_interference_free_matrix(asm, d)[1, 0]
+        assert free[d][0, 1]
+        assert free[d][1, 0]
 
 
 def test_peg_in_blind_hole_free_only_upward(peg):
@@ -97,12 +97,6 @@ def test_peg_in_blind_hole_free_only_upward(peg):
     for d in DIRECTION_ORDER:
         if d is not Direction.PLUS_Z:
             assert not free[d][base, peg_i], d.value
-
-
-def test_per_direction_call_matches_batched(peg):
-    batched = compute_all_interference_free(peg)
-    for d in DIRECTION_ORDER:
-        assert np.array_equal(compute_interference_free_matrix(peg, d), batched[d])
 
 
 def test_resting_cube_blocked_only_downward():
@@ -136,6 +130,36 @@ def test_sweep_engine_matches_naive_on_random_boxes(seed):
     for d in DIRECTION_ORDER:
         assert sweep_translation_is_free(static, moving, d, 40.0, 16) == \
             naive_sweep_is_free(static, moving, d, 40.0, 16), d.value
+
+
+grid_box = st.tuples(st.tuples(*[st.integers(0, 4)] * 3), st.tuples(*[st.integers(1, 3)] * 3))
+
+
+@given(a=grid_box, b=grid_box)
+@settings(max_examples=300, deadline=None)
+def test_grid_box_pairs_match_analytic_rules(a, b):
+    """Oracle that shares no code with the penetration kernel: integer-grid
+    boxes, where face, edge and corner touches are common."""
+    lo_a, lo_b = np.array(a[0], float), np.array(b[0], float)
+    hi_a, hi_b = lo_a + a[1], lo_b + b[1]
+    depth = np.minimum(hi_a, hi_b) - np.maximum(lo_a, lo_b)
+    mesh_a, mesh_b = box_mesh(lo_a, hi_a), box_mesh(lo_b, hi_b)
+    penetrating = bool((depth > 0).all())
+    assert intersects(mesh_a, mesh_b) == intersects(mesh_b, mesh_a) == penetrating
+    if penetrating:
+        return
+    free = compute_all_interference_free(
+        AssemblyModel((PartModel("a", mesh_a, 1.0), PartModel("b", mesh_b, 1.0))))
+    for d in DIRECTION_ORDER:
+        ax = d.axis
+        side_overlap = all(depth[o] > 0 for o in range(3) if o != ax)
+        # a moving part is blocked iff the static box lies ahead along d
+        if d.sign > 0:
+            a_ahead, b_ahead = lo_a[ax] >= hi_b[ax], lo_b[ax] >= hi_a[ax]
+        else:
+            a_ahead, b_ahead = hi_a[ax] <= lo_b[ax], hi_b[ax] <= lo_a[ax]
+        assert free[d][0, 1] == (not (side_overlap and a_ahead)), d.value
+        assert free[d][1, 0] == (not (side_overlap and b_ahead)), d.value
 
 
 def test_duality_on_fixtures(proxy, peg, cube_stacks):
