@@ -29,7 +29,7 @@ from .planner import (
     configure_fixing_parts,
     select_posture,
 )
-from .queries import intersects, min_distance
+from .queries import intersects, min_distance, within_distance
 from .relations import (
     DIRECTION_ORDER,
     Direction,
@@ -87,6 +87,7 @@ __all__ = [
     "save_stl_ascii",
     "save_stl_binary",
     "select_posture",
+    "within_distance",
 ]
 
 __version__ = "0.1.0"

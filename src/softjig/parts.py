@@ -7,6 +7,7 @@ part, scaled to that mass, since meshes carry no material map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,18 +40,21 @@ class PartModel:
     def __post_init__(self) -> None:
         if not self.id:
             raise PartError("part id must be non-empty")
-        if not (self.mass > 0):
-            raise PartError(f"part {self.id!r}: mass must be > 0, got {self.mass}")
+        if not (self.mass > 0 and math.isfinite(self.mass)):
+            raise PartError(f"part {self.id!r}: mass must be finite and > 0, got {self.mass}")
         volume = self.mesh.signed_volume()
         if not (volume > 0):
             raise DegenerateMeshError(
                 f"part {self.id!r}: enclosed volume {volume:.6g} mm^3 is not positive"
             )
+        cog = self.mesh.volume_centroid()
+        cog.setflags(write=False)
+        object.__setattr__(self, "_cog", cog)
 
     @property
     def cog(self) -> np.ndarray:
         """Uniform-density center of gravity of this part (mm)."""
-        return self.mesh.volume_centroid()
+        return self._cog
 
 
 def mass_properties(parts: list[PartModel]) -> tuple[float, np.ndarray]:

@@ -10,6 +10,12 @@ Conventions that everything downstream relies on:
   the translational sweeps in ``relations`` are its sampled case.
 * ``min_distance`` is exactly symmetric in its arguments and the BVH
   accelerated path returns the same float as the all-pairs scan.
+* Contact is decided by ``within_distance``, a threshold query equal to
+  ``min_distance(a, b) <= epsilon``: a whole-box early-out, triangle pairs
+  whose boxes come within epsilon, the distance kernel over those pairs in
+  growing batches with early exit, and ``intersects`` last for nested solids.
+* ``within_distance`` and ``penetrates_along`` share one broad phase,
+  ``_box_pairs``.
 
 All tolerances are absolute millimetres.
 """
@@ -30,6 +36,9 @@ INSIDE_WINDING = 0.75
 
 # rows per narrow-phase batch; bounds the kernels' temporaries
 _CHUNK_ROWS = 1 << 17
+
+# first batch of an early-exit distance scan; batches double up to _CHUNK_ROWS
+_FIRST_BATCH_ROWS = 1 << 12
 
 
 # -- low-level kernels -------------------------------------------------------
@@ -292,6 +301,30 @@ def surface_probe_points(mesh: TriangleMesh) -> np.ndarray:
     return np.vstack([probes, interior_probe_point(mesh)[None, :]])
 
 
+# -- broad phase -------------------------------------------------------------
+
+def _box_pairs(lo_a: np.ndarray, hi_a: np.ndarray, lo_b: np.ndarray, hi_b: np.ndarray,
+               gap: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``(i, j)``, in row-major order, whose boxes
+    ``[lo_a[i], hi_a[i]]`` and ``[lo_b[j], hi_b[j]]`` overlap once inflated
+    by ``gap`` mm on every axis (touching counts as overlap).
+
+    Each side is first cropped to the boxes that reach the other side's
+    whole bounding box; the crop is exact, it only shrinks the dense test.
+    """
+    keep_a = np.flatnonzero(np.all((lo_a - gap <= hi_b.max(axis=0))
+                                   & (lo_b.min(axis=0) - gap <= hi_a), axis=1))
+    keep_b = np.flatnonzero(np.all((lo_b - gap <= hi_a.max(axis=0))
+                                   & (lo_a.min(axis=0) - gap <= hi_b), axis=1))
+    la, ha, lb, hb = lo_a[keep_a], hi_a[keep_a], lo_b[keep_b], hi_b[keep_b]
+    overlap = np.ones((len(keep_a), len(keep_b)), dtype=bool)
+    for ax in range(3):
+        overlap &= la[:, ax][:, None] - gap <= hb[:, ax][None, :]
+        overlap &= lb[:, ax][None, :] - gap <= ha[:, ax][:, None]
+    i, j = np.nonzero(overlap)
+    return keep_a[i], keep_b[j]
+
+
 # -- penetration kernel ------------------------------------------------------
 
 def penetrates_along(static: TriangleMesh, moving: TriangleMesh, axis: int,
@@ -316,11 +349,7 @@ def penetrates_along(static: TriangleMesh, moving: TriangleMesh, axis: int,
     ext_hi = mv_hi.copy()
     ext_lo[:, axis] += offsets[0]
     ext_hi[:, axis] += offsets[-1]
-    overlap = np.ones((len(st_lo), len(mv_lo)), dtype=bool)
-    for ax in range(3):
-        overlap &= st_lo[:, ax][:, None] <= ext_hi[:, ax][None, :]
-        overlap &= ext_lo[:, ax][None, :] <= st_hi[:, ax][:, None]
-    si, mi = np.nonzero(overlap)
+    si, mi = _box_pairs(st_lo, st_hi, ext_lo, ext_hi)
 
     # per pair, the offsets at which its boxes overlap along the axis
     margin = 1e-9 * np.abs(offsets).max()
@@ -373,6 +402,37 @@ def intersects(mesh_a: TriangleMesh, mesh_b: TriangleMesh) -> bool:
     if np.any(lo_a > hi_b) or np.any(lo_b > hi_a):
         return False
     return penetrates_along(mesh_a, mesh_b, 0, np.zeros(1))
+
+
+def within_distance(mesh_a: TriangleMesh, mesh_b: TriangleMesh, epsilon: float) -> bool:
+    """True iff ``min_distance(mesh_a, mesh_b) <= epsilon``, decided without
+    computing the distance. Exactly symmetric in the meshes.
+
+    Parts whose whole boxes are more than ``epsilon`` apart cannot touch or
+    penetrate. Otherwise the triangle pairs whose boxes come within
+    ``epsilon`` run through :func:`triangle_pair_distance_sq` in batches that
+    start small and grow, stopping at the first pair within ``epsilon``;
+    failing that, the answer is :func:`intersects`, which covers nested
+    solids. Boxes are padded by 1e-9 of (``epsilon`` + the largest
+    coordinate magnitude), far above the kernel's rounding, so no pair
+    whose computed distance is within ``epsilon`` is skipped.
+    """
+    lo_a, hi_a = mesh_a.aabb
+    lo_b, hi_b = mesh_b.aabb
+    scale = float(np.abs(np.concatenate([lo_a, hi_a, lo_b, hi_b])).max())
+    reach = epsilon + 1e-9 * (epsilon + scale)
+    if np.any(lo_a - reach > hi_b) or np.any(lo_b - reach > hi_a):
+        return False
+    ia, ib = _box_pairs(*mesh_a.triangle_bounds, *mesh_b.triangle_bounds, reach)
+    ca, cb = mesh_a.corners, mesh_b.corners
+    start, size = 0, _FIRST_BATCH_ROWS
+    while start < len(ia):
+        sl = slice(start, start + size)
+        if (np.sqrt(triangle_pair_distance_sq(ca[ia[sl]], cb[ib[sl]])) <= epsilon).any():
+            return True
+        start += size
+        size = min(2 * size, _CHUNK_ROWS)
+    return intersects(mesh_a, mesh_b)
 
 
 def min_distance(mesh_a: TriangleMesh, mesh_b: TriangleMesh) -> float:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .mesh import TriangleMesh
 from .parts import AssemblyModel
-from .queries import min_distance, penetrates_along
+from .queries import penetrates_along, within_distance
 
 
 class RelationError(ValueError):
@@ -263,14 +263,14 @@ def compute_contact_matrix(assembly: AssemblyModel) -> np.ndarray:
     """Symmetric boolean contact matrix over the assembly's parts.
 
     Parts are in contact when their surface distance is within the
-    assembly's contact tolerance.
+    assembly's contact tolerance (:func:`softjig.queries.within_distance`).
     """
     n = len(assembly.parts)
     contact = np.zeros((n, n), dtype=bool)
     for i in range(n):
         for k in range(i + 1, n):
-            touching = min_distance(assembly.parts[i].mesh, assembly.parts[k].mesh) \
-                <= assembly.contact_epsilon
+            touching = within_distance(assembly.parts[i].mesh, assembly.parts[k].mesh,
+                                       assembly.contact_epsilon)
             contact[i, k] = contact[k, i] = touching
     return contact
 

@@ -94,6 +94,20 @@ def test_plan_non_contacting_parts_exits_2(tmp_path):
     assert plan["steps"] == []
 
 
+def test_plan_infinite_mass_exits_1(tmp_path, capsys):
+    descriptor = write_two_cube_descriptor(tmp_path, gap_x=0.0)
+    doc = json.loads(descriptor.read_text())
+    doc["parts"][1]["mass_g"] = float("inf")
+    descriptor.write_text(json.dumps(doc))
+    assert "Infinity" in descriptor.read_text()
+    out = tmp_path / "plan.json"
+    code = main(["plan", str(descriptor), "--sequence", "a,b", "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "(b)" in err and "finite" in err
+
+
 def test_plan_requires_exactly_one_source(fixture_dir):
     assert main(["plan", "--sequence", "a,b"]) == 1
     assert main(["plan", str(fixture_dir / "assembly.json"), "--fixtures", "proxy",

@@ -94,6 +94,23 @@ def test_nonpositive_mass_rejected():
         cube_part(mass=-3.0)
 
 
+@pytest.mark.parametrize("mass", [float("inf"), float("nan"), float("-inf")])
+def test_non_finite_mass_rejected_naming_the_part(mass):
+    with pytest.raises(PartError, match="'heavy'"):
+        cube_part(pid="heavy", mass=mass)
+
+
+def test_cog_computed_once_and_bit_identical(monkeypatch):
+    part = generate_proxy_fixture("blind-hole-base")
+    assert np.array_equal(part.cog, part.mesh.volume_centroid())
+
+    def fail(self):
+        raise AssertionError("volume_centroid recomputed")
+
+    monkeypatch.setattr(TriangleMesh, "volume_centroid", fail)
+    mass_properties([part, part])
+
+
 def test_inverted_mesh_rejected():
     cube = box_mesh((0, 0, 0), (1, 1, 1))
     inverted = TriangleMesh(cube.vertices, cube.triangles[:, ::-1])

@@ -15,6 +15,7 @@ from softjig.queries import (
     proper_crossings,
     triangle_pair_distance_sq,
     winding_fraction,
+    within_distance,
 )
 
 unit_cube = lambda: box_mesh((0, 0, 0), (1, 1, 1))
@@ -163,6 +164,31 @@ def test_min_distance_matches_brute_force_on_random_boxes(seed):
     analytic = float(np.linalg.norm(gaps))
     assert d == pytest.approx(analytic, abs=1e-9)
     assert (d == 0.0) == (intersects(a, b) or analytic <= 1e-9)
+
+
+def random_rotation(rng) -> np.ndarray:
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q *= np.sign(np.diag(r))
+    return q if np.linalg.det(q) > 0 else -q
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("scale", [1 - 1e-6, 1 + 1e-6])
+def test_within_distance_at_epsilon_boundary_on_rotated_meshes(seed, scale):
+    """Rotated boxes, face to face and corner to corner, at gaps just inside
+    and just outside epsilon: the threshold query agrees with min_distance."""
+    rng = np.random.default_rng(seed)
+    eps = 0.01
+    rotation = random_rotation(rng)
+    box = box_mesh((0, 0, 0), (10, 10, 10))
+    origin = rng.uniform(-50, 50, 3)
+    a = box.transformed(rotation, origin)
+    for step in (np.array([10.0, 0, 0]) + [eps * scale, 0, 0],
+                 np.full(3, 10.0 + eps * scale / np.sqrt(3))):
+        b = box.transformed(rotation, origin + rotation @ step)
+        expected = scale < 1
+        assert (min_distance(a, b) <= eps) == expected
+        assert within_distance(a, b, eps) == within_distance(b, a, eps) == expected
 
 
 def test_winding_classifies_inside_outside():

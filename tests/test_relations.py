@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from conftest import ROT_Z_QUARTER, naive_sweep_is_free, rotated_assembly
 
+from softjig import cube_stack_assembly, queries, relations
 from softjig.fixtures import box_mesh, generate_proxy_fixture
 from softjig.parts import AssemblyModel, PartModel
-from softjig.queries import intersects
+from softjig.queries import intersects, min_distance, triangle_pair_distance_sq, within_distance
 from softjig.relations import (
     DIRECTION_ORDER,
     Direction,
@@ -70,6 +71,45 @@ def test_proxy_contact_matrix(proxy):
     assert contact[idx["motor"], idx["bolt_a"]] and contact[idx["motor"], idx["bolt_b"]]
     assert not contact[idx["bolt_a"], idx["bolt_b"]]
     assert np.array_equal(contact, contact.T)
+
+
+def test_nested_cube_contacts_through_intersects():
+    outer = box_mesh((0, 0, 0), (10, 10, 10))
+    inner = box_mesh((4, 4, 4), (6, 6, 6))
+    assembly = AssemblyModel((PartModel("outer", outer, 1.0), PartModel("inner", inner, 1.0)),
+                             contact_epsilon=0.1)
+    d = triangle_pair_distance_sq(np.repeat(outer.corners, 12, axis=0),
+                                  np.tile(inner.corners, (12, 1, 1)))
+    assert np.sqrt(d.min()) > assembly.contact_epsilon
+    assert within_distance(outer, inner, 0.1) and within_distance(inner, outer, 0.1)
+    assert compute_contact_matrix(assembly)[0, 1]
+
+
+def test_contact_guard_no_per_leaf_distance_calls(monkeypatch):
+    """Work-count guard, not a timing: one distance batch per part pair
+    whose boxes come within epsilon, and no ``min_distance`` at all."""
+    assembly = cube_stack_assembly(0, levels=16)
+    calls = {"min_distance": 0, "triangle_pair_distance_sq": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(queries, name, counted(name, getattr(queries, name)))
+    monkeypatch.setattr(relations, "min_distance", counted("min_distance", min_distance),
+                        raising=False)
+    contact = compute_contact_matrix(assembly)
+    eps = assembly.contact_epsilon
+    near = sum(
+        not (np.any(a.mesh.aabb[0] - eps > b.mesh.aabb[1])
+             or np.any(b.mesh.aabb[0] - eps > a.mesh.aabb[1]))
+        for i, a in enumerate(assembly.parts) for b in assembly.parts[i + 1:])
+    assert calls["min_distance"] == 0
+    assert 0 < calls["triangle_pair_distance_sq"] <= near
+    assert contact.sum() > 0
 
 
 def test_contact_symmetry_on_random_stacks(cube_stacks):
@@ -135,21 +175,27 @@ def test_sweep_engine_matches_naive_on_random_boxes(seed):
 grid_box = st.tuples(st.tuples(*[st.integers(0, 4)] * 3), st.tuples(*[st.integers(1, 3)] * 3))
 
 
-@given(a=grid_box, b=grid_box)
+@given(a=grid_box, b=grid_box, epsilon=st.sampled_from([0.5, 1.2, 1.5, 1.9, 2.1]))
 @settings(max_examples=300, deadline=None)
-def test_grid_box_pairs_match_analytic_rules(a, b):
+def test_grid_box_pairs_match_analytic_rules(a, b, epsilon):
     """Oracle that shares no code with the penetration kernel: integer-grid
-    boxes, where face, edge and corner touches are common."""
+    boxes, where face, edge and corner touches are common. Box gaps are
+    square roots of integers, and no ``epsilon`` lies near one."""
     lo_a, lo_b = np.array(a[0], float), np.array(b[0], float)
     hi_a, hi_b = lo_a + a[1], lo_b + b[1]
     depth = np.minimum(hi_a, hi_b) - np.maximum(lo_a, lo_b)
     mesh_a, mesh_b = box_mesh(lo_a, hi_a), box_mesh(lo_b, hi_b)
+    gap = float(np.linalg.norm(np.maximum(0.0, -depth)))
+    assert within_distance(mesh_a, mesh_b, epsilon) == within_distance(mesh_b, mesh_a, epsilon) \
+        == (min_distance(mesh_a, mesh_b) <= epsilon) == (gap <= epsilon)
+    assembly = AssemblyModel((PartModel("a", mesh_a, 1.0), PartModel("b", mesh_b, 1.0)))
+    contact = compute_contact_matrix(assembly)
+    assert contact[0, 1] == contact[1, 0] == (gap <= assembly.contact_epsilon)
     penetrating = bool((depth > 0).all())
     assert intersects(mesh_a, mesh_b) == intersects(mesh_b, mesh_a) == penetrating
     if penetrating:
         return
-    free = compute_all_interference_free(
-        AssemblyModel((PartModel("a", mesh_a, 1.0), PartModel("b", mesh_b, 1.0))))
+    free = compute_all_interference_free(assembly)
     for d in DIRECTION_ORDER:
         ax = d.axis
         side_overlap = all(depth[o] > 0 for o in range(3) if o != ax)
