@@ -16,6 +16,16 @@ Conventions that everything downstream relies on:
   growing batches with early exit, and ``intersects`` last for nested solids.
 * ``within_distance`` and ``penetrates_along`` share one broad phase,
   ``_box_pairs``.
+* ``penetrates_along`` checks a triangle pair only at offsets where both
+  triangles can straddle each other's planes. A shift leaves the normals
+  unchanged, so every vertex-to-plane distance is affine in the offset with
+  one slope, and each straddle holds on one interval per pair, computed in
+  closed form (``straddle.row_windows``). It is tested at the touch
+  tolerance less a slack of half that tolerance, which exceeds a bound on
+  the rounding gap derived there; pairs whose bound does not fit, such as
+  zero or sliver normals, keep every offset at which their boxes overlap.
+  Only rows on which ``proper_crossings`` is False are skipped.
+* Containment probes are computed once per mesh and kept read-only.
 
 All tolerances are absolute millimetres.
 """
@@ -23,10 +33,13 @@ All tolerances are absolute millimetres.
 from __future__ import annotations
 
 import heapq
+import threading
+import weakref
 
 import numpy as np
 
 from .mesh import TriangleMesh
+from .straddle import row_windows
 
 TOUCH_TOLERANCE_MM = 1e-9
 
@@ -37,7 +50,7 @@ INSIDE_WINDING = 0.75
 # rows per narrow-phase batch; bounds the kernels' temporaries
 _CHUNK_ROWS = 1 << 17
 
-# first batch of an early-exit distance scan; batches double up to _CHUNK_ROWS
+# first batch of an early-exit scan; batches double up to _CHUNK_ROWS
 _FIRST_BATCH_ROWS = 1 << 12
 
 
@@ -301,7 +314,34 @@ def surface_probe_points(mesh: TriangleMesh) -> np.ndarray:
     return np.vstack([probes, interior_probe_point(mesh)[None, :]])
 
 
+_PROBES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_PROBES_LOCK = threading.Lock()
+
+
+def _probe_points(mesh: TriangleMesh) -> np.ndarray:
+    """:func:`surface_probe_points` of ``mesh``, computed once per mesh and
+    kept read-only for the mesh's lifetime; the lock makes concurrent first
+    calls on a shared mesh compute it once."""
+    with _PROBES_LOCK:
+        probes = _PROBES.get(mesh)
+        if probes is None:
+            probes = surface_probe_points(mesh)
+            probes.setflags(write=False)
+            _PROBES[mesh] = probes
+    return probes
+
+
 # -- broad phase -------------------------------------------------------------
+
+def _growing_batches(n: int):
+    """Slices over ``n`` rows for an early-exit scan: ``_FIRST_BATCH_ROWS``
+    first, doubling up to ``_CHUNK_ROWS``."""
+    start, size = 0, _FIRST_BATCH_ROWS
+    while start < n:
+        yield slice(start, start + size)
+        start += size
+        size = min(2 * size, _CHUNK_ROWS)
+
 
 def _box_pairs(lo_a: np.ndarray, hi_a: np.ndarray, lo_b: np.ndarray, hi_b: np.ndarray,
                gap: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -336,9 +376,16 @@ def penetrates_along(static: TriangleMesh, moving: TriangleMesh, axis: int,
     or a surface/interior probe of either mesh strictly inside the other
     solid; probes also catch overlaps whose boundaries meet only along
     tangent planes. Surface contact is not penetration. Each triangle pair
-    whose boxes overlap somewhere on the offset range is checked only at the
-    offsets where they do, padded by 1e-9 of the largest offset magnitude;
-    skipping the rest is exact, not approximate.
+    whose boxes overlap somewhere on the offset range is checked only at
+    the offsets where they do, padded by 1e-9 of the largest offset
+    magnitude, and (past a few hundred rows) where both triangles can
+    straddle each other's planes. The latter is one interval per pair in
+    closed form, tested at the touch tolerance less a slack of half of it;
+    the slack exceeds a bound on the rounding gap to the per-row test,
+    derived in :func:`softjig.straddle.row_windows`, and pairs whose bound
+    exceeds it keep every box-overlap offset. Skipping the rest is exact,
+    not approximate. Crossing rows run in batches that start small and
+    grow, so a blocked sweep stops early.
     """
     offsets = np.sort(np.asarray(offsets, dtype=np.float64))
     st_lo, st_hi = static.triangle_bounds
@@ -351,19 +398,17 @@ def penetrates_along(static: TriangleMesh, moving: TriangleMesh, axis: int,
     ext_hi[:, axis] += offsets[-1]
     si, mi = _box_pairs(st_lo, st_hi, ext_lo, ext_hi)
 
-    # per pair, the offsets at which its boxes overlap along the axis
-    margin = 1e-9 * np.abs(offsets).max()
-    first = np.searchsorted(offsets, st_lo[si, axis] - mv_hi[mi, axis] - margin, side="left")
-    last = np.searchsorted(offsets, st_hi[si, axis] - mv_lo[mi, axis] + margin, side="right")
-    counts = last - first
+    # per pair, the offsets at which its boxes overlap along the axis and
+    # both triangles can straddle each other's planes
+    first, last = row_windows(static, moving, si, mi, axis, offsets,
+                              TOUCH_TOLERANCE_MM, _CHUNK_ROWS)
+    counts = np.maximum(last - first, 0)
     row_pair = np.repeat(np.arange(len(si)), counts)
     starts = np.cumsum(counts) - counts
     row_offset = offsets[np.arange(len(row_pair)) - starts[row_pair] + first[row_pair]]
 
-    sc = static.corners
-    mc = moving.corners
-    for start in range(0, len(row_pair), _CHUNK_ROWS):
-        sl = slice(start, start + _CHUNK_ROWS)
+    sc, mc = static.corners, moving.corners
+    for sl in _growing_batches(len(row_pair)):
         rows = row_pair[sl]
         shifted = mc[mi[rows]]
         shifted[:, :, axis] += row_offset[sl][:, None]
@@ -373,8 +418,8 @@ def penetrates_along(static: TriangleMesh, moving: TriangleMesh, axis: int,
     # containment: moving probes in the static solid, static probes in the
     # shifted moving solid, on the (probe, offset) grid inside the target box
     other = [ax for ax in range(3) if ax != axis]
-    for probes, target, sign in ((surface_probe_points(moving), static, 1.0),
-                                 (surface_probe_points(static), moving, -1.0)):
+    for probes, target, sign in ((_probe_points(moving), static, 1.0),
+                                 (_probe_points(static), moving, -1.0)):
         lo, hi = target.aabb
         coord = probes[:, axis][:, None] + sign * offsets[None, :]
         inside = (coord > lo[axis]) & (coord < hi[axis])
@@ -425,13 +470,9 @@ def within_distance(mesh_a: TriangleMesh, mesh_b: TriangleMesh, epsilon: float) 
         return False
     ia, ib = _box_pairs(*mesh_a.triangle_bounds, *mesh_b.triangle_bounds, reach)
     ca, cb = mesh_a.corners, mesh_b.corners
-    start, size = 0, _FIRST_BATCH_ROWS
-    while start < len(ia):
-        sl = slice(start, start + size)
+    for sl in _growing_batches(len(ia)):
         if (np.sqrt(triangle_pair_distance_sq(ca[ia[sl]], cb[ib[sl]])) <= epsilon).any():
             return True
-        start += size
-        size = min(2 * size, _CHUNK_ROWS)
     return intersects(mesh_a, mesh_b)
 
 

@@ -28,6 +28,10 @@ from .mesh import TriangleMesh
 from .parts import AssemblyModel
 from .queries import penetrates_along, within_distance
 
+# most samples one pair's sweep may take; above it the sweep is refused
+# before its offsets are allocated
+MAX_SWEEP_STEPS = 1 << 20
+
 
 class RelationError(ValueError):
     """Invalid relation computation input (dimensions, unknown entities)."""
@@ -117,7 +121,8 @@ class SweepParams:
     ``max_distance`` defaults to twice the assembly AABB diagonal (beyond
     that an axis translation cannot re-enter the assembly bounds) and may
     not be set lower. The effective step never exceeds half the thinnest
-    AABB extent of the swept pair; ``step_count`` is raised as needed.
+    AABB extent of the swept pair; ``step_count`` is raised as needed, and
+    a pair that would need more than ``MAX_SWEEP_STEPS`` is refused.
     ``oracle_mode`` samples 10x finer on an exactly nested grid.
     """
 
@@ -128,8 +133,9 @@ class SweepParams:
     def __post_init__(self) -> None:
         if self.step_count < 16:
             raise RelationError(f"step_count must be >= 16, got {self.step_count}")
-        if self.max_distance is not None and not (self.max_distance > 0):
-            raise RelationError("max_distance must be positive")
+        distance = self.max_distance
+        if distance is not None and not (math.isfinite(distance) and distance > 0):
+            raise RelationError(f"max_distance must be positive and finite, got {distance}")
 
     def resolved_distance(self, assembly: AssemblyModel) -> float:
         floor = 2.0 * assembly.aabb_diagonal
@@ -293,6 +299,10 @@ def _pair_sweep(assembly: AssemblyModel, params: SweepParams, max_distance: floa
         float(np.min(moving.aabb[1] - moving.aabb[0])),
     )
     n_steps = params.steps_for(max_distance, thin)
+    if n_steps > MAX_SWEEP_STEPS:
+        raise RelationError(
+            f"sweeping {assembly.parts[k].id!r} past {assembly.parts[i].id!r} needs "
+            f"{n_steps} steps, more than the limit of {MAX_SWEEP_STEPS}")
     return sweep_translation_is_free(static, moving, direction, max_distance, n_steps)
 
 

@@ -9,7 +9,14 @@ from softjig import (
     proxy_assembly,
 )
 from softjig.fixtures import box_mesh, compound_mesh
-from softjig.queries import intersects, triangle_pair_distance_sq
+from softjig.queries import (
+    INSIDE_WINDING,
+    intersects,
+    proper_crossings,
+    surface_probe_points,
+    triangle_pair_distance_sq,
+    winding_fraction,
+)
 from softjig.relations import sweep_sample_distances
 
 
@@ -76,3 +83,28 @@ def min_distance_brute_force(mesh_a, mesh_b) -> float:
     if best == 0.0 or intersects(mesh_a, mesh_b):
         return 0.0
     return float(np.sqrt(best))
+
+
+def naive_penetrates_along(static_mesh, moving_mesh, axis, offsets) -> bool:
+    """Reference for ``penetrates_along`` with no broad phase and no offset
+    windows: every (triangle pair, offset) row through ``proper_crossings``
+    and every probe of either mesh at every offset through the winding
+    number, with the moving mesh shifted the way the kernel shifts it."""
+    sc, mc = static_mesh.corners, moving_mesh.corners
+    offsets = np.asarray(offsets, dtype=np.float64)
+    i, j, k = (g.ravel() for g in np.meshgrid(np.arange(len(sc)), np.arange(len(mc)),
+                                             np.arange(len(offsets)), indexing="ij"))
+    chunk = 1 << 16
+    for start in range(0, len(i), chunk):
+        sl = slice(start, start + chunk)
+        shifted = mc[j[sl]]
+        shifted[:, :, axis] += offsets[k[sl]][:, None]
+        if proper_crossings(sc[i[sl]], shifted).any():
+            return True
+    for probes, target, sign in ((surface_probe_points(moving_mesh), sc, 1.0),
+                                 (surface_probe_points(static_mesh), mc, -1.0)):
+        points = np.repeat(probes, len(offsets), axis=0)
+        points[:, axis] += sign * np.tile(offsets, len(probes))
+        if (winding_fraction(points, target) > INSIDE_WINDING).any():
+            return True
+    return False

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from softjig import relations
 from softjig.cli import main
 from softjig.fixtures import box_mesh
 from softjig.mesh import save_stl_binary
@@ -106,6 +107,42 @@ def test_plan_infinite_mass_exits_1(tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "(b)" in err and "finite" in err
+
+
+def test_matrices_infinite_max_distance_flag_exits_1(tmp_path, capsys):
+    descriptor = write_two_cube_descriptor(tmp_path, gap_x=0.0)
+    out = tmp_path / "matrices.json"
+    code = main(["matrices", str(descriptor), "--max-distance-mm", "inf", "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "max_distance" in err and "finite" in err
+
+
+def test_plan_infinite_max_distance_in_descriptor_exits_1(tmp_path, capsys):
+    descriptor = write_two_cube_descriptor(tmp_path, gap_x=0.0)
+    doc = json.loads(descriptor.read_text())
+    doc["sweep"] = {"max_distance_mm": float("inf")}
+    descriptor.write_text(json.dumps(doc))
+    assert "Infinity" in descriptor.read_text()
+    code = main(["plan", str(descriptor), "--sequence", "a,b"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "max_distance" in err and "finite" in err
+
+
+def test_matrices_over_step_cap_exits_1(tmp_path, capsys, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("sweep offsets were allocated")
+    monkeypatch.setattr(relations, "sweep_sample_distances", forbidden)
+    descriptor = write_two_cube_descriptor(tmp_path, gap_x=0.0)
+    out = tmp_path / "matrices.json"
+    code = main(["matrices", str(descriptor), "--steps", str(relations.MAX_SWEEP_STEPS + 1),
+                 "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "'b' past 'a'" in err and "steps" in err
 
 
 def test_plan_requires_exactly_one_source(fixture_dir):

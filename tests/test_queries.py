@@ -5,18 +5,23 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import min_distance_brute_force
+from conftest import min_distance_brute_force, naive_penetrates_along
 
+from softjig import AssemblySequence, configure_fixing_parts, proxy_assembly, queries, straddle
 from softjig.fixtures import box_mesh, generate_proxy_fixture
+from softjig.mesh import TriangleMesh
 from softjig.queries import (
+    TOUCH_TOLERANCE_MM,
     intersects,
     min_distance,
+    penetrates_along,
     point_triangle_distance_sq,
     proper_crossings,
     triangle_pair_distance_sq,
     winding_fraction,
     within_distance,
 )
+from softjig.straddle import row_windows
 
 unit_cube = lambda: box_mesh((0, 0, 0), (1, 1, 1))
 
@@ -189,6 +194,135 @@ def test_within_distance_at_epsilon_boundary_on_rotated_meshes(seed, scale):
         expected = scale < 1
         assert (min_distance(a, b) <= eps) == expected
         assert within_distance(a, b, eps) == within_distance(b, a, eps) == expected
+
+
+# -- swept crossing windows -----------------------------------------------------
+
+def triangle_pair(kind: str, rng) -> tuple[np.ndarray, np.ndarray]:
+    """A static triangle and one near it: random, exactly coplanar (both in
+    one axis plane), tilted off the static plane by about the touch
+    tolerance, a near-sliver in that plane, or a needle whose corners are
+    collinear in floating point, crossing an axis-plane static triangle at
+    a tilt of a few tolerances."""
+    if kind == "needle":
+        plane = int(rng.integers(3))
+        in_plane = [ax for ax in range(3) if ax != plane]
+        center = rng.integers(-40, 41, 3).astype(float)
+        a = np.tile(center, (3, 1))
+        a[:, in_plane] += [[-3, -2], [3, -2], [0, 3]]
+        direction = np.zeros(3)
+        direction[in_plane] = rng.choice([-2, -1, 1, 2], 2)
+        direction[plane] = -rng.choice([-3, 3]) * 2.0 ** -30
+        steps = np.array([-1.0, 1.0, rng.integers(-2, 3) / 8])   # last one on the plane
+        return a, center + steps[:, None] * direction
+    center = rng.uniform(-50, 50, 3)
+    a = center + rng.uniform(-2, 2, (3, 3))
+    if kind == "random":
+        return a, center + rng.uniform(-2, 2, (3, 3))
+    if kind == "coplanar":
+        b = center + rng.uniform(-2, 2, (3, 3))
+        plane = rng.integers(3)
+        a[:, plane] = b[:, plane] = center[plane]
+        return a, b
+    normal = np.cross(a[1] - a[0], a[2] - a[0])
+    normal /= np.linalg.norm(normal)
+    e = (a[1] - a[0]) / np.linalg.norm(a[1] - a[0])
+    uv = rng.uniform(-1.5, 1.5, (3, 2))
+    if kind == "sliver":
+        uv[2] = uv[0] + rng.uniform(0.1, 0.9) * (uv[1] - uv[0])
+    b = a.mean(axis=0) + uv[:, :1] * e + uv[:, 1:] * np.cross(normal, e)
+    if kind == "sliver":
+        b[2] += rng.choice([0.0, 1e-13, 1e-11, 1e-9]) * rng.normal(size=3)
+    b += TOUCH_TOLERANCE_MM * rng.uniform(-3, 3, (3, 1)) * normal
+    return a, b
+
+
+def tetra_on(tri: np.ndarray) -> TriangleMesh:
+    """Closed tetrahedron whose first face is ``tri``, corners in order, and
+    whose apex lies behind it, so the winding is outward."""
+    n = np.cross(tri[1] - tri[0], tri[2] - tri[0])
+    length = np.linalg.norm(n)
+    normal = n / length if length > 0 else np.array([0.6, 0.0, 0.8])
+    apex = tri.mean(axis=0) - 0.7 * normal
+    return TriangleMesh(np.vstack([tri, apex]), [[0, 1, 2], [0, 3, 1], [1, 3, 2], [2, 3, 0]])
+
+
+def straddle_flips(a: np.ndarray, b: np.ndarray, axis: int) -> list[float]:
+    """Offsets of ``b`` along ``axis`` at which a vertex of either triangle
+    sits at +-tolerance from the other's plane, where the straddle tests of
+    ``proper_crossings`` flip."""
+    flips = []
+    for p, q, side in ((a, b, -1.0), (b, a, 1.0)):
+        n = np.cross(q[1] - q[0], q[2] - q[0])
+        length = np.linalg.norm(n)
+        if length == 0 or n[axis] == 0:
+            continue
+        dist = (p - q[0]) @ n / length
+        for sgn in (1.0, -1.0):
+            flips.extend((sgn * TOUCH_TOLERANCE_MM - dist) / (side * n[axis] / length))
+    return flips
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["random", "coplanar", "tilted", "sliver", "needle"]),
+       swap=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_row_windows_keep_every_crossing_offset(seed, kind, swap):
+    """Every (triangle pair, offset) at which ``proper_crossings`` of the
+    shifted pair is True lies in the pair's kept range, probed a few ulps
+    around each straddle flip and at random offsets of both signs; and
+    ``penetrates_along`` equals a scan of every row."""
+    rng = np.random.default_rng(seed)
+    a, b = triangle_pair(kind, rng)
+    if swap:
+        a, b = b, a
+    axis = int(rng.integers(3))
+    shift = rng.integers(-40, 41) / 8
+    b = b.copy()
+    b[:, axis] -= shift
+    offsets = [rng.uniform(-6, 6, 8), shift + rng.uniform(-2, 2, 8)]
+    for t in straddle_flips(a, b, axis):
+        if np.isfinite(t) and abs(t) < 1e6:
+            offsets.append(t + np.arange(-8, 9) * np.spacing(t))
+    offsets = np.unique(np.concatenate(offsets))
+
+    static, moving = tetra_on(a), tetra_on(b)
+    si, mi = (g.ravel() for g in np.meshgrid(np.arange(4), np.arange(4), indexing="ij"))
+    p, k = (g.ravel() for g in np.meshgrid(np.arange(len(si)), np.arange(len(offsets)),
+                                          indexing="ij"))
+    shifted = moving.corners[mi[p]]
+    shifted[:, :, axis] += offsets[k][:, None]
+    hit = proper_crossings(static.corners[si[p]], shifted)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(straddle, "MIN_ROWS", 0)    # narrow however few the rows
+        first, last = row_windows(static, moving, si, mi, axis, offsets, TOUCH_TOLERANCE_MM,
+                                  queries._CHUNK_ROWS)
+        missed = hit & ((k < first[p]) | (k >= last[p]))
+        assert not missed.any(), offsets[k[missed]]
+        assert (penetrates_along(static, moving, axis, offsets)
+                == naive_penetrates_along(static, moving, axis, offsets))
+
+
+def test_probe_points_computed_once_per_mesh(monkeypatch):
+    """Counter, not timing: a whole plan computes each mesh's containment
+    probes once, and the kept arrays are read-only and bit-identical to a
+    fresh computation."""
+    assembly = proxy_assembly()
+    computed = []
+    original = queries.surface_probe_points
+
+    def counted(mesh):
+        computed.append(mesh)
+        return original(mesh)
+
+    monkeypatch.setattr(queries, "surface_probe_points", counted)
+    plan = configure_fixing_parts(assembly, AssemblySequence.parse("motor,plate,bolts"))
+    assert plan.complete
+    assert computed and len({id(mesh) for mesh in computed}) == len(computed)
+    for mesh in computed:
+        probes = queries._probe_points(mesh)
+        assert not probes.flags.writeable
+        assert probes.tobytes() == original(mesh).tobytes()
 
 
 def test_winding_classifies_inside_outside():

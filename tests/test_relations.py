@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from conftest import ROT_Z_QUARTER, naive_sweep_is_free, rotated_assembly
 
-from softjig import cube_stack_assembly, queries, relations
-from softjig.fixtures import box_mesh, generate_proxy_fixture
+from softjig import cube_stack_assembly, queries, relations, straddle
+from softjig.fixtures import box_mesh, generate_proxy_fixture, revolve_mesh
 from softjig.parts import AssemblyModel, PartModel
 from softjig.queries import intersects, min_distance, triangle_pair_distance_sq, within_distance
 from softjig.relations import (
@@ -120,6 +120,35 @@ def test_contact_symmetry_on_random_stacks(cube_stacks):
 
 
 # -- interference sweeps ------------------------------------------------------
+
+def test_crossing_rows_pruned_on_stacked_cylinders(monkeypatch):
+    """Work-count guard, not a timing: on two stacked 1,024-triangle
+    cylinders in face contact, the straddle windows leave at most a fifth
+    of the rows that the triangle-box windows alone give, and the six
+    matrices do not change."""
+    lower = revolve_mesh([(0, 0), (20, 0), (20, 30), (0, 30)], 256)
+    upper = revolve_mesh([(0, 30), (17, 30), (17, 60), (0, 60)], 256)
+    assembly = AssemblyModel((PartModel("lower", lower, 1.0), PartModel("upper", upper, 1.0)))
+    rows = [0]
+    original = queries.proper_crossings
+
+    def counted(a, b, *args):
+        rows[-1] += len(a)
+        return original(a, b, *args)
+
+    monkeypatch.setattr(queries, "proper_crossings", counted)
+    pruned = compute_all_interference_free(assembly)
+    # a zero slack leaves no pair's rounding bound under it, so every pair
+    # keeps its whole box window
+    monkeypatch.setattr(straddle, "SLACK_SHARE", 0.0)
+    rows.append(0)
+    box_only = compute_all_interference_free(assembly)
+    assert 0 < 5 * rows[0] <= rows[1]
+    for d in DIRECTION_ORDER:
+        assert np.array_equal(pruned[d], box_only[d])
+        assert pruned[d][0, 1] == (d is not Direction.MINUS_Z)
+        assert pruned[d][1, 0] == (d is not Direction.PLUS_Z)
+
 
 def test_fully_separated_cubes_free_in_all_directions():
     a = PartModel("a", box_mesh((0, 0, 0), (5, 5, 5)), 1.0)
@@ -253,6 +282,35 @@ def test_sweep_params_validation():
     with pytest.raises(RelationError):
         SweepParams(max_distance=1.0).resolved_distance(asm)
     assert SweepParams().resolved_distance(asm) == 2 * asm.aabb_diagonal
+    for value in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(RelationError, match="finite"):
+            SweepParams(max_distance=value)
+
+
+def _forbid_sample_allocation(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("sweep offsets were allocated")
+    monkeypatch.setattr(relations, "sweep_sample_distances", forbidden)
+
+
+@pytest.mark.parametrize("params", [
+    SweepParams(step_count=relations.MAX_SWEEP_STEPS + 1),
+    SweepParams(max_distance=1e12),   # 10 mm cubes: 2e11 steps
+], ids=["step_count", "max_distance"])
+def test_oversized_sweep_refused_before_allocation(monkeypatch, params):
+    _forbid_sample_allocation(monkeypatch)
+    with pytest.raises(RelationError, match=r"'b' past 'a' needs \d+ steps"):
+        compute_all_interference_free(two_cubes(gap=0.0), params)
+
+
+def test_sweep_at_step_cap_goes_ahead(monkeypatch):
+    _forbid_sample_allocation(monkeypatch)
+    seen = []
+    monkeypatch.setattr(relations, "sweep_translation_is_free",
+                        lambda static, moving, direction, distance, n_steps: seen.append(n_steps))
+    compute_all_interference_free(two_cubes(gap=0.0),
+                                  SweepParams(step_count=relations.MAX_SWEEP_STEPS))
+    assert seen == [relations.MAX_SWEEP_STEPS] * len(DIRECTION_ORDER)
 
 
 def test_steps_raised_for_thin_movers():
