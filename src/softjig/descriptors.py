@@ -31,6 +31,25 @@ class DescriptorError(ValueError):
     """Malformed assembly descriptor."""
 
 
+def _optional_float(value) -> float | None:
+    return None if value is None else float(value)
+
+
+def _integer(value) -> int:
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(number)
+
+
+def _setting(path: Path, name: str, value, convert):
+    """``convert(value)``, or a :class:`DescriptorError` naming the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise DescriptorError(f"{path}: {name}: {exc}") from None
+
+
 def load_descriptor(path) -> tuple[AssemblyModel, SweepParams]:
     """Parse a descriptor and load its meshes into an assembly."""
     path = Path(path)
@@ -79,15 +98,17 @@ def load_descriptor(path) -> tuple[AssemblyModel, SweepParams]:
         except (PartError, MeshError) as exc:
             raise DescriptorError(f"{path}: parts[{i}] ({part_id}): {exc}") from exc
 
-    epsilon = data.get("contact_epsilon_mm")
     sweep_cfg = data.get("sweep") or {}
+    if not isinstance(sweep_cfg, dict):
+        raise DescriptorError(f"{path}: 'sweep' must be an object")
+    epsilon = _setting(path, "contact_epsilon_mm", data.get("contact_epsilon_mm"), _optional_float)
+    max_distance = _setting(path, "sweep.max_distance_mm", sweep_cfg.get("max_distance_mm"),
+                            _optional_float)
+    step_count = _setting(path, "sweep.step_count",
+                          sweep_cfg.get("step_count", SweepParams.step_count), _integer)
     try:
-        assembly = AssemblyModel(tuple(parts),
-                                 contact_epsilon=None if epsilon is None else float(epsilon))
-        params = SweepParams(
-            max_distance=sweep_cfg.get("max_distance_mm"),
-            step_count=int(sweep_cfg.get("step_count", SweepParams.step_count)),
-        )
+        assembly = AssemblyModel(tuple(parts), contact_epsilon=epsilon)
+        params = SweepParams(max_distance=max_distance, step_count=step_count)
     except (PartError, RelationError) as exc:
         raise DescriptorError(f"{path}: {exc}") from exc
     return assembly, params

@@ -8,6 +8,8 @@ threads.
 from __future__ import annotations
 
 import struct
+import threading
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -110,8 +112,9 @@ class TriangleMesh:
     bvh: Bvh = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        v = np.ascontiguousarray(np.asarray(self.vertices, dtype=np.float64))
-        t = np.ascontiguousarray(np.asarray(self.triangles, dtype=np.int64))
+        # copies, so freezing them leaves the caller's arrays writable
+        v = np.array(self.vertices, dtype=np.float64, order="C")
+        t = np.array(self.triangles, dtype=np.int64, order="C")
         if v.ndim != 2 or v.shape[1] != 3:
             raise DegenerateMeshError(f"vertices must be (n, 3), got {v.shape}")
         if t.ndim != 2 or t.shape[1] != 3:
@@ -188,6 +191,25 @@ class TriangleMesh:
         r = np.asarray(rotation, dtype=np.float64)
         t = np.asarray(translation, dtype=np.float64)
         return TriangleMesh(self.vertices @ r.T + t, self.triangles)
+
+
+class PerMesh:
+    """``compute(mesh)``, computed once per mesh and kept for the mesh's
+    lifetime; the lock makes concurrent first calls on a shared mesh compute
+    it once."""
+
+    def __init__(self, compute) -> None:
+        self._compute = compute
+        self._values: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        self._lock = threading.Lock()
+
+    def __call__(self, mesh: TriangleMesh):
+        with self._lock:
+            value = self._values.get(mesh)
+            if value is None:
+                value = self._compute(mesh)
+                self._values[mesh] = value
+        return value
 
 
 def weld_vertices(vertices: np.ndarray, triangles: np.ndarray,

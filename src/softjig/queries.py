@@ -26,6 +26,16 @@ Conventions that everything downstream relies on:
   zero or sliver normals, keep every offset at which their boxes overlap.
   Only rows on which ``proper_crossings`` is False are skipped.
 * Containment probes are computed once per mesh and kept read-only.
+* All offsets of one probe lie on one line along the sweep axis, so
+  containment is decided per probe by signed ray crossings
+  (``rays.ray_containment``): the winding number at each offset is the
+  signed count of the target's crossings above it. Rows against a target
+  that is not closed, rows whose probe line passes within ``tol`` of a
+  projected triangle edge or vertex, and rows within a margin of a
+  crossing go to the dense ``winding_fraction`` instead. ``tol`` is 1e-9
+  of (1 + the target's largest coordinate magnitude), far enough from the
+  surface that ``winding_fraction``'s rounding cannot cross
+  ``INSIDE_WINDING``.
 
 All tolerances are absolute millimetres.
 """
@@ -33,12 +43,11 @@ All tolerances are absolute millimetres.
 from __future__ import annotations
 
 import heapq
-import threading
-import weakref
 
 import numpy as np
 
-from .mesh import TriangleMesh
+from .mesh import PerMesh, TriangleMesh
+from .rays import ray_containment
 from .straddle import row_windows
 
 TOUCH_TOLERANCE_MM = 1e-9
@@ -314,21 +323,14 @@ def surface_probe_points(mesh: TriangleMesh) -> np.ndarray:
     return np.vstack([probes, interior_probe_point(mesh)[None, :]])
 
 
-_PROBES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_PROBES_LOCK = threading.Lock()
-
-
-def _probe_points(mesh: TriangleMesh) -> np.ndarray:
-    """:func:`surface_probe_points` of ``mesh``, computed once per mesh and
-    kept read-only for the mesh's lifetime; the lock makes concurrent first
-    calls on a shared mesh compute it once."""
-    with _PROBES_LOCK:
-        probes = _PROBES.get(mesh)
-        if probes is None:
-            probes = surface_probe_points(mesh)
-            probes.setflags(write=False)
-            _PROBES[mesh] = probes
+def _read_only_probes(mesh: TriangleMesh) -> np.ndarray:
+    probes = surface_probe_points(mesh)
+    probes.setflags(write=False)
     return probes
+
+
+# surface_probe_points of a mesh, computed once per mesh and kept read-only
+_probe_points = PerMesh(_read_only_probes)
 
 
 # -- broad phase -------------------------------------------------------------
@@ -386,6 +388,15 @@ def penetrates_along(static: TriangleMesh, moving: TriangleMesh, axis: int,
     exceeds it keep every box-overlap offset. Skipping the rest is exact,
     not approximate. Crossing rows run in batches that start small and
     grow, so a blocked sweep stops early.
+
+    Containment rows, the (probe, offset) points strictly inside the
+    target's box, are decided by the signed count of the target's
+    crossings of each probe's line above them
+    (:func:`softjig.rays.ray_containment`), and by :func:`winding_fraction`
+    where that is unsafe: against a target that is not closed, for a probe
+    line within ``tol`` of a projected triangle edge or vertex, and within
+    a margin of at least ``tol |n| / |n[axis]|`` of a crossing, ``tol``
+    being 1e-9 (1 + the target's largest coordinate magnitude).
     """
     offsets = np.sort(np.asarray(offsets, dtype=np.float64))
     st_lo, st_hi = static.triangle_bounds
@@ -416,7 +427,8 @@ def penetrates_along(static: TriangleMesh, moving: TriangleMesh, axis: int,
             return True
 
     # containment: moving probes in the static solid, static probes in the
-    # shifted moving solid, on the (probe, offset) grid inside the target box
+    # shifted moving solid, on the (probe, offset) grid inside the target
+    # box; rays decide most rows, the winding number the rest
     other = [ax for ax in range(3) if ax != axis]
     for probes, target, sign in ((_probe_points(moving), static, 1.0),
                                  (_probe_points(static), moving, -1.0)):
@@ -426,6 +438,11 @@ def penetrates_along(static: TriangleMesh, moving: TriangleMesh, axis: int,
         inside &= np.all((probes[:, other] > lo[other]) & (probes[:, other] < hi[other]),
                          axis=1)[:, None]
         pi, oi = np.nonzero(inside)
+        by_ray, undecided = ray_containment(target, probes, axis, pi, coord[pi, oi],
+                                            _CHUNK_ROWS)
+        if by_ray.any():
+            return True
+        pi, oi = pi[undecided], oi[undecided]
         points = probes[pi]
         points[:, axis] = coord[pi, oi]
         for start in range(0, len(points), _CHUNK_ROWS):

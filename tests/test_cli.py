@@ -131,6 +131,26 @@ def test_plan_infinite_max_distance_in_descriptor_exits_1(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "max_distance" in err and "finite" in err
 
 
+@pytest.mark.parametrize("setting, field", [
+    ({"sweep": {"max_distance_mm": "far"}}, "sweep.max_distance_mm"),
+    ({"sweep": {"step_count": "many"}}, "sweep.step_count"),
+    ({"sweep": {"step_count": 16.9}}, "sweep.step_count"),
+    ({"contact_epsilon_mm": "tiny"}, "contact_epsilon_mm"),
+    ({"sweep": [1]}, "'sweep'"),
+])
+def test_matrices_malformed_descriptor_setting_exits_1(tmp_path, capsys, setting, field):
+    descriptor = write_two_cube_descriptor(tmp_path, gap_x=0.0)
+    doc = json.loads(descriptor.read_text())
+    doc.update(setting)
+    descriptor.write_text(json.dumps(doc))
+    out = tmp_path / "matrices.json"
+    code = main(["matrices", str(descriptor), "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and field in err
+
+
 def test_matrices_over_step_cap_exits_1(tmp_path, capsys, monkeypatch):
     def forbidden(*args):
         raise AssertionError("sweep offsets were allocated")

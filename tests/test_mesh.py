@@ -186,6 +186,20 @@ def test_triangle_index_out_of_range():
         TriangleMesh(np.eye(4, 3), np.array([[0, 1, 2], [1, 2, 3], [0, 2, 3], [0, 1, 4]]))
 
 
+def test_construction_copies_the_callers_arrays():
+    """The mesh keeps read-only copies: the caller's arrays stay writable,
+    and editing them afterwards leaves the mesh unchanged."""
+    cube = box_mesh((0, 0, 0), (1, 1, 1))
+    v, t = cube.vertices.copy(), cube.triangles.copy()
+    mesh = TriangleMesh(v, t)
+    v[0, 0] = 5.0
+    t[0] = t[0, ::-1]
+    assert np.array_equal(mesh.vertices, cube.vertices)
+    assert np.array_equal(mesh.triangles, cube.triangles)
+    assert np.array_equal(mesh.corners, cube.corners)
+    assert not mesh.vertices.flags.writeable and not mesh.triangles.flags.writeable
+
+
 def test_missing_file():
     with pytest.raises(FileNotFoundError):
         load_mesh("/nonexistent/mesh.stl")

@@ -7,8 +7,17 @@ from hypothesis import strategies as st
 
 from conftest import min_distance_brute_force, naive_penetrates_along
 
-from softjig import AssemblySequence, configure_fixing_parts, proxy_assembly, queries, straddle
-from softjig.fixtures import box_mesh, generate_proxy_fixture
+from softjig import (
+    AssemblyModel,
+    AssemblySequence,
+    PartModel,
+    configure_fixing_parts,
+    proxy_assembly,
+    queries,
+    rays,
+    straddle,
+)
+from softjig.fixtures import box_mesh, compound_mesh, generate_proxy_fixture, revolve_mesh
 from softjig.mesh import TriangleMesh
 from softjig.queries import (
     TOUCH_TOLERANCE_MM,
@@ -21,6 +30,8 @@ from softjig.queries import (
     winding_fraction,
     within_distance,
 )
+from softjig.rays import ray_containment
+from softjig.relations import compute_all_interference_free
 from softjig.straddle import row_windows
 
 unit_cube = lambda: box_mesh((0, 0, 0), (1, 1, 1))
@@ -323,6 +334,140 @@ def test_probe_points_computed_once_per_mesh(monkeypatch):
         probes = queries._probe_points(mesh)
         assert not probes.flags.writeable
         assert probes.tobytes() == original(mesh).tobytes()
+
+
+# -- containment by ray crossings -------------------------------------------------
+
+def ray_target(kind: str, rng) -> TriangleMesh:
+    """A closed target: an axis-aligned or rotated box, a solid of
+    revolution (faces parallel to one axis), two overlapping boxes in one
+    mesh (winding number 2 where they overlap) or an inward-wound copy of
+    one of those; or an "open" one, with two triangles removed."""
+    if kind == "box":
+        lo = rng.integers(-8, 0, 3)
+        mesh = box_mesh(lo, lo + rng.integers(1, 9, 3))
+        return mesh if rng.random() < 0.5 else mesh.rotated(random_rotation(rng))
+    if kind == "revolve":
+        heights = np.sort(rng.choice(np.arange(-6, 7), 4, replace=False))
+        radii = rng.integers(1, 6, 2)
+        mesh = revolve_mesh([(0, heights[0]), (radii[0], heights[1]), (radii[1], heights[2]),
+                             (0, heights[3])], segments=int(rng.integers(3, 13)))
+        return mesh if rng.random() < 0.5 else mesh.rotated(random_rotation(rng))
+    if kind == "overlap":
+        lo = rng.integers(-6, 0, (2, 3))
+        return compound_mesh(*(box_mesh(l, l + rng.integers(3, 7, 3)) for l in lo))
+    mesh = ray_target(str(rng.choice(["box", "revolve", "overlap"])), rng)
+    if kind == "inward":
+        return TriangleMesh(mesh.vertices, mesh.triangles[:, ::-1])
+    drop = rng.choice(len(mesh.triangles), 2, replace=False)
+    return TriangleMesh(mesh.vertices, np.delete(mesh.triangles, drop, axis=0))
+
+
+def nudged(x: np.ndarray, rng) -> np.ndarray:
+    """``x`` moved by a few ulps in one random coordinate."""
+    x = x.copy()
+    ax = rng.integers(x.shape[-1])
+    x[..., ax] += rng.integers(-3, 4, len(x)) * np.spacing(x[..., ax])
+    return x
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["box", "revolve", "overlap", "inward", "open"]),
+       axis=st.integers(0, 2))
+@settings(max_examples=150, deadline=None)
+def test_ray_containment_matches_winding_number(seed, kind, axis):
+    """On every row that the ray test decides, its answer is
+    ``winding_fraction > INSIDE_WINDING``; rows against an open target are
+    all left undecided. Probes sit at random, exactly on vertices, edges
+    and faces of the target, and a few ulps off them; rows sit at random,
+    at every vertex height and a few ulps off those. And
+    ``penetrates_along`` equals a scan of every row."""
+    rng = np.random.default_rng(seed)
+    target = ray_target(kind, rng)
+    corners = target.corners
+    lo, hi = target.aabb
+    tri = corners[rng.integers(len(corners), size=12)]
+    weights = rng.dirichlet(np.ones(3), 12)
+    on_surface = np.vstack([
+        target.vertices,
+        (tri[:, 0] + tri[:, 1]) / 2,
+        tri[:, 0] + rng.random((12, 1)) * (tri[:, 2] - tri[:, 0]),
+        np.einsum("pk,pkj->pj", weights, tri),
+    ])
+    probes = np.vstack([on_surface, nudged(on_surface, rng), rng.uniform(lo, hi, (12, 3))])
+    heights = np.concatenate([target.vertices[:, axis], rng.uniform(lo[axis], hi[axis], 8)])
+    heights = np.concatenate([heights, nudged(heights[:, None], rng)[:, 0]])
+    pi, hk = (g.ravel() for g in np.meshgrid(np.arange(len(probes)),
+                                             rng.choice(heights, 12), indexing="ij"))
+    points = probes[pi]
+    points[:, axis] = hk
+    keep = np.all((points > lo) & (points < hi), axis=1)
+    pi, points = pi[keep], points[keep]
+
+    inside, undecided = ray_containment(target, probes, axis, pi, points[:, axis], 1 << 10)
+    if kind == "open":
+        assert undecided.all()
+    decided = ~undecided
+    expected = winding_fraction(points[decided], corners) > queries.INSIDE_WINDING
+    assert np.array_equal(inside[decided], expected)
+    assert not inside[undecided].any()
+
+    # off the integer grid: a probe exactly on the other surface has a
+    # degenerate winding number, which the oracle counts and the kernel's
+    # strict box crop drops
+    moving = ray_target(str(rng.choice(["box", "revolve", "overlap"])), rng)
+    moving = moving.translated(rng.uniform(-0.5, 0.5, 3))
+    offsets = rng.uniform(-12, 12, 6)
+    assert (penetrates_along(target, moving, axis, offsets)
+            == naive_penetrates_along(target, moving, axis, offsets))
+
+
+def count_winding_rows(monkeypatch) -> dict:
+    """Wraps ``queries.winding_fraction``; the returned dict maps the id of
+    each target's corner array to the number of points evaluated on it."""
+    rows = {}
+    original = queries.winding_fraction
+
+    def counted(points, corners):
+        rows[id(corners)] = rows.get(id(corners), 0) + len(points)
+        return original(points, corners)
+
+    monkeypatch.setattr(queries, "winding_fraction", counted)
+    return rows
+
+
+def test_rays_decide_most_proxy_containment_rows(monkeypatch):
+    """Counters, no timing: a proxy plan sends at most 1/20 of its 4,359
+    containment rows to the winding number, and its plan is the one made
+    with every row sent there."""
+    rows = count_winding_rows(monkeypatch)
+    sequence = AssemblySequence.parse("motor,plate,bolts")
+    plan = configure_fixing_parts(proxy_assembly(), sequence).to_json_dict()
+    assert sum(rows.values()) <= 4359 // 20
+    rows.clear()
+    monkeypatch.setattr(rays, "_closed", lambda mesh: False)
+    assert configure_fixing_parts(proxy_assembly(), sequence).to_json_dict() == plan
+    assert sum(rows.values()) == 4359
+
+
+def test_open_target_sends_every_row_to_winding(monkeypatch):
+    """With two triangles taken out of the plate, every containment row
+    against it goes to the winding number, and the six matrices are those
+    made with every row of every target sent there."""
+    proxy = proxy_assembly()
+    parts = tuple(PartModel(p.id, TriangleMesh(p.mesh.vertices, p.mesh.triangles[2:]),
+                            p.mass, p.group) if p.id == "plate" else p for p in proxy.parts)
+    assembly = AssemblyModel(parts, contact_epsilon=proxy.contact_epsilon)
+    plate = id(assembly.part("plate").mesh.corners)
+    rows = count_winding_rows(monkeypatch)
+    free = compute_all_interference_free(assembly)
+    by_ray = dict(rows)
+    rows.clear()
+    monkeypatch.setattr(rays, "_closed", lambda mesh: False)
+    by_winding = compute_all_interference_free(assembly)
+    assert by_ray[plate] == rows[plate] > 0
+    assert sum(by_ray.values()) < sum(rows.values())
+    assert all(np.array_equal(free[d], by_winding[d]) for d in free)
 
 
 def test_winding_classifies_inside_outside():
