@@ -1,4 +1,4 @@
-"""Indexed triangle meshes: file IO, welding, orientation, and spatial indexing.
+"""Indexed triangle meshes: file IO, welding, orientation, and per-triangle bounds.
 
 All coordinates are millimetres. Meshes are immutable after construction and
 every query on them is pure, so shared instances are safe to use from multiple
@@ -10,14 +10,12 @@ from __future__ import annotations
 import struct
 import threading
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 WELD_TOLERANCE_MM = 1e-6
-
-_BVH_LEAF_SIZE = 8
 
 
 class MeshError(Exception):
@@ -33,75 +31,12 @@ class DegenerateMeshError(MeshError):
 
 
 @dataclass(frozen=True, eq=False)
-class Bvh:
-    """Flat axis-aligned bounding-box tree over triangle indices.
-
-    Nodes are stored in arrays; leaves reference a contiguous slice of
-    ``order``, a permutation of triangle indices. Built deterministically by
-    median split along the widest centroid axis.
-    """
-
-    lo: np.ndarray          # (n_nodes, 3) box minima
-    hi: np.ndarray          # (n_nodes, 3) box maxima
-    left: np.ndarray        # (n_nodes,) child index or -1 for leaves
-    right: np.ndarray       # (n_nodes,)
-    start: np.ndarray       # (n_nodes,) leaf slice start into order
-    count: np.ndarray       # (n_nodes,) leaf slice length (0 for inner nodes)
-    order: np.ndarray       # (n_triangles,) permutation of triangle indices
-
-
-def _build_bvh(tri_lo: np.ndarray, tri_hi: np.ndarray) -> Bvh:
-    n = len(tri_lo)
-    centers = 0.5 * (tri_lo + tri_hi)
-    order = np.arange(n)
-
-    lo_list: list[np.ndarray] = []
-    hi_list: list[np.ndarray] = []
-    left_list: list[int] = []
-    right_list: list[int] = []
-    start_list: list[int] = []
-    count_list: list[int] = []
-
-    def build(start: int, count: int) -> int:
-        idx = order[start:start + count]
-        node = len(lo_list)
-        lo_list.append(tri_lo[idx].min(axis=0))
-        hi_list.append(tri_hi[idx].max(axis=0))
-        left_list.append(-1)
-        right_list.append(-1)
-        start_list.append(start)
-        count_list.append(count)
-        if count > _BVH_LEAF_SIZE:
-            c = centers[idx]
-            axis = int(np.argmax(c.max(axis=0) - c.min(axis=0)))
-            key = np.argsort(c[:, axis], kind="stable")
-            order[start:start + count] = idx[key]
-            half = count // 2
-            left_list[node] = build(start, half)
-            right_list[node] = build(start + half, count - half)
-            count_list[node] = 0
-        return node
-
-    build(0, n)
-    bvh = Bvh(
-        lo=np.asarray(lo_list),
-        hi=np.asarray(hi_list),
-        left=np.asarray(left_list, dtype=np.int64),
-        right=np.asarray(right_list, dtype=np.int64),
-        start=np.asarray(start_list, dtype=np.int64),
-        count=np.asarray(count_list, dtype=np.int64),
-        order=order,
-    )
-    for arr in (bvh.lo, bvh.hi, bvh.left, bvh.right, bvh.start, bvh.count, bvh.order):
-        arr.setflags(write=False)
-    return bvh
-
-
-@dataclass(frozen=True, eq=False)
 class TriangleMesh:
-    """Indexed triangle mesh with precomputed bounds and BVH.
+    """Indexed triangle mesh with precomputed corners and bounds.
 
     ``vertices`` is (n, 3) float64 mm, ``triangles`` is (m, 3) int64 indices.
+    The corners, the per-triangle boxes and the whole-mesh box are computed
+    once here; every array is read-only.
     Construction validates shape, index range, and finiteness; it does not
     weld or reorient (see :func:`weld_vertices` and
     :func:`orient_outward`).
@@ -109,7 +44,6 @@ class TriangleMesh:
 
     vertices: np.ndarray
     triangles: np.ndarray
-    bvh: Bvh = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         # copies, so freezing them leaves the caller's arrays writable
@@ -127,15 +61,13 @@ class TriangleMesh:
             )
         if t.min() < 0 or t.max() >= len(v):
             raise DegenerateMeshError("triangle index out of range")
-        v.setflags(write=False)
-        t.setflags(write=False)
-        object.__setattr__(self, "vertices", v)
-        object.__setattr__(self, "triangles", t)
         corners = v[t]
-        object.__setattr__(self, "_corners", corners)
-        object.__setattr__(self, "_tri_lo", corners.min(axis=1))
-        object.__setattr__(self, "_tri_hi", corners.max(axis=1))
-        object.__setattr__(self, "bvh", _build_bvh(self._tri_lo, self._tri_hi))
+        tri_lo, tri_hi = corners.min(axis=1), corners.max(axis=1)
+        arrays = {"vertices": v, "triangles": t, "_corners": corners, "_tri_lo": tri_lo,
+                  "_tri_hi": tri_hi, "_lo": tri_lo.min(axis=0), "_hi": tri_hi.max(axis=0)}
+        for name, array in arrays.items():
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     def __repr__(self) -> str:
         return f"TriangleMesh({len(self.vertices)} vertices, {len(self.triangles)} triangles)"
@@ -153,7 +85,7 @@ class TriangleMesh:
 
     @property
     def aabb(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.bvh.lo[0], self.bvh.hi[0]
+        return self._lo, self._hi
 
     @property
     def aabb_diagonal(self) -> float:

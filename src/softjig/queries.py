@@ -8,14 +8,15 @@ Conventions that everything downstream relies on:
 * One kernel, ``penetrates_along``, decides penetration of a mesh shifted by
   a set of offsets along an axis. ``intersects`` is its zero-offset case and
   the translational sweeps in ``relations`` are its sampled case.
-* ``min_distance`` is exactly symmetric in its arguments and the BVH
-  accelerated path returns the same float as the all-pairs scan.
+* ``min_distance`` is exactly symmetric in its arguments and returns the
+  same float as the all-pairs scan: it runs the distance kernel over the
+  triangle pairs whose boxes come within a vertex-to-vertex upper bound.
 * Contact is decided by ``within_distance``, a threshold query equal to
   ``min_distance(a, b) <= epsilon``: a whole-box early-out, triangle pairs
   whose boxes come within epsilon, the distance kernel over those pairs in
   growing batches with early exit, and ``intersects`` last for nested solids.
-* ``within_distance`` and ``penetrates_along`` share one broad phase,
-  ``_box_pairs``.
+* ``min_distance``, ``within_distance`` and ``penetrates_along`` share one
+  broad phase, ``_box_pairs``.
 * ``penetrates_along`` checks a triangle pair only at offsets where both
   triangles can straddle each other's planes. A shift leaves the normals
   unchanged, so every vertex-to-plane distance is affine in the offset with
@@ -42,8 +43,6 @@ All tolerances are absolute millimetres.
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from .mesh import PerMesh, TriangleMesh
@@ -53,7 +52,8 @@ from .straddle import row_windows
 TOUCH_TOLERANCE_MM = 1e-9
 
 # winding fraction above this counts as strictly inside a closed mesh
-# (inside = 1, outside = 0, on-surface = 0.5)
+# (inside = 1, outside = 0; on the surface it is not defined, see
+# winding_fraction)
 INSIDE_WINDING = 0.75
 
 # rows per narrow-phase batch; bounds the kernels' temporaries
@@ -264,8 +264,12 @@ def proper_crossings(tri_a: np.ndarray, tri_b: np.ndarray,
 def winding_fraction(points: np.ndarray, corners: np.ndarray) -> np.ndarray:
     """Generalized winding number of each point w.r.t. a closed surface.
 
-    1 inside, 0 outside, 0.5 on the surface; robust for the multi-component
-    watertight solids used here. ``corners`` is (t, 3, 3).
+    1 inside, 0 outside; robust for the multi-component watertight solids
+    used here. ``corners`` is (t, 3, 3). A point exactly inside a face is
+    not 0.5: that face's term is ``atan2(+-0, negative)`` = +-pi, so the
+    result is 0 or 1 depending on the sign of a zero. This is why
+    :func:`surface_probe_points` pulls probes inside their solid rather
+    than leaving them on its surface.
     """
     pts = np.asarray(points, dtype=np.float64)
     tris = np.asarray(corners, dtype=np.float64)
@@ -466,6 +470,13 @@ def intersects(mesh_a: TriangleMesh, mesh_b: TriangleMesh) -> bool:
     return penetrates_along(mesh_a, mesh_b, 0, np.zeros(1))
 
 
+def _padded(mesh_a: TriangleMesh, mesh_b: TriangleMesh, distance: float) -> float:
+    """``distance`` padded by 1e-9 of (``distance`` + the largest coordinate
+    magnitude of either mesh), far above the distance kernel's rounding."""
+    scale = float(np.abs(np.concatenate([*mesh_a.aabb, *mesh_b.aabb])).max())
+    return distance + 1e-9 * (distance + scale)
+
+
 def within_distance(mesh_a: TriangleMesh, mesh_b: TriangleMesh, epsilon: float) -> bool:
     """True iff ``min_distance(mesh_a, mesh_b) <= epsilon``, decided without
     computing the distance. Exactly symmetric in the meshes.
@@ -475,14 +486,12 @@ def within_distance(mesh_a: TriangleMesh, mesh_b: TriangleMesh, epsilon: float) 
     ``epsilon`` run through :func:`triangle_pair_distance_sq` in batches that
     start small and grow, stopping at the first pair within ``epsilon``;
     failing that, the answer is :func:`intersects`, which covers nested
-    solids. Boxes are padded by 1e-9 of (``epsilon`` + the largest
-    coordinate magnitude), far above the kernel's rounding, so no pair
-    whose computed distance is within ``epsilon`` is skipped.
+    solids. Boxes are padded by :func:`_padded`, so no pair whose computed
+    distance is within ``epsilon`` is skipped.
     """
     lo_a, hi_a = mesh_a.aabb
     lo_b, hi_b = mesh_b.aabb
-    scale = float(np.abs(np.concatenate([lo_a, hi_a, lo_b, hi_b])).max())
-    reach = epsilon + 1e-9 * (epsilon + scale)
+    reach = _padded(mesh_a, mesh_b, epsilon)
     if np.any(lo_a - reach > hi_b) or np.any(lo_b - reach > hi_a):
         return False
     ia, ib = _box_pairs(*mesh_a.triangle_bounds, *mesh_b.triangle_bounds, reach)
@@ -496,54 +505,23 @@ def within_distance(mesh_a: TriangleMesh, mesh_b: TriangleMesh, epsilon: float) 
 def min_distance(mesh_a: TriangleMesh, mesh_b: TriangleMesh) -> float:
     """Minimum distance between the surfaces; 0 when touching or overlapping.
 
-    Best-first BVH pair traversal with a conservatively deflated box bound,
-    so the result is identical to the all-pairs scan. Exactly symmetric in
-    its arguments.
+    Any vertex-to-vertex distance ``u`` bounds the result from above, so
+    the closest triangle pair's boxes come within ``u`` of each other. The
+    minimum of :func:`triangle_pair_distance_sq` over the pairs whose boxes
+    do, padded by :func:`_padded`, is therefore the all-pairs minimum to the
+    last bit, and exactly symmetric in the meshes. Nested solids, whose
+    surfaces may be far apart, are at distance 0 by :func:`intersects`.
     """
-    ta, tb = mesh_a.bvh, mesh_b.bvh
+    va, vb = mesh_a.vertices, mesh_b.vertices
+    centre_b = 0.5 * (mesh_b.aabb[0] + mesh_b.aabb[1])
+    near_a = va[np.argmin(np.einsum("ij,ij->i", va - centre_b, va - centre_b))]
+    upper = float(np.sqrt(np.einsum("ij,ij->i", vb - near_a, vb - near_a).min()))
+    ia, ib = _box_pairs(*mesh_a.triangle_bounds, *mesh_b.triangle_bounds,
+                        _padded(mesh_a, mesh_b, upper))
     ca, cb = mesh_a.corners, mesh_b.corners
-
-    def bound_sq(ia: int, ib: int) -> float:
-        gap = np.maximum(0.0, np.maximum(ta.lo[ia] - tb.hi[ib], tb.lo[ib] - ta.hi[ia]))
-        return float(gap @ gap)
-
-    best = np.inf
-    counter = 0
-    heap = [(bound_sq(0, 0), 0, 0, 0)]
-    while heap:
-        bnd, _, ia, ib = heapq.heappop(heap)
-        if bnd * (1.0 - 1e-9) > best:
-            break
-        leaf_a = ta.left[ia] < 0
-        leaf_b = tb.left[ib] < 0
-        if leaf_a and leaf_b:
-            idx_a = ta.order[ta.start[ia]:ta.start[ia] + ta.count[ia]]
-            idx_b = tb.order[tb.start[ib]:tb.start[ib] + tb.count[ib]]
-            ga, gb = np.meshgrid(idx_a, idx_b, indexing="ij")
-            d = triangle_pair_distance_sq(ca[ga.ravel()], cb[gb.ravel()])
-            best = min(best, float(d.min()))
-            if best == 0.0:
-                break
-        else:
-            if leaf_a or (not leaf_b and _node_extent(tb, ib) > _node_extent(ta, ia)):
-                children = ((ia, int(tb.left[ib])), (ia, int(tb.right[ib])))
-            else:
-                children = ((int(ta.left[ia]), ib), (int(ta.right[ia]), ib))
-            for ja, jb in children:
-                counter += 1
-                heapq.heappush(heap, (bound_sq(ja, jb), counter, ja, jb))
-    return _finalize_distance(best, mesh_a, mesh_b)
-
-
-def _node_extent(tree, i) -> float:
-    return float((tree.hi[i] - tree.lo[i]).max())
-
-
-def _finalize_distance(best_sq: float, mesh_a: TriangleMesh, mesh_b: TriangleMesh) -> float:
-    if best_sq == 0.0:
+    best = min(float(triangle_pair_distance_sq(ca[ia[s:s + _CHUNK_ROWS]],
+                                               cb[ib[s:s + _CHUNK_ROWS]]).min())
+               for s in range(0, len(ia), _CHUNK_ROWS))
+    if best == 0.0 or intersects(mesh_a, mesh_b):
         return 0.0
-    if intersects(mesh_a, mesh_b):
-        # interpenetrating solids have distance 0 even when no triangle
-        # pair comes close (e.g. one mesh nested inside the other)
-        return 0.0
-    return float(np.sqrt(best_sq))
+    return float(np.sqrt(best))

@@ -66,15 +66,6 @@ class Direction(Enum):
         flip = {"+": "-", "-": "+"}
         return Direction(flip[self.value[0]] + self.value[1])
 
-    @classmethod
-    def from_vector(cls, vector) -> "Direction":
-        """Match an exact axis-aligned unit vector to its label."""
-        v = np.asarray(vector, dtype=np.float64)
-        for d in DIRECTION_ORDER:
-            if np.array_equal(v, d.unit_vector):
-                return d
-        raise RelationError(f"{v} is not an axis-aligned unit direction")
-
 
 # fixed order of the six flags in every reachable-direction list
 DIRECTION_ORDER: tuple[Direction, ...] = (
@@ -105,13 +96,6 @@ class ReachableDirectionList:
     @property
     def set_directions(self) -> tuple[Direction, ...]:
         return tuple(d for d, f in zip(DIRECTION_ORDER, self.flags) if f)
-
-    @property
-    def first_set(self) -> Direction:
-        for d, f in zip(DIRECTION_ORDER, self.flags):
-            if f:
-                return d
-        raise RelationError("no direction flag is set")
 
 
 @dataclass(frozen=True)

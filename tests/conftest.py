@@ -17,7 +17,7 @@ from softjig.queries import (
     triangle_pair_distance_sq,
     winding_fraction,
 )
-from softjig.relations import sweep_sample_distances
+from softjig.relations import DIRECTION_ORDER, sweep_sample_distances
 
 
 @pytest.fixture(scope="session")
@@ -62,6 +62,12 @@ def rotated_assembly(assembly: AssemblyModel, rotation: np.ndarray) -> AssemblyM
 ROT_Z_QUARTER = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
 
+def direction_of(vector):
+    """The direction label of an exact axis-aligned unit vector."""
+    (direction,) = [d for d in DIRECTION_ORDER if np.array_equal(vector, d.unit_vector)]
+    return direction
+
+
 def naive_sweep_is_free(static_mesh, moving_mesh, direction, max_distance, n_steps) -> bool:
     """Reference sweep: one public intersection query per sample."""
     unit = direction.unit_vector
@@ -73,7 +79,7 @@ def naive_sweep_is_free(static_mesh, moving_mesh, direction, max_distance, n_ste
 
 def min_distance_brute_force(mesh_a, mesh_b) -> float:
     """All-pairs reference for ``min_distance``: the same triangle kernel
-    over every triangle pair, no BVH."""
+    over every triangle pair, no broad phase."""
     ca, cb = mesh_a.corners, mesh_b.corners
     ia, ib = np.meshgrid(np.arange(len(ca)), np.arange(len(cb)), indexing="ij")
     ia, ib = ia.ravel(), ib.ravel()

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import ROT_Z_QUARTER, rotated_assembly, tunnel_assembly
+from conftest import ROT_Z_QUARTER, direction_of, rotated_assembly, tunnel_assembly
 
 from softjig.cli import main
 from softjig.evaluation import ForceSample, displacement_report, frame_distance, resolve_forces
@@ -19,7 +19,6 @@ from softjig.parts import mass_properties
 from softjig.planner import AssemblySequence, configure_fixing_parts
 from softjig.relations import (
     DIRECTION_ORDER,
-    Direction,
     SweepParams,
     compute_all_interference_free,
     compute_relation_matrices,
@@ -152,7 +151,7 @@ def test_criterion_06_posture_equivariance():
         rotated_plan = configure_fixing_parts(rotated_assembly(assembly, ROT_Z_QUARTER), sequence)
         ok &= plan.complete and rotated_plan.complete
         for orig, rot in zip(plan.steps, rotated_plan.steps):
-            expected = Direction.from_vector(ROT_Z_QUARTER @ orig.posture_label.unit_vector)
+            expected = direction_of(ROT_Z_QUARTER @ orig.posture_label.unit_vector)
             ok &= rot.posture_label is expected and rot.fixed_part == orig.fixed_part
     verdict(6, ok, "quarter-turn about z permutes posture labels (x<->y axes) with "
                    "identical fixed parts")

@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +110,22 @@ def test_plan_infinite_mass_exits_1(tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "(b)" in err and "finite" in err
+
+
+def test_plan_non_finite_translation_exits_1_naming_the_part(fixture_dir, tmp_path, capsys):
+    doc = json.loads((fixture_dir / "assembly.json").read_text())
+    for part in doc["parts"]:
+        part["mesh_path"] = str(fixture_dir / part["mesh_path"])
+    doc["parts"][1]["pose"]["translation_mm"] = [0, 0, float("inf")]
+    descriptor = tmp_path / "assembly.json"
+    descriptor.write_text(json.dumps(doc))
+    assert "Infinity" in descriptor.read_text()
+    out = tmp_path / "plan.json"
+    code = main(["plan", str(descriptor), "--sequence", "motor,plate,bolts", "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "(plate)" in err and "non-finite" in err
 
 
 def test_matrices_infinite_max_distance_flag_exits_1(tmp_path, capsys):
@@ -304,3 +323,18 @@ def test_bad_flag_exits_1():
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "softjig" in capsys.readouterr().out
+
+
+# -- benchmark tooling -------------------------------------------------------------
+
+def test_benchmark_tracer_names_resolve():
+    """Every (module, function) that ``perfbench/tracer.py`` wraps for
+    ``perfbench/run.py --trace 1`` is a callable in ``softjig.<module>``
+    once ``softjig.cli`` is imported, which is where the tracer looks."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, function in tracer.TRACED:
+        assert callable(getattr(sys.modules[f"softjig.{module}"], function, None)), \
+            (module, function)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import ROT_Z_QUARTER, rotated_assembly, tunnel_assembly
+from conftest import ROT_Z_QUARTER, direction_of, rotated_assembly, tunnel_assembly
 
 from softjig.fixtures import box_mesh, generate_proxy_fixture, proxy_assembly
 from softjig.parts import AssemblyModel, PartModel, RigidOrientation
@@ -248,7 +248,7 @@ def test_quarter_turn_equivariance():
     plan = configure_fixing_parts(asm, seq)
     rotated_plan = configure_fixing_parts(rotated_assembly(asm, ROT_Z_QUARTER), seq)
     for orig, rot in zip(plan.steps, rotated_plan.steps):
-        expected = Direction.from_vector(ROT_Z_QUARTER @ orig.posture_label.unit_vector)
+        expected = direction_of(ROT_Z_QUARTER @ orig.posture_label.unit_vector)
         assert rot.posture_label is expected
         assert rot.fixed_part == orig.fixed_part
 
@@ -258,7 +258,7 @@ def test_quarter_turn_equivariance_on_proxy(proxy):
     plan = configure_fixing_parts(proxy, seq)
     rotated_plan = configure_fixing_parts(rotated_assembly(proxy, ROT_Z_QUARTER), seq)
     for orig, rot in zip(plan.steps, rotated_plan.steps):
-        expected = Direction.from_vector(ROT_Z_QUARTER @ orig.posture_label.unit_vector)
+        expected = direction_of(ROT_Z_QUARTER @ orig.posture_label.unit_vector)
         assert rot.posture_label is expected
         assert rot.fixed_part == orig.fixed_part
 

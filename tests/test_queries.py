@@ -54,11 +54,23 @@ def test_min_distance_symmetry_exact():
     assert min_distance(motor, shifted) == min_distance(shifted, motor)
 
 
-def test_bvh_matches_brute_force_on_fixture_meshes():
-    meshes = {k: generate_proxy_fixture(k).mesh for k in
-              ("motor", "plate", "bolt-pair", "peg", "blind-hole-base")}
-    for (na, a), (nb, b) in itertools.combinations(meshes.items(), 2):
-        assert min_distance(a, b) == min_distance_brute_force(a, b), (na, nb)
+def test_min_distance_matches_brute_force_on_fixture_meshes(proxy, peg, cube_stacks):
+    meshes = [generate_proxy_fixture(k).mesh for k in
+              ("motor", "plate", "bolt-pair", "peg", "blind-hole-base")]
+    pairs = list(itertools.combinations(meshes, 2))
+    for assembly in (proxy, peg, *cube_stacks):
+        pairs += itertools.combinations([p.mesh for p in assembly.parts], 2)
+    # a small box over the middle of a large thin slab's face, where the
+    # nearest vertices are far from the nearest features, and a pair whose
+    # gap is many times its size; as built, tilted, and rotated
+    rng = np.random.default_rng(0)
+    rotation = random_rotation(rng)
+    for a, b in ((box_mesh((-500, -400, 0), (500, 400, 2)), box_mesh((-1, -1, 4), (1, 1, 6))),
+                 (box_mesh((0, 0, 0), (3, 2, 1)), box_mesh((400, -250, 120), (402, -248, 122)))):
+        pairs += [(a, b), (a, tilted(b, rng)), (a.rotated(rotation), b.rotated(rotation))]
+    for a, b in pairs:
+        d = min_distance(a, b)
+        assert d == min_distance(b, a) == min_distance_brute_force(a, b), (a, b)
 
 
 def test_proxy_assembled_contacts_have_zero_distance():
@@ -171,21 +183,34 @@ def test_min_distance_matches_brute_force_on_random_boxes(seed):
     lo_b, hi_b = rng.uniform(-5, 0, 3) + off, rng.uniform(0.5, 5, 3) + off
     a = box_mesh(lo_a, hi_a)
     b = box_mesh(lo_b, hi_b)
-    d = min_distance(a, b)
-    assert d == min_distance_brute_force(a, b)
-    assert d == min_distance(b, a)
+    # further inputs: both boxes under one random rotation, which keeps the
+    # distance up to rounding, and b alone tilted about its centre
+    rotation = random_rotation(rng)
+    for mesh_a, mesh_b in ((a, b), (a.rotated(rotation), b.rotated(rotation)),
+                           (a, tilted(b, rng))):
+        assert (min_distance(mesh_a, mesh_b) == min_distance(mesh_b, mesh_a)
+                == min_distance_brute_force(mesh_a, mesh_b))
     # analytic oracle: for axis-aligned boxes the distance is the norm of
     # the per-axis gaps, and d == 0 exactly when they touch or overlap
     gaps = np.maximum(0.0, np.maximum(lo_a - hi_b, lo_b - hi_a))
     analytic = float(np.linalg.norm(gaps))
+    d = min_distance(a, b)
     assert d == pytest.approx(analytic, abs=1e-9)
     assert (d == 0.0) == (intersects(a, b) or analytic <= 1e-9)
+    assert min_distance(a.rotated(rotation), b.rotated(rotation)) == pytest.approx(analytic,
+                                                                                   abs=1e-9)
 
 
 def random_rotation(rng) -> np.ndarray:
     q, r = np.linalg.qr(rng.normal(size=(3, 3)))
     q *= np.sign(np.diag(r))
     return q if np.linalg.det(q) > 0 else -q
+
+
+def tilted(mesh, rng):
+    """``mesh`` under a random rotation about its box centre."""
+    centre = 0.5 * (mesh.aabb[0] + mesh.aabb[1])
+    return mesh.translated(-centre).rotated(random_rotation(rng)).translated(centre)
 
 
 @pytest.mark.parametrize("seed", range(8))
