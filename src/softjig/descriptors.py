@@ -91,10 +91,12 @@ def load_descriptor(path) -> tuple[AssemblyModel, SweepParams]:
                 raise DescriptorError(f"{path}: parts[{i}]: bad pose: {exc}") from exc
             if len(translation) != 3:
                 raise DescriptorError(f"{path}: parts[{i}]: translation must have 3 entries")
+            try:
+                mesh = mesh.transformed(rotation.rotation, translation)
+            except MeshError as exc:
+                raise DescriptorError(f"{path}: parts[{i}] ({part_id}): {exc}") from exc
         group = entry.get("group")
         try:
-            if pose is not None:
-                mesh = mesh.transformed(rotation.rotation, translation)
             parts.append(PartModel(part_id, mesh, mass, group=None if group is None else str(group)))
         except (PartError, MeshError) as exc:
             raise DescriptorError(f"{path}: parts[{i}] ({part_id}): {exc}") from exc

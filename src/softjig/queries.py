@@ -10,7 +10,8 @@ Conventions that everything downstream relies on:
   the translational sweeps in ``relations`` are its sampled case.
 * ``min_distance`` is exactly symmetric in its arguments and returns the
   same float as the all-pairs scan: it runs the distance kernel over the
-  triangle pairs whose boxes come within a vertex-to-vertex upper bound.
+  triangle pairs whose boxes come within a point-to-surface upper bound, in
+  order of box gap, and stops once the next gap exceeds the best so far.
 * Contact is decided by ``within_distance``, a threshold query equal to
   ``min_distance(a, b) <= epsilon``: a whole-box early-out, triangle pairs
   whose boxes come within epsilon, the distance kernel over those pairs in
@@ -502,26 +503,44 @@ def within_distance(mesh_a: TriangleMesh, mesh_b: TriangleMesh, epsilon: float) 
     return intersects(mesh_a, mesh_b)
 
 
+def _to_triangles_sq(point: np.ndarray, corners: np.ndarray) -> np.ndarray:
+    """Squared distance from one point to each triangle of ``corners``."""
+    return point_triangle_distance_sq(np.broadcast_to(point, (len(corners), 3)), corners)
+
+
 def min_distance(mesh_a: TriangleMesh, mesh_b: TriangleMesh) -> float:
     """Minimum distance between the surfaces; 0 when touching or overlapping.
 
-    Any vertex-to-vertex distance ``u`` bounds the result from above, so
-    the closest triangle pair's boxes come within ``u`` of each other. The
-    minimum of :func:`triangle_pair_distance_sq` over the pairs whose boxes
-    do, padded by :func:`_padded`, is therefore the all-pairs minimum to the
-    last bit, and exactly symmetric in the meshes. Nested solids, whose
+    Any distance between two surface points bounds the result from above.
+    The bound used is the smaller of two: from the corner of ``mesh_a``
+    nearest ``mesh_b``'s box centre to ``mesh_b``, and from the corners of
+    the ``mesh_b`` triangle nearest that corner to ``mesh_a``. The closest
+    triangle pair's boxes come within the bound, padded by :func:`_padded`.
+    Those pairs run through :func:`triangle_pair_distance_sq` in growing
+    batches, in order of box gap, which bounds a pair's distance from
+    below. The scan stops at 0 or once the next gap exceeds the best
+    distance so far, padded, so the result is the all-pairs minimum to the
+    last bit and exactly symmetric in the meshes. Nested solids, whose
     surfaces may be far apart, are at distance 0 by :func:`intersects`.
     """
-    va, vb = mesh_a.vertices, mesh_b.vertices
-    centre_b = 0.5 * (mesh_b.aabb[0] + mesh_b.aabb[1])
-    near_a = va[np.argmin(np.einsum("ij,ij->i", va - centre_b, va - centre_b))]
-    upper = float(np.sqrt(np.einsum("ij,ij->i", vb - near_a, vb - near_a).min()))
-    ia, ib = _box_pairs(*mesh_a.triangle_bounds, *mesh_b.triangle_bounds,
-                        _padded(mesh_a, mesh_b, upper))
     ca, cb = mesh_a.corners, mesh_b.corners
-    best = min(float(triangle_pair_distance_sq(ca[ia[s:s + _CHUNK_ROWS]],
-                                               cb[ib[s:s + _CHUNK_ROWS]]).min())
-               for s in range(0, len(ia), _CHUNK_ROWS))
+    points = ca.reshape(-1, 3)
+    centre_b = 0.5 * (mesh_b.aabb[0] + mesh_b.aabb[1])
+    start = points[np.argmin(np.einsum("ij,ij->i", points - centre_b, points - centre_b))]
+    to_b = _to_triangles_sq(start, cb)
+    upper_sq = min(to_b.min(), *(_to_triangles_sq(q, ca).min() for q in cb[np.argmin(to_b)]))
+    lo_a, hi_a = mesh_a.triangle_bounds
+    lo_b, hi_b = mesh_b.triangle_bounds
+    ia, ib = _box_pairs(lo_a, hi_a, lo_b, hi_b, _padded(mesh_a, mesh_b, np.sqrt(upper_sq)))
+    gap = np.maximum(np.maximum(lo_a[ia] - hi_b[ib], lo_b[ib] - hi_a[ia]), 0.0)
+    gap = np.sqrt(np.einsum("ij,ij->i", gap, gap))
+    order = np.argsort(gap, kind="stable")
+    best = np.inf
+    for sl in _growing_batches(len(order)):
+        rows = order[sl]
+        if best == 0.0 or gap[rows[0]] > _padded(mesh_a, mesh_b, np.sqrt(best)):
+            break
+        best = min(best, float(triangle_pair_distance_sq(ca[ia[rows]], cb[ib[rows]]).min()))
     if best == 0.0 or intersects(mesh_a, mesh_b):
         return 0.0
     return float(np.sqrt(best))

@@ -68,6 +68,17 @@ def test_min_distance_matches_brute_force_on_fixture_meshes(proxy, peg, cube_sta
     for a, b in ((box_mesh((-500, -400, 0), (500, 400, 2)), box_mesh((-1, -1, 4), (1, 1, 6))),
                  (box_mesh((0, 0, 0), (3, 2, 1)), box_mesh((400, -250, 120), (402, -248, 122)))):
         pairs += [(a, b), (a, tilted(b, rng)), (a.rotated(rotation), b.rotated(rotation))]
+    # a box with an unreferenced vertex right next to the other box, which
+    # an upper bound taken from vertices rather than surfaces would trust
+    box = box_mesh((0, 0, 0), (1, 1, 1))
+    stray = TriangleMesh(np.vstack([box.vertices, [[5.0, 0.5, 0.5]]]), box.triangles)
+    pairs.append((stray, box.translated((5.1, 0, 0))))
+    # a cylinder tilted over another's top cap: thousands of candidate
+    # pairs, with the closest one far from the first in row-major order
+    cylinder = revolve_mesh([(0, 0), (10, 0), (10, 40), (0, 40)], 128)
+    c, s = np.cos(0.01), np.sin(0.01)
+    over = cylinder.rotated(np.array([[1, 0, 0], [0, c, -s], [0, s, c]]))
+    pairs.append((cylinder, over.translated((0.3, 0.2, 40.5 - over.aabb[0][2]))))
     for a, b in pairs:
         d = min_distance(a, b)
         assert d == min_distance(b, a) == min_distance_brute_force(a, b), (a, b)
