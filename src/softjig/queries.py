@@ -26,7 +26,9 @@ Conventions that everything downstream relies on:
   tolerance less a slack of half that tolerance, which exceeds a bound on
   the rounding gap derived there; pairs whose bound does not fit, such as
   zero or sliver normals, keep every offset at which their boxes overlap.
-  Only rows on which ``proper_crossings`` is False are skipped.
+  Only rows on which ``proper_crossings`` is False are skipped. The pairs
+  are windowed batch by batch inside the early-exit crossing scan, so a
+  blocked sweep windows only the pairs up to its first crossing.
 * Containment probes are computed once per mesh and kept read-only.
 * All offsets of one probe lie on one line along the sweep axis, so
   containment is decided per probe by signed ray crossings
@@ -46,9 +48,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import straddle
 from .mesh import PerMesh, TriangleMesh
 from .rays import ray_containment
-from .straddle import row_windows
 
 TOUCH_TOLERANCE_MM = 1e-9
 
@@ -60,7 +62,8 @@ INSIDE_WINDING = 0.75
 # rows per narrow-phase batch; bounds the kernels' temporaries
 _CHUNK_ROWS = 1 << 17
 
-# first batch of an early-exit scan; batches double up to _CHUNK_ROWS
+# first batch of an early-exit scan, in rows or (for sweeps) candidate
+# pairs; batches double up to _CHUNK_ROWS
 _FIRST_BATCH_ROWS = 1 << 12
 
 
@@ -382,17 +385,21 @@ def penetrates_along(static: TriangleMesh, moving: TriangleMesh, axis: int,
     Penetration is a transversal triangle crossing (:func:`proper_crossings`)
     or a surface/interior probe of either mesh strictly inside the other
     solid; probes also catch overlaps whose boundaries meet only along
-    tangent planes. Surface contact is not penetration. Each triangle pair
-    whose boxes overlap somewhere on the offset range is checked only at
-    the offsets where they do, padded by 1e-9 of the largest offset
-    magnitude, and (past a few hundred rows) where both triangles can
-    straddle each other's planes. The latter is one interval per pair in
-    closed form, tested at the touch tolerance less a slack of half of it;
-    the slack exceeds a bound on the rounding gap to the per-row test,
-    derived in :func:`softjig.straddle.row_windows`, and pairs whose bound
-    exceeds it keep every box-overlap offset. Skipping the rest is exact,
-    not approximate. Crossing rows run in batches that start small and
-    grow, so a blocked sweep stops early.
+    tangent planes. Surface contact is not penetration. No offsets, no
+    penetration. Each triangle pair whose boxes overlap somewhere on the
+    offset range is checked only at the offsets where they do, padded by
+    1e-9 of the largest offset magnitude (:func:`softjig.straddle.box_ranges`),
+    and, when those ranges hold more than ``straddle.MIN_ROWS`` rows over
+    the whole sweep, where both triangles can straddle each other's planes.
+    The latter is one interval per pair in closed form, tested at the touch
+    tolerance less a slack of half of it; the slack exceeds a bound on the
+    rounding gap to the per-row test, derived in
+    :func:`softjig.straddle.row_windows`, and pairs whose bound exceeds it
+    keep every box-overlap offset. Skipping the rest is exact, not
+    approximate. The pairs run in batches that start at
+    ``_FIRST_BATCH_ROWS`` and double: each batch is windowed, expanded to
+    its (pair, offset) rows and crossing-tested, and the scan stops at the
+    first crossing, so a blocked sweep windows only the pairs before it.
 
     Containment rows, the (probe, offset) points strictly inside the
     target's box, are decided by the signed count of the target's
@@ -404,6 +411,8 @@ def penetrates_along(static: TriangleMesh, moving: TriangleMesh, axis: int,
     being 1e-9 (1 + the target's largest coordinate magnitude).
     """
     offsets = np.sort(np.asarray(offsets, dtype=np.float64))
+    if not len(offsets):
+        return False
     st_lo, st_hi = static.triangle_bounds
     mv_lo, mv_hi = moving.triangle_bounds
 
@@ -414,22 +423,27 @@ def penetrates_along(static: TriangleMesh, moving: TriangleMesh, axis: int,
     ext_hi[:, axis] += offsets[-1]
     si, mi = _box_pairs(st_lo, st_hi, ext_lo, ext_hi)
 
-    # per pair, the offsets at which its boxes overlap along the axis and
-    # both triangles can straddle each other's planes
-    first, last = row_windows(static, moving, si, mi, axis, offsets,
-                              TOUCH_TOLERANCE_MM, _CHUNK_ROWS)
-    counts = np.maximum(last - first, 0)
-    row_pair = np.repeat(np.arange(len(si)), counts)
-    starts = np.cumsum(counts) - counts
-    row_offset = offsets[np.arange(len(row_pair)) - starts[row_pair] + first[row_pair]]
-
+    # per pair, the offsets at which its boxes overlap along the axis; past
+    # MIN_ROWS rows in the whole sweep, each batch of pairs is narrowed to
+    # the offsets at which both triangles can straddle each other's planes
+    first, last = straddle.box_ranges(static, moving, si, mi, axis, offsets)
+    narrow = np.maximum(last - first, 0).sum() > straddle.MIN_ROWS
     sc, mc = static.corners, moving.corners
-    for sl in _growing_batches(len(row_pair)):
-        rows = row_pair[sl]
-        shifted = mc[mi[rows]]
-        shifted[:, :, axis] += row_offset[sl][:, None]
-        if proper_crossings(sc[si[rows]], shifted).any():
-            return True
+    for sl in _growing_batches(len(si)):
+        i, j, lo, hi = si[sl], mi[sl], first[sl], last[sl]
+        if narrow:
+            lo, hi = straddle.row_windows(static, moving, i, j, axis, offsets, lo, hi,
+                                          TOUCH_TOLERANCE_MM)
+        counts = np.maximum(hi - lo, 0)
+        row_pair = np.repeat(np.arange(len(i)), counts)
+        starts = np.cumsum(counts) - counts
+        row_offset = offsets[np.arange(len(row_pair)) - starts[row_pair] + lo[row_pair]]
+        for start in range(0, len(row_pair), _CHUNK_ROWS):
+            rows = row_pair[start:start + _CHUNK_ROWS]
+            shifted = mc[j[rows]]
+            shifted[:, :, axis] += row_offset[start:start + _CHUNK_ROWS][:, None]
+            if proper_crossings(sc[i[rows]], shifted).any():
+                return True
 
     # containment: moving probes in the static solid, static probes in the
     # shifted moving solid, on the (probe, offset) grid inside the target

@@ -3,25 +3,50 @@
 ``queries.proper_crossings`` calls a triangle pair crossing only when each
 triangle straddles the other's plane by more than its tolerance. When one
 triangle of the pair is shifted along an axis, that condition holds on one
-interval of shifts, so :func:`row_windows` finds, per pair, the sampled
-offsets at which a crossing is possible at all. ``queries.penetrates_along``
-checks a pair only there.
+interval of shifts. :func:`box_ranges` gives each candidate pair the sorted
+offsets at which its triangle boxes overlap, and :func:`row_windows`
+narrows a batch of those ranges to the offsets at which a crossing is
+possible at all. ``queries.penetrates_along`` decides once per sweep,
+against ``MIN_ROWS``, whether to narrow, then windows its candidate pairs
+batch by batch inside its early-exit scan, so a blocked sweep windows only
+the pairs up to its first crossing.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .mesh import TriangleMesh
+from .mesh import PerMesh, TriangleMesh
 
 # the windows test straddling at the crossing tolerance less this share of
 # it; the slack exceeds the rounding gap bounded in row_windows
 SLACK_SHARE = 0.5
 
-# box ranges holding at most this many rows in all are checked whole: a
-# crossing test of so few rows costs less than narrowing them (measured on
-# box stacks, whose sweeps hold a few hundred rows each)
+# sweeps whose box ranges hold at most this many rows in all are checked
+# whole: a crossing test of so few rows costs less than narrowing them
+# (measured on box stacks, whose sweeps hold a few hundred rows each)
 MIN_ROWS = 1 << 9
+
+
+def _triangle_terms(mesh: TriangleMesh) -> tuple[np.ndarray, ...]:
+    """Per triangle: the normal ``e1 x e2``, its length, the box diagonal
+    and ``|e1| + |e2|``, with ``e1``, ``e2`` the edges from the first
+    corner."""
+    c = mesh.corners
+    e1, e2 = c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]
+    normal = np.cross(e1, e2)
+    lo, hi = mesh.triangle_bounds
+    return (normal, np.linalg.norm(normal, axis=1), np.linalg.norm(hi - lo, axis=1),
+            np.linalg.norm(e1, axis=1) + np.linalg.norm(e2, axis=1))
+
+
+# _triangle_terms of a mesh, computed once per mesh
+_terms = PerMesh(_triangle_terms)
+
+
+def _reach(offsets: np.ndarray) -> float:
+    """Largest magnitude of the sorted ``offsets``; 0 when there are none."""
+    return float(max(abs(offsets[0]), abs(offsets[-1]))) if len(offsets) else 0.0
 
 
 def _slope_window(lo: np.ndarray, hi: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -37,34 +62,57 @@ def _slope_window(lo: np.ndarray, hi: np.ndarray, k: np.ndarray) -> tuple[np.nda
     return t_lo, t_hi
 
 
-def _min3(x: np.ndarray) -> np.ndarray:
-    return np.minimum(np.minimum(x[:, 0], x[:, 1]), x[:, 2])
+def _straddle_window(mesh: TriangleMesh, i: np.ndarray, plane: TriangleMesh, j: np.ndarray,
+                     axis: int, sign: float, wide: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise open interval of shifts t over which triangle ``i[p]`` of
+    ``mesh``, moved by ``sign * t`` along ``axis``, straddles the plane of
+    triangle ``j[p]`` of ``plane`` by more than ``wide``."""
+    normals, lengths = _terms(plane)[:2]
+    normal, div = normals[j], np.where(lengths[j] > 0, lengths[j], 1.0)
+    s = mesh.corners[i]
+    s -= plane.corners[j, 0][:, None, :]
+    s = np.einsum("ikj,ij->ik", s, normal)
+    s /= div[:, None]
+    lo = np.minimum(np.minimum(s[:, 0], s[:, 1]), s[:, 2])
+    hi = np.maximum(np.maximum(s[:, 0], s[:, 1]), s[:, 2])
+    return _slope_window(lo + wide, hi - wide, -sign * normal[:, axis] / div)
 
 
-def _max3(x: np.ndarray) -> np.ndarray:
-    return np.maximum(np.maximum(x[:, 0], x[:, 1]), x[:, 2])
+def box_ranges(static: TriangleMesh, moving: TriangleMesh, si: np.ndarray, mi: np.ndarray,
+               axis: int, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per candidate pair ``(si[p], mi[p])``, the range ``first[p]:last[p]``
+    of the sorted ``offsets`` at which the static triangle's box and the
+    moving one's, shifted along ``axis``, overlap along ``axis``, padded by
+    1e-9 of the largest offset magnitude."""
+    st_lo, st_hi = static.triangle_bounds
+    mv_lo, mv_hi = moving.triangle_bounds
+    pad = 1e-9 * _reach(offsets)
+    first = np.searchsorted(offsets, st_lo[si, axis] - mv_hi[mi, axis] - pad, side="left")
+    last = np.searchsorted(offsets, st_hi[si, axis] - mv_lo[mi, axis] + pad, side="right")
+    return first, last
 
 
 def row_windows(static: TriangleMesh, moving: TriangleMesh, si: np.ndarray, mi: np.ndarray,
-                axis: int, offsets: np.ndarray, tol: float,
-                block: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per candidate pair ``(si[p], mi[p])``, the range ``first[p]:last[p]``
-    of the sorted ``offsets`` outside which ``proper_crossings`` at ``tol``
-    of the static triangle and the moving one shifted along ``axis`` is
-    False.
-
-    The range keeps the offsets at which the two triangle boxes overlap
-    along ``axis``, padded by 1e-9 of the largest offset magnitude, and,
-    when those ranges hold more than ``MIN_ROWS`` rows in all, at which
-    both triangles can straddle each other's planes. Pairs are processed in
-    blocks of ``block``.
+                axis: int, offsets: np.ndarray, first: np.ndarray, last: np.ndarray,
+                tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The box ranges ``first[p]:last[p]`` of :func:`box_ranges` for one
+    batch of candidate pairs ``(si[p], mi[p])``, narrowed to the sorted
+    ``offsets`` at which both triangles can straddle each other's planes.
+    Outside the narrowed range, ``proper_crossings`` at ``tol`` of the
+    static triangle and the moving one shifted along ``axis`` is False.
+    Whether a sweep is narrowed at all (more than ``MIN_ROWS`` rows in its
+    box ranges) is decided by the caller over the whole sweep.
 
     A shift leaves both normals unchanged, so every vertex distance moves
     with one slope: ``sa_i(t) = sa_i(0) - t nb[axis]/|nb|`` for static
     vertices to the moving plane and ``sb_i(t) = sb_i(0) + t na[axis]/|na|``
     for moving vertices to the static plane. Each straddle therefore holds
     on one open interval of t, computed from the unshifted corners and
-    tested at ``tol`` less a slack of ``SLACK_SHARE * tol``.
+    tested at ``tol`` less a slack of ``SLACK_SHARE * tol``. The moving
+    vertices are windowed against the static plane first; the static side
+    is gathered only for pairs whose range is still non-empty. Narrowing in
+    two steps keeps the same ranges as one, since ``searchsorted`` is
+    monotone: the larger of two lower ends is the lower end of the larger.
 
     Slack bound, with u = 2**-53, T = the largest offset magnitude, D = the
     two triangle box diagonals plus the padding (no vertex pair is farther
@@ -83,58 +131,41 @@ def row_windows(static: TriangleMesh, moving: TriangleMesh, si: np.ndarray, mi: 
       evaluation, on top of the same 21u(U + D + T).
 
     Twice that sum, ``8uD(U + 5P)P/|nb| + 42u(U + D + T)``, bounds the gap
-    between the affine form and the per-row test. Where it does not fit
-    under the slack (a zero or sliver normal, or coordinates far from the
-    origin), the pair keeps its whole box range. So every offset at which
+    between the affine form and the per-row test. The bound depends only on
+    per-triangle terms, so it is checked before either side is windowed.
+    Where it does not fit under the slack (a zero or sliver normal, or
+    coordinates far from the origin), the pair is windowed on neither side
+    and keeps its whole box range. So every offset at which
     ``proper_crossings`` is True stays in the range. A zero slack keeps
     every box range whole.
     """
+    _, _, diag_a, _ = _terms(static)
+    _, len_b, diag_b, edges = _terms(moving)
     st_lo, st_hi = static.triangle_bounds
     mv_lo, mv_hi = moving.triangle_bounds
-    reach = float(np.abs(offsets).max())
+    reach = _reach(offsets)
     pad = 1e-9 * reach
-    first = np.searchsorted(offsets, st_lo[si, axis] - mv_hi[mi, axis] - pad, side="left")
-    last = np.searchsorted(offsets, st_hi[si, axis] - mv_lo[mi, axis] + pad, side="right")
-    if np.maximum(last - first, 0).sum() <= MIN_ROWS:
-        return first, last
-
-    # per triangle: normals, straddle slopes and the terms of the slack bound
-    sc, mc = static.corners, moving.corners
-    na = np.cross(sc[:, 1] - sc[:, 0], sc[:, 2] - sc[:, 0])
-    e1, e2 = mc[:, 1] - mc[:, 0], mc[:, 2] - mc[:, 0]
-    nb = np.cross(e1, e2)
-    len_a = np.linalg.norm(na, axis=1)
-    len_b = np.linalg.norm(nb, axis=1)
-    div_a = np.where(len_a > 0, len_a, 1.0)
-    div_b = np.where(len_b > 0, len_b, 1.0)
-    slope_a = nb[:, axis] / div_b
-    slope_b = na[:, axis] / div_a
-    diag_a = np.linalg.norm(st_hi - st_lo, axis=1)
-    ext_b = mv_hi - mv_lo
-    diag_b = np.linalg.norm(ext_b, axis=1)
-    coord_a = np.maximum(np.abs(st_lo[:, axis]), np.abs(st_hi[:, axis]))
-    edges = np.linalg.norm(e1, axis=1) + np.linalg.norm(e2, axis=1)
-
     slack = SLACK_SHARE * tol
     wide = tol - slack
     u = 2.0 ** -53
-    for start in range(0, len(si), block):
-        sl = slice(start, start + block)
-        i, j = si[sl], mi[sl]
-        a, b = sc[i], mc[j]
-        sa = np.einsum("ikj,ij->ik", a - b[:, 0][:, None, :], nb[j]) / div_b[j][:, None]
-        sb = np.einsum("ikj,ij->ik", b - a[:, 0][:, None, :], na[i]) / div_a[i][:, None]
-        lo_a, hi_a = _slope_window(_min3(sa) + wide, _max3(sa) - wide, slope_a[j])
-        lo_b, hi_b = _slope_window(wide - _max3(sb), -wide - _min3(sb), slope_b[i])
 
-        lever = diag_a[i] + diag_b[j] + pad
-        coord = coord_a[i] + ext_b[j, axis] + pad
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gap = (8 * u * lever * (coord + 5 * edges[j]) * edges[j] / len_b[j]
-                   + 42 * u * (coord + lever + reach))
-        tight = gap <= slack
-        t_lo = np.where(tight, np.maximum(lo_a, lo_b), -np.inf)
-        t_hi = np.where(tight, np.minimum(hi_a, hi_b), np.inf)
-        first[sl] = np.maximum(first[sl], np.searchsorted(offsets, t_lo, side="right"))
-        last[sl] = np.minimum(last[sl], np.searchsorted(offsets, t_hi, side="left"))
+    lever = diag_a[si] + diag_b[mi] + pad
+    coord = (np.maximum(np.abs(st_lo[si, axis]), np.abs(st_hi[si, axis]))
+             + (mv_hi[mi, axis] - mv_lo[mi, axis]) + pad)
+    p = edges[mi]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = 8 * u * lever * (coord + 5 * p) * p / len_b[mi] + 42 * u * (coord + lever + reach)
+
+    first, last = first.copy(), last.copy()
+
+    def narrow(rows: np.ndarray, window: tuple[np.ndarray, np.ndarray]) -> None:
+        first[rows] = np.maximum(first[rows], np.searchsorted(offsets, window[0], side="right"))
+        last[rows] = np.minimum(last[rows], np.searchsorted(offsets, window[1], side="left"))
+
+    # moving vertices against the static plane, on the pairs whose bound fits
+    rows = np.flatnonzero(gap <= slack)
+    narrow(rows, _straddle_window(moving, mi[rows], static, si[rows], axis, 1.0, wide))
+    # static vertices against the moving plane, on the pairs still in range
+    rows = rows[first[rows] < last[rows]]
+    narrow(rows, _straddle_window(static, si[rows], moving, mi[rows], axis, -1.0, wide))
     return first, last

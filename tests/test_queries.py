@@ -32,7 +32,7 @@ from softjig.queries import (
 )
 from softjig.rays import ray_containment
 from softjig.relations import compute_all_interference_free
-from softjig.straddle import row_windows
+from softjig.straddle import box_ranges, row_windows
 
 unit_cube = lambda: box_mesh((0, 0, 0), (1, 1, 1))
 
@@ -318,7 +318,8 @@ def test_row_windows_keep_every_crossing_offset(seed, kind, swap):
     """Every (triangle pair, offset) at which ``proper_crossings`` of the
     shifted pair is True lies in the pair's kept range, probed a few ulps
     around each straddle flip and at random offsets of both signs; and
-    ``penetrates_along`` equals a scan of every row."""
+    ``penetrates_along``, made to narrow however few its rows, equals a scan
+    of every row."""
     rng = np.random.default_rng(seed)
     a, b = triangle_pair(kind, rng)
     if swap:
@@ -340,14 +341,106 @@ def test_row_windows_keep_every_crossing_offset(seed, kind, swap):
     shifted = moving.corners[mi[p]]
     shifted[:, :, axis] += offsets[k][:, None]
     hit = proper_crossings(static.corners[si[p]], shifted)
+    first, last = row_windows(static, moving, si, mi, axis, offsets,
+                              *box_ranges(static, moving, si, mi, axis, offsets),
+                              TOUCH_TOLERANCE_MM)
+    missed = hit & ((k < first[p]) | (k >= last[p]))
+    assert not missed.any(), offsets[k[missed]]
+
+    windowed = []
+
+    def counted(*args):
+        windowed.append(len(args[2]))
+        return row_windows(*args)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(straddle, "MIN_ROWS", 0)    # narrow however few the rows
-        first, last = row_windows(static, moving, si, mi, axis, offsets, TOUCH_TOLERANCE_MM,
-                                  queries._CHUNK_ROWS)
-        missed = hit & ((k < first[p]) | (k >= last[p]))
-        assert not missed.any(), offsets[k[missed]]
+        patch.setattr(straddle, "row_windows", counted)
         assert (penetrates_along(static, moving, axis, offsets)
                 == naive_penetrates_along(static, moving, axis, offsets))
+    # a crossing pair has rows in its box range, so the sweep narrowed them
+    assert windowed or not hit.any()
+
+
+def test_penetrates_along_without_offsets_is_false():
+    """No offsets, nothing to penetrate: the kernel and the windows take an
+    empty offset list, even for solids that overlap."""
+    static = box_mesh((0, 0, 0), (2, 2, 2))
+    moving = box_mesh((1, 1, 1), (3, 3, 3))
+    assert intersects(static, moving)
+    for axis in range(3):
+        assert not penetrates_along(static, moving, axis, [])
+    si, mi = (g.ravel() for g in np.meshgrid(np.arange(12), np.arange(12), indexing="ij"))
+    none = np.zeros(0)
+    first, last = row_windows(static, moving, si, mi, 0, none,
+                              *box_ranges(static, moving, si, mi, 0, none), TOUCH_TOLERANCE_MM)
+    assert not (last > first).any()
+
+
+def tiled_floor_with_blocker(tiles: int) -> tuple[TriangleMesh, TriangleMesh, TriangleMesh]:
+    """A floor of ``tiles`` x ``tiles`` unit boxes, the same floor with a
+    post past its +x end as the last component, and a slab resting on the
+    floor that covers it. The post is taller than the slab and narrow in y,
+    so no probe of either lies inside the other when the slab runs into
+    it: only crossings block."""
+    boxes = [box_mesh((x, y, 0), (x + 1, y + 1, 1)) for x in range(tiles) for y in range(tiles)]
+    blocker = box_mesh((tiles + 2, 5, 0), (tiles + 4, 6, 10))
+    slab = box_mesh((0, 0, 1), (tiles, tiles, 2))
+    return compound_mesh(*boxes), compound_mesh(*boxes, blocker), slab
+
+
+def test_blocked_sweep_finds_a_crossing_past_the_first_batch():
+    """The crossing candidate pairs of a blocked sweep all come after more
+    than ``_FIRST_BATCH_ROWS`` non-crossing ones in row-major order: a slab
+    slides along a tiled floor it rests on into a post past the floor's
+    end. The windowed scan still reports it blocked, equal to a scan of
+    every row; the same sweep without the post is free, and without the
+    crossing test nothing blocks it."""
+    floor, blocked_floor, slab = tiled_floor_with_blocker(20)
+    offsets = np.linspace(0.5, 5.0, 10)
+    for static, expected in ((floor, False), (blocked_floor, True)):
+        assert penetrates_along(static, slab, 0, offsets) is expected
+        assert naive_penetrates_along(static, slab, 0, offsets) is expected
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(queries, "proper_crossings", lambda a, b: np.zeros(len(a), dtype=bool))
+        assert not penetrates_along(blocked_floor, slab, 0, offsets)
+
+    st_lo, st_hi = blocked_floor.triangle_bounds
+    ext_lo, ext_hi = (b.copy() for b in slab.triangle_bounds)
+    ext_lo[:, 0] += offsets[0]
+    ext_hi[:, 0] += offsets[-1]
+    si, mi = queries._box_pairs(st_lo, st_hi, ext_lo, ext_hi)
+    p, k = (g.ravel() for g in np.meshgrid(np.arange(len(si)), np.arange(len(offsets)),
+                                          indexing="ij"))
+    shifted = slab.corners[mi[p]]
+    shifted[:, :, 0] += offsets[k][:, None]
+    crossing = p[proper_crossings(blocked_floor.corners[si[p]], shifted)]
+    assert len(crossing) and crossing.min() > queries._FIRST_BATCH_ROWS
+    first, last = box_ranges(blocked_floor, slab, si, mi, 0, offsets)
+    assert np.maximum(last - first, 0).sum() > straddle.MIN_ROWS    # the sweep is narrowed
+
+
+def test_sliver_pair_keeps_its_whole_box_range():
+    """A moving sliver whose corners all lie 1 mm or more off the static
+    plane never straddles it, so that pair's static-plane window is empty.
+    Yet the rounding bound of its near-zero normal does not fit under the
+    slack, so the pair is windowed on neither side and keeps every offset
+    of its box range; the same pair with a fat moving triangle is dropped."""
+    a = np.array([[0.0, -3.0, -3.0], [0.0, 3.0, -3.0], [0.0, 0.0, 3.0]])
+    offsets = np.linspace(-4.0, 4.0, 33)
+    ranges = {}
+    for name, apex in (("sliver", [1.5, 1e-12, 0.5]), ("fat", [1.5, 2.0, 0.5])):
+        b = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 1.0], apex])
+        static, moving = tetra_on(a), tetra_on(b)
+        si, mi = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+        box = box_ranges(static, moving, si, mi, 2, offsets)
+        assert box[1][0] - box[0][0] > 20
+        ranges[name] = box, row_windows(static, moving, si, mi, 2, offsets, *box,
+                                        TOUCH_TOLERANCE_MM)
+    box, kept = ranges["sliver"]
+    assert (kept[0][0], kept[1][0]) == (box[0][0], box[1][0])
+    _, kept = ranges["fat"]
+    assert kept[1][0] <= kept[0][0]
 
 
 def test_probe_points_computed_once_per_mesh(monkeypatch):

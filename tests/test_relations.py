@@ -145,6 +145,67 @@ def test_crossing_rows_pruned_on_stacked_cylinders(monkeypatch):
         assert pruned[d][1, 0] == (d is not Direction.PLUS_Z)
 
 
+def test_sweeps_window_only_the_pairs_they_need(monkeypatch):
+    """Counter, not timing, on two stacked 1,024-triangle cylinders in face
+    contact. The blocked -z sweep windows at most one first batch of
+    candidate pairs before its first crossing. A free lateral sweep windows
+    each candidate pair exactly once, and its static-side straddle windows
+    see only the pairs that the static-plane windows leave in range."""
+    lower = revolve_mesh([(0, 0), (20, 0), (20, 30), (0, 30)], 256)
+    upper = revolve_mesh([(0, 30), (17, 30), (17, 60), (0, 60)], 256)
+    assembly = AssemblyModel((PartModel("lower", lower, 1.0), PartModel("upper", upper, 1.0)))
+    sweeps = []
+    penetrates, box_pairs = relations.penetrates_along, queries._box_pairs
+    row_windows, straddle_window = straddle.row_windows, straddle._straddle_window
+
+    def sweep(static, moving, axis, offsets):
+        sweeps.append({"direction": direction_of(np.sign(offsets[0]) * np.eye(3)[axis]), "windows": []})
+        sweeps[-1]["blocked"] = penetrates(static, moving, axis, offsets)
+        return sweeps[-1]["blocked"]
+
+    def candidates(*args):
+        sweeps[-1]["pairs"] = box_pairs(*args)
+        return sweeps[-1]["pairs"]
+
+    def windows(static, moving, si, mi, axis, offsets, first, last, tol):
+        sweeps[-1]["windows"].append({"si": si, "mi": mi, "first": first, "last": last,
+                                      "offsets": offsets, "sides": []})
+        return row_windows(static, moving, si, mi, axis, offsets, first, last, tol)
+
+    def side(mesh, i, *args):
+        window = straddle_window(mesh, i, *args)
+        sweeps[-1]["windows"][-1]["sides"].append((mesh, len(i), window))
+        return window
+
+    monkeypatch.setattr(relations, "penetrates_along", sweep)
+    monkeypatch.setattr(queries, "_box_pairs", candidates)
+    monkeypatch.setattr(straddle, "row_windows", windows)
+    monkeypatch.setattr(straddle, "_straddle_window", side)
+    compute_all_interference_free(assembly)
+
+    by_direction = {s["direction"]: s for s in sweeps}
+    blocked = by_direction[Direction.MINUS_Z]
+    assert blocked["blocked"]
+    assert 0 < sum(len(w["si"]) for w in blocked["windows"]) <= queries._FIRST_BATCH_ROWS
+    lateral = [by_direction[d] for d in (Direction.PLUS_X, Direction.MINUS_X,
+                                         Direction.PLUS_Y, Direction.MINUS_Y)]
+    for s in lateral:
+        assert not s["blocked"]
+        windowed = np.concatenate([w["si"] * len(upper.corners) + w["mi"] for w in s["windows"]])
+        si, mi = s["pairs"]
+        assert np.array_equal(windowed, si * len(upper.corners) + mi)
+        survivors = 0
+        for w in s["windows"]:
+            (moved, plane_rows, (t_lo, t_hi)), (plane, static_rows, _) = w["sides"]
+            assert (moved, plane) == (upper, lower)
+            assert plane_rows == len(w["si"])     # every pair's rounding bound fits
+            first = np.maximum(w["first"], np.searchsorted(w["offsets"], t_lo, side="right"))
+            last = np.minimum(w["last"], np.searchsorted(w["offsets"], t_hi, side="left"))
+            assert static_rows == np.count_nonzero(first < last)
+            survivors += static_rows
+        assert 0 < 4 * survivors < len(si)
+
+
 def test_fully_separated_cubes_free_in_all_directions():
     a = PartModel("a", box_mesh((0, 0, 0), (5, 5, 5)), 1.0)
     b = PartModel("b", box_mesh((20, 30, 40), (25, 35, 45)), 1.0)
