@@ -16,8 +16,10 @@ Conventions that everything downstream relies on:
   ``min_distance(a, b) <= epsilon``: a whole-box early-out, triangle pairs
   whose boxes come within epsilon, the distance kernel over those pairs in
   growing batches with early exit, and ``intersects`` last for nested solids.
-* ``min_distance``, ``within_distance`` and ``penetrates_along`` share one
-  broad phase, ``_box_pairs``.
+* ``min_distance``, ``within_distance``, ``penetrates_along`` and its ray
+  containment share one broad phase, ``broad.box_pairs``, a stream of
+  candidate pairs in blocks; the early-exit scans consume it batch by
+  batch, so a scan that stops early never generates the rest.
 * ``penetrates_along`` checks a triangle pair only at offsets where both
   triangles can straddle each other's planes. A shift leaves the normals
   unchanged, so every vertex-to-plane distance is affine in the offset with
@@ -27,8 +29,9 @@ Conventions that everything downstream relies on:
   the rounding gap derived there; pairs whose bound does not fit, such as
   zero or sliver normals, keep every offset at which their boxes overlap.
   Only rows on which ``proper_crossings`` is False are skipped. The pairs
-  are windowed batch by batch inside the early-exit crossing scan, so a
-  blocked sweep windows only the pairs up to its first crossing.
+  are generated and windowed batch by batch inside the early-exit crossing
+  scan, so a blocked sweep generates and windows only the pairs up to its
+  first crossing.
 * Containment probes are computed once per mesh and kept read-only.
 * All offsets of one probe lie on one line along the sweep axis, so
   containment is decided per probe by signed ray crossings
@@ -48,7 +51,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import straddle
+from . import broad, straddle
 from .mesh import PerMesh, TriangleMesh
 from .rays import ray_containment
 
@@ -62,9 +65,10 @@ INSIDE_WINDING = 0.75
 # rows per narrow-phase batch; bounds the kernels' temporaries
 _CHUNK_ROWS = 1 << 17
 
-# first batch of an early-exit scan, in rows or (for sweeps) candidate
-# pairs; batches double up to _CHUNK_ROWS
+# first and largest batch of an early-exit scan, in rows or (for sweeps and
+# contact) candidate pairs; batches double from the first to the largest
 _FIRST_BATCH_ROWS = 1 << 12
+_LAST_BATCH_ROWS = 1 << 13
 
 
 # -- low-level kernels -------------------------------------------------------
@@ -341,40 +345,6 @@ def _read_only_probes(mesh: TriangleMesh) -> np.ndarray:
 _probe_points = PerMesh(_read_only_probes)
 
 
-# -- broad phase -------------------------------------------------------------
-
-def _growing_batches(n: int):
-    """Slices over ``n`` rows for an early-exit scan: ``_FIRST_BATCH_ROWS``
-    first, doubling up to ``_CHUNK_ROWS``."""
-    start, size = 0, _FIRST_BATCH_ROWS
-    while start < n:
-        yield slice(start, start + size)
-        start += size
-        size = min(2 * size, _CHUNK_ROWS)
-
-
-def _box_pairs(lo_a: np.ndarray, hi_a: np.ndarray, lo_b: np.ndarray, hi_b: np.ndarray,
-               gap: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs ``(i, j)``, in row-major order, whose boxes
-    ``[lo_a[i], hi_a[i]]`` and ``[lo_b[j], hi_b[j]]`` overlap once inflated
-    by ``gap`` mm on every axis (touching counts as overlap).
-
-    Each side is first cropped to the boxes that reach the other side's
-    whole bounding box; the crop is exact, it only shrinks the dense test.
-    """
-    keep_a = np.flatnonzero(np.all((lo_a - gap <= hi_b.max(axis=0))
-                                   & (lo_b.min(axis=0) - gap <= hi_a), axis=1))
-    keep_b = np.flatnonzero(np.all((lo_b - gap <= hi_a.max(axis=0))
-                                   & (lo_a.min(axis=0) - gap <= hi_b), axis=1))
-    la, ha, lb, hb = lo_a[keep_a], hi_a[keep_a], lo_b[keep_b], hi_b[keep_b]
-    overlap = np.ones((len(keep_a), len(keep_b)), dtype=bool)
-    for ax in range(3):
-        overlap &= la[:, ax][:, None] - gap <= hb[:, ax][None, :]
-        overlap &= lb[:, ax][None, :] - gap <= ha[:, ax][:, None]
-    i, j = np.nonzero(overlap)
-    return keep_a[i], keep_b[j]
-
-
 # -- penetration kernel ------------------------------------------------------
 
 def penetrates_along(static: TriangleMesh, moving: TriangleMesh, axis: int,
@@ -389,17 +359,19 @@ def penetrates_along(static: TriangleMesh, moving: TriangleMesh, axis: int,
     penetration. Each triangle pair whose boxes overlap somewhere on the
     offset range is checked only at the offsets where they do, padded by
     1e-9 of the largest offset magnitude (:func:`softjig.straddle.box_ranges`),
-    and, when those ranges hold more than ``straddle.MIN_ROWS`` rows over
-    the whole sweep, where both triangles can straddle each other's planes.
+    and, when a batch's ranges hold more than ``straddle.MIN_ROWS`` rows,
+    where both triangles can straddle each other's planes.
     The latter is one interval per pair in closed form, tested at the touch
     tolerance less a slack of half of it; the slack exceeds a bound on the
     rounding gap to the per-row test, derived in
     :func:`softjig.straddle.row_windows`, and pairs whose bound exceeds it
     keep every box-overlap offset. Skipping the rest is exact, not
-    approximate. The pairs run in batches that start at
-    ``_FIRST_BATCH_ROWS`` and double: each batch is windowed, expanded to
-    its (pair, offset) rows and crossing-tested, and the scan stops at the
-    first crossing, so a blocked sweep windows only the pairs before it.
+    approximate. The candidate pairs stream from
+    :func:`softjig.broad.box_pairs` in batches that start at
+    ``_FIRST_BATCH_ROWS`` and double up to ``_LAST_BATCH_ROWS``: each batch
+    gets its box ranges, is windowed, expanded to its (pair, offset) rows
+    and crossing-tested, and the scan stops at the first crossing, so a
+    blocked sweep generates and windows only the pairs before it.
 
     Containment rows, the (probe, offset) points strictly inside the
     target's box, are decided by the signed count of the target's
@@ -421,17 +393,15 @@ def penetrates_along(static: TriangleMesh, moving: TriangleMesh, axis: int,
     ext_hi = mv_hi.copy()
     ext_lo[:, axis] += offsets[0]
     ext_hi[:, axis] += offsets[-1]
-    si, mi = _box_pairs(st_lo, st_hi, ext_lo, ext_hi)
+    pairs = broad.box_pairs(st_lo, st_hi, ext_lo, ext_hi)
 
     # per pair, the offsets at which its boxes overlap along the axis; past
-    # MIN_ROWS rows in the whole sweep, each batch of pairs is narrowed to
-    # the offsets at which both triangles can straddle each other's planes
-    first, last = straddle.box_ranges(static, moving, si, mi, axis, offsets)
-    narrow = np.maximum(last - first, 0).sum() > straddle.MIN_ROWS
+    # MIN_ROWS rows in the batch, narrowed to the offsets at which both
+    # triangles can straddle each other's planes
     sc, mc = static.corners, moving.corners
-    for sl in _growing_batches(len(si)):
-        i, j, lo, hi = si[sl], mi[sl], first[sl], last[sl]
-        if narrow:
+    for i, j in broad.batches(pairs, _FIRST_BATCH_ROWS, _LAST_BATCH_ROWS):
+        lo, hi = straddle.box_ranges(static, moving, i, j, axis, offsets)
+        if np.maximum(hi - lo, 0).sum() > straddle.MIN_ROWS:
             lo, hi = straddle.row_windows(static, moving, i, j, axis, offsets, lo, hi,
                                           TOUCH_TOLERANCE_MM)
         counts = np.maximum(hi - lo, 0)
@@ -458,7 +428,7 @@ def penetrates_along(static: TriangleMesh, moving: TriangleMesh, axis: int,
                          axis=1)[:, None]
         pi, oi = np.nonzero(inside)
         by_ray, undecided = ray_containment(target, probes, axis, pi, coord[pi, oi],
-                                            _CHUNK_ROWS)
+                                            _LAST_BATCH_ROWS)
         if by_ray.any():
             return True
         pi, oi = pi[undecided], oi[undecided]
@@ -509,10 +479,10 @@ def within_distance(mesh_a: TriangleMesh, mesh_b: TriangleMesh, epsilon: float) 
     reach = _padded(mesh_a, mesh_b, epsilon)
     if np.any(lo_a - reach > hi_b) or np.any(lo_b - reach > hi_a):
         return False
-    ia, ib = _box_pairs(*mesh_a.triangle_bounds, *mesh_b.triangle_bounds, reach)
     ca, cb = mesh_a.corners, mesh_b.corners
-    for sl in _growing_batches(len(ia)):
-        if (np.sqrt(triangle_pair_distance_sq(ca[ia[sl]], cb[ib[sl]])) <= epsilon).any():
+    pairs = broad.box_pairs(*mesh_a.triangle_bounds, *mesh_b.triangle_bounds, reach)
+    for ia, ib in broad.batches(pairs, _FIRST_BATCH_ROWS, _LAST_BATCH_ROWS):
+        if (np.sqrt(triangle_pair_distance_sq(ca[ia], cb[ib])) <= epsilon).any():
             return True
     return intersects(mesh_a, mesh_b)
 
@@ -545,13 +515,13 @@ def min_distance(mesh_a: TriangleMesh, mesh_b: TriangleMesh) -> float:
     upper_sq = min(to_b.min(), *(_to_triangles_sq(q, ca).min() for q in cb[np.argmin(to_b)]))
     lo_a, hi_a = mesh_a.triangle_bounds
     lo_b, hi_b = mesh_b.triangle_bounds
-    ia, ib = _box_pairs(lo_a, hi_a, lo_b, hi_b, _padded(mesh_a, mesh_b, np.sqrt(upper_sq)))
+    ia, ib = broad.gather(broad.box_pairs(lo_a, hi_a, lo_b, hi_b,
+                                          _padded(mesh_a, mesh_b, np.sqrt(upper_sq))))
     gap = np.maximum(np.maximum(lo_a[ia] - hi_b[ib], lo_b[ib] - hi_a[ia]), 0.0)
     gap = np.sqrt(np.einsum("ij,ij->i", gap, gap))
     order = np.argsort(gap, kind="stable")
     best = np.inf
-    for sl in _growing_batches(len(order)):
-        rows = order[sl]
+    for (rows,) in broad.batches([(order,)], _FIRST_BATCH_ROWS, _LAST_BATCH_ROWS):
         if best == 0.0 or gap[rows[0]] > _padded(mesh_a, mesh_b, np.sqrt(best)):
             break
         best = min(best, float(triangle_pair_distance_sq(ca[ia[rows]], cb[ib[rows]]).min()))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import broad
 from .mesh import PerMesh, TriangleMesh
 
 
@@ -30,6 +31,31 @@ def closed_surface(mesh: TriangleMesh) -> bool:
 _closed = PerMesh(closed_surface)
 
 
+def _crossings(tri: np.ndarray, q: np.ndarray, pc: np.ndarray, axis: int,
+               tol: float) -> tuple[np.ndarray, ...]:
+    """For candidate rows (probe ``pc[r]`` at projected point ``q[r]``,
+    triangle corners ``tri[r]``): the probes of the rows within ``tol`` of a
+    projected edge's line, then ``(probe, z*, sign, margin)`` of every other
+    row whose probe line crosses the triangle."""
+    u, v = (axis + 1) % 3, (axis + 2) % 3
+    # edge functions of the projected candidates; E[:, k] runs from corner k
+    # to corner k+1 and weighs the corner opposite it
+    pu, pv = tri[:, :, u], tri[:, :, v]
+    du, dv = np.roll(pu, -1, axis=1) - pu, np.roll(pv, -1, axis=1) - pv
+    edge = du * (q[:, 1, None] - pv) - dv * (q[:, 0, None] - pu)
+    near = (np.abs(edge) <= tol * np.hypot(du, dv)).any(axis=1)
+    hit = ~near & ((edge > 0).all(axis=1) | (edge < 0).all(axis=1))
+
+    # crossings of the hit triangles: coordinate, sign and margin
+    edge, tri = edge[hit], tri[hit]
+    area = edge.sum(axis=1)
+    z = (np.roll(edge, -1, axis=1) * tri[:, :, axis]).sum(axis=1) / area
+    normal = np.linalg.norm(np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1)
+    span = (tri.max(axis=1) - tri.min(axis=1)).sum(axis=1) + 2 * tol
+    margin = 2 * (tol * normal + 24 * 2.0 ** -53 * span ** 3) / np.abs(area)
+    return pc[near], pc[hit], z, np.sign(area), margin
+
+
 def ray_containment(target: TriangleMesh, probes: np.ndarray, axis: int,
                     probe_of_row: np.ndarray, coords: np.ndarray,
                     block: int) -> tuple[np.ndarray, np.ndarray]:
@@ -38,12 +64,15 @@ def ray_containment(target: TriangleMesh, probes: np.ndarray, axis: int,
     ``inside`` holds on decided rows whose point is strictly inside
     ``target`` (winding number at least 1) and ``undecided`` marks the rows
     left to ``winding_fraction``. Every row must lie inside the target's
-    box. Probe×triangle box tests and rows run in blocks of ``block`` cells.
+    box. Candidates run in batches of ``block`` (probe, triangle) pairs and
+    rows in blocks of ``block`` (row, crossing) cells.
 
     The target is projected along ``axis`` onto the cyclic axes
     ``(axis+1)%3, (axis+2)%3``, where a triangle's doubled signed area is
     its normal's ``axis`` component ``n[axis]``. The triangles whose
-    projected box, padded by ``tol``, holds a probe are its candidates.
+    projected box, padded by ``tol``, holds a probe are its candidates:
+    :func:`softjig.broad.box_pairs` of the probe's line, a box unbounded
+    along ``axis``, and the triangles' boxes padded by ``tol``.
     Three 2-D edge functions E say whether the probe's line passes through
     a candidate; as barycentric weights they also give the ``axis``
     coordinate z* where it does, and its sign s = sign(n[axis]). For a
@@ -98,41 +127,22 @@ def ray_containment(target: TriangleMesh, probes: np.ndarray, axis: int,
     tol = 1e-9 * (1.0 + float(np.abs(np.concatenate([lo, hi])).max()))
     u, v = (axis + 1) % 3, (axis + 2) % 3
     used, local = np.unique(probe_of_row, return_inverse=True)
-    q = probes[used][:, [u, v]]
+    line_lo, line_hi = probes[used], probes[used].copy()
+    q = line_lo[:, [u, v]]
 
     # candidates: triangles whose padded projected box holds the probe,
-    # cropped first to those reaching the probes' own box
+    # i.e. whose padded box meets the probe's line along the axis; each
+    # block of them is reduced to its crossings before the next is built
+    line_lo[:, axis], line_hi[:, axis] = -np.inf, np.inf
     t_lo, t_hi = target.triangle_bounds
-    keep = np.flatnonzero(np.all((t_lo[:, [u, v]] - tol <= q.max(axis=0))
-                                 & (q.min(axis=0) <= t_hi[:, [u, v]] + tol), axis=1))
-    c_lo, c_hi = t_lo[keep][:, [u, v]] - tol, t_hi[keep][:, [u, v]] + tol
-    pc, tc = [], []
-    step = max(1, block // max(len(keep), 1))
-    for start in range(0, len(q), step):
-        qq = q[start:start + step, None, :]
-        i, j = np.nonzero(np.all((c_lo <= qq) & (qq <= c_hi), axis=2))
-        pc.append(i + start)
-        tc.append(keep[j])
-    pc, tc = np.concatenate(pc), np.concatenate(tc)
-
-    # edge functions of the projected candidates; E[:, k] runs from corner k
-    # to corner k+1 and weighs the corner opposite it
-    tri = target.corners[tc]
-    pu, pv = tri[:, :, u], tri[:, :, v]
-    du, dv = np.roll(pu, -1, axis=1) - pu, np.roll(pv, -1, axis=1) - pv
-    edge = du * (q[pc, 1, None] - pv) - dv * (q[pc, 0, None] - pu)
-    near = (np.abs(edge) <= tol * np.hypot(du, dv)).any(axis=1)
     probe_near = np.zeros(len(q), dtype=bool)
-    probe_near[pc[near]] = True
-    hit = ~near & ((edge > 0).all(axis=1) | (edge < 0).all(axis=1))
-
-    # crossings of the hit triangles: coordinate, sign and margin
-    edge, tri, hp = edge[hit], tri[hit], pc[hit]
-    area = edge.sum(axis=1)
-    z = (np.roll(edge, -1, axis=1) * tri[:, :, axis]).sum(axis=1) / area
-    normal = np.linalg.norm(np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1)
-    span = (tri.max(axis=1) - tri.min(axis=1)).sum(axis=1) + 2 * tol
-    margin = 2 * (tol * normal + 24 * 2.0 ** -53 * span ** 3) / np.abs(area)
+    found = [(np.zeros(0, dtype=np.intp),) + (np.zeros(0),) * 3]
+    pairs = broad.box_pairs(line_lo, line_hi, t_lo - tol, t_hi + tol)
+    for pc, tc in broad.batches(pairs, block, block):
+        near, *crossings = _crossings(target.corners[tc], q[pc], pc, axis, tol)
+        probe_near[near] = True
+        found.append(crossings)
+    hp, z, sign, margin = map(np.concatenate, zip(*found))
 
     # pad each probe's crossings into one row of a (probes, K) table
     counts = np.bincount(hp, minlength=len(q))
@@ -142,7 +152,7 @@ def ray_containment(target: TriangleMesh, probes: np.ndarray, axis: int,
     cross_s = np.zeros((len(q), width))
     cross_m = np.zeros((len(q), width))
     cross_z[hp, slot] = z
-    cross_s[hp, slot] = np.sign(area)
+    cross_s[hp, slot] = sign
     cross_m[hp, slot] = margin
 
     rows = max(1, block // max(width, 1))

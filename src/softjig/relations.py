@@ -254,13 +254,18 @@ def compute_contact_matrix(assembly: AssemblyModel) -> np.ndarray:
 
     Parts are in contact when their surface distance is within the
     assembly's contact tolerance (:func:`softjig.queries.within_distance`).
+    Running out of memory on a pair raises :class:`RelationError` naming it.
     """
     n = len(assembly.parts)
     contact = np.zeros((n, n), dtype=bool)
     for i in range(n):
         for k in range(i + 1, n):
-            touching = within_distance(assembly.parts[i].mesh, assembly.parts[k].mesh,
-                                       assembly.contact_epsilon)
+            a, b = assembly.parts[i], assembly.parts[k]
+            try:
+                touching = within_distance(a.mesh, b.mesh, assembly.contact_epsilon)
+            except MemoryError:
+                raise RelationError(f"out of memory deciding contact between {a.id!r} "
+                                    f"and {b.id!r}") from None
             contact[i, k] = contact[k, i] = touching
     return contact
 
@@ -272,7 +277,8 @@ def _pair_sweep(assembly: AssemblyModel, params: SweepParams, max_distance: floa
     ``interference_free[j][i, k]`` asks whether part k translates freely
     along j past static part i; for i > k this is evaluated as the exact
     relative motion with roles swapped and the direction negated, so the
-    mirror identity between (i, k, j) and (k, i, -j) is bit-exact.
+    mirror identity between (i, k, j) and (k, i, -j) is bit-exact. Running
+    out of memory raises :class:`RelationError` naming both parts.
     """
     if i > k:
         i, k, direction = k, i, direction.opposite
@@ -287,7 +293,11 @@ def _pair_sweep(assembly: AssemblyModel, params: SweepParams, max_distance: floa
         raise RelationError(
             f"sweeping {assembly.parts[k].id!r} past {assembly.parts[i].id!r} needs "
             f"{n_steps} steps, more than the limit of {MAX_SWEEP_STEPS}")
-    return sweep_translation_is_free(static, moving, direction, max_distance, n_steps)
+    try:
+        return sweep_translation_is_free(static, moving, direction, max_distance, n_steps)
+    except MemoryError:
+        raise RelationError(f"out of memory sweeping {assembly.parts[k].id!r} past "
+                            f"{assembly.parts[i].id!r} along {direction.value}") from None
 
 
 def compute_all_interference_free(assembly: AssemblyModel,

@@ -6,10 +6,10 @@ triangle of the pair is shifted along an axis, that condition holds on one
 interval of shifts. :func:`box_ranges` gives each candidate pair the sorted
 offsets at which its triangle boxes overlap, and :func:`row_windows`
 narrows a batch of those ranges to the offsets at which a crossing is
-possible at all. ``queries.penetrates_along`` decides once per sweep,
-against ``MIN_ROWS``, whether to narrow, then windows its candidate pairs
-batch by batch inside its early-exit scan, so a blocked sweep windows only
-the pairs up to its first crossing.
+possible at all. ``queries.penetrates_along`` takes its candidate pairs
+batch by batch from the broad-phase stream inside its early-exit scan, and
+decides per batch, against ``MIN_ROWS``, whether to narrow, so a blocked
+sweep windows only the pairs up to its first crossing.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from .mesh import PerMesh, TriangleMesh
 # it; the slack exceeds the rounding gap bounded in row_windows
 SLACK_SHARE = 0.5
 
-# sweeps whose box ranges hold at most this many rows in all are checked
+# batches whose box ranges hold at most this many rows in all are checked
 # whole: a crossing test of so few rows costs less than narrowing them
-# (measured on box stacks, whose sweeps hold a few hundred rows each)
+# (measured on box stacks, whose sweeps hold a few hundred rows each and
+# fit in one batch)
 MIN_ROWS = 1 << 9
 
 
@@ -100,8 +101,8 @@ def row_windows(static: TriangleMesh, moving: TriangleMesh, si: np.ndarray, mi: 
     ``offsets`` at which both triangles can straddle each other's planes.
     Outside the narrowed range, ``proper_crossings`` at ``tol`` of the
     static triangle and the moving one shifted along ``axis`` is False.
-    Whether a sweep is narrowed at all (more than ``MIN_ROWS`` rows in its
-    box ranges) is decided by the caller over the whole sweep.
+    Whether a batch is narrowed at all (more than ``MIN_ROWS`` rows in its
+    box ranges) is decided by the caller per batch.
 
     A shift leaves both normals unchanged, so every vertex distance moves
     with one slope: ``sa_i(t) = sa_i(0) - t nb[axis]/|nb|`` for static

@@ -68,6 +68,17 @@ def direction_of(vector):
     return direction
 
 
+def dense_box_pairs(lo_a, hi_a, lo_b, hi_b, gap=0.0):
+    """Reference for the concatenated ``broad.box_pairs`` stream: index
+    pairs ``(i, j)``, in row-major order, whose boxes overlap once inflated
+    by ``gap`` on every axis, from one dense ``(a x b)`` test."""
+    overlap = np.ones((len(lo_a), len(lo_b)), dtype=bool)
+    for ax in range(3):
+        overlap &= lo_a[:, ax][:, None] - gap <= hi_b[:, ax][None, :]
+        overlap &= lo_b[:, ax][None, :] - gap <= hi_a[:, ax][:, None]
+    return np.nonzero(overlap)
+
+
 def naive_sweep_is_free(static_mesh, moving_mesh, direction, max_distance, n_steps) -> bool:
     """Reference sweep: one public intersection query per sample."""
     unit = direction.unit_vector

@@ -184,6 +184,22 @@ def test_matrices_over_step_cap_exits_1(tmp_path, capsys, monkeypatch):
     assert len(err.splitlines()) == 1 and "'b' past 'a'" in err and "steps" in err
 
 
+@pytest.mark.parametrize("kernel", ["within_distance", "penetrates_along"])
+@pytest.mark.parametrize("command", [["matrices"], ["plan", "--sequence", "motor,plate,bolts"]])
+def test_out_of_memory_exits_1_naming_both_parts(tmp_path, capsys, monkeypatch, kernel, command):
+    """A MemoryError in contact or in a sweep ends the command with exit 1
+    and one stderr line that names the pair, not a traceback."""
+    def exhausted(*args):
+        raise MemoryError
+    monkeypatch.setattr(relations, kernel, exhausted)
+    out = tmp_path / "out.json"
+    assert main([command[0], "--fixtures", "proxy", *command[1:], "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "out of memory" in err
+    assert "'motor'" in err and "'plate'" in err
+
+
 def test_plan_requires_exactly_one_source(fixture_dir):
     assert main(["plan", "--sequence", "a,b"]) == 1
     assert main(["plan", str(fixture_dir / "assembly.json"), "--fixtures", "proxy",

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import min_distance_brute_force, naive_penetrates_along
+from conftest import dense_box_pairs, min_distance_brute_force, naive_penetrates_along
 
 from softjig import (
     AssemblyModel,
     AssemblySequence,
     PartModel,
+    broad,
     configure_fixing_parts,
     proxy_assembly,
     queries,
@@ -243,6 +244,55 @@ def test_within_distance_at_epsilon_boundary_on_rotated_meshes(seed, scale):
         assert within_distance(a, b, eps) == within_distance(b, a, eps) == expected
 
 
+# -- broad phase ----------------------------------------------------------------
+
+def box_soup(rng, n: int, stretch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` boxes on a coarse grid, so that faces, edges and corners touch
+    often, scaled per axis by ``stretch``."""
+    lo = rng.integers(-6, 6, (n, 3)).astype(float)
+    hi = lo + rng.integers(0, 4, (n, 3))
+    return lo * stretch, hi * stretch
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_a=st.integers(0, 40), n_b=st.integers(0, 40),
+       gap=st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+       stretch=st.sampled_from([(1, 1, 1), (1, 1, 30), (0.1, 7, 1)]),
+       unbounded=st.sampled_from([None, 0, 2]),
+       budget=st.sampled_from(["one cell", "one row", 7, 200, None]),
+       split=st.sampled_from([1, 3, None]))
+@settings(max_examples=300, deadline=None)
+def test_box_pair_stream_equals_dense_oracle(seed, n_a, n_b, gap, stretch, unbounded, budget,
+                                             split):
+    """The blocks of ``broad.box_pairs``, concatenated, are the dense
+    oracle's pairs in the same row-major order, on box soups with a gap,
+    stretched boxes, an empty side, probe-like boxes unbounded along one
+    axis, block budgets down to one cell or one row of ``b``, and row
+    ranges halved down to single rows. No dense test exceeds the budget."""
+    rng = np.random.default_rng(seed)
+    lo_a, hi_a = box_soup(rng, n_a, np.array(stretch, float))
+    lo_b, hi_b = box_soup(rng, n_b, np.array(stretch, float))
+    if unbounded is not None:
+        lo_a[:, unbounded], hi_a[:, unbounded] = -np.inf, np.inf
+    cells = {"one cell": 1, "one row": max(n_b, 1), None: broad.BLOCK_CELLS}.get(budget, budget)
+    tested = []
+    overlap = broad._overlap
+
+    def counted(*boxes):
+        tested.append(len(boxes[0]) * boxes[2].shape[1])
+        return overlap(*boxes)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(broad, "BLOCK_CELLS", cells)
+        patch.setattr(broad, "SPLIT_ROWS", split or broad.SPLIT_ROWS)
+        patch.setattr(broad, "_overlap", counted)
+        blocks = list(broad.box_pairs(lo_a, hi_a, lo_b, hi_b, gap))
+    i, j = broad.gather(iter(blocks))
+    expected_i, expected_j = dense_box_pairs(lo_a, hi_a, lo_b, hi_b, gap)
+    assert np.array_equal(i, expected_i) and np.array_equal(j, expected_j)
+    assert all(len(bi) == len(bj) > 0 for bi, bj in blocks)
+    assert max(tested, default=0) <= cells
+
+
 # -- swept crossing windows -----------------------------------------------------
 
 def triangle_pair(kind: str, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -409,15 +459,18 @@ def test_blocked_sweep_finds_a_crossing_past_the_first_batch():
     ext_lo, ext_hi = (b.copy() for b in slab.triangle_bounds)
     ext_lo[:, 0] += offsets[0]
     ext_hi[:, 0] += offsets[-1]
-    si, mi = queries._box_pairs(st_lo, st_hi, ext_lo, ext_hi)
+    si, mi = dense_box_pairs(st_lo, st_hi, ext_lo, ext_hi)
     p, k = (g.ravel() for g in np.meshgrid(np.arange(len(si)), np.arange(len(offsets)),
                                           indexing="ij"))
     shifted = slab.corners[mi[p]]
     shifted[:, :, 0] += offsets[k][:, None]
     crossing = p[proper_crossings(blocked_floor.corners[si[p]], shifted)]
     assert len(crossing) and crossing.min() > queries._FIRST_BATCH_ROWS
-    first, last = box_ranges(blocked_floor, slab, si, mi, 0, offsets)
-    assert np.maximum(last - first, 0).sum() > straddle.MIN_ROWS    # the sweep is narrowed
+    # the second batch holds the first crossing, and it is narrowed
+    second = slice(queries._FIRST_BATCH_ROWS, 3 * queries._FIRST_BATCH_ROWS)
+    assert crossing.min() < second.stop
+    first, last = box_ranges(blocked_floor, slab, si[second], mi[second], 0, offsets)
+    assert np.maximum(last - first, 0).sum() > straddle.MIN_ROWS
 
 
 def test_sliver_pair_keeps_its_whole_box_range():

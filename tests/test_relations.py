@@ -3,9 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ROT_Z_QUARTER, direction_of, naive_sweep_is_free, rotated_assembly
+from conftest import (
+    ROT_Z_QUARTER,
+    dense_box_pairs,
+    direction_of,
+    naive_sweep_is_free,
+    rotated_assembly,
+)
 
-from softjig import cube_stack_assembly, queries, relations, straddle
+from softjig import broad, cube_stack_assembly, queries, relations, straddle
 from softjig.fixtures import box_mesh, generate_proxy_fixture, revolve_mesh
 from softjig.parts import AssemblyModel, PartModel
 from softjig.queries import intersects, min_distance, triangle_pair_distance_sq, within_distance
@@ -148,14 +154,15 @@ def test_crossing_rows_pruned_on_stacked_cylinders(monkeypatch):
 def test_sweeps_window_only_the_pairs_they_need(monkeypatch):
     """Counter, not timing, on two stacked 1,024-triangle cylinders in face
     contact. The blocked -z sweep windows at most one first batch of
-    candidate pairs before its first crossing. A free lateral sweep windows
-    each candidate pair exactly once, and its static-side straddle windows
-    see only the pairs that the static-plane windows leave in range."""
+    candidate pairs before its first crossing. A free lateral sweep streams
+    and windows each candidate pair of the dense oracle exactly once, and
+    its static-side straddle windows see only the pairs that the
+    static-plane windows leave in range."""
     lower = revolve_mesh([(0, 0), (20, 0), (20, 30), (0, 30)], 256)
     upper = revolve_mesh([(0, 30), (17, 30), (17, 60), (0, 60)], 256)
     assembly = AssemblyModel((PartModel("lower", lower, 1.0), PartModel("upper", upper, 1.0)))
     sweeps = []
-    penetrates, box_pairs = relations.penetrates_along, queries._box_pairs
+    penetrates, box_pairs = relations.penetrates_along, broad.box_pairs
     row_windows, straddle_window = straddle.row_windows, straddle._straddle_window
 
     def sweep(static, moving, axis, offsets):
@@ -164,8 +171,11 @@ def test_sweeps_window_only_the_pairs_they_need(monkeypatch):
         return sweeps[-1]["blocked"]
 
     def candidates(*args):
-        sweeps[-1]["pairs"] = box_pairs(*args)
-        return sweeps[-1]["pairs"]
+        sweeps[-1]["pairs"] = dense_box_pairs(*args)
+        sweeps[-1]["streamed"] = []
+        for block in box_pairs(*args):
+            sweeps[-1]["streamed"].append(block)
+            yield block
 
     def windows(static, moving, si, mi, axis, offsets, first, last, tol):
         sweeps[-1]["windows"].append({"si": si, "mi": mi, "first": first, "last": last,
@@ -178,7 +188,7 @@ def test_sweeps_window_only_the_pairs_they_need(monkeypatch):
         return window
 
     monkeypatch.setattr(relations, "penetrates_along", sweep)
-    monkeypatch.setattr(queries, "_box_pairs", candidates)
+    monkeypatch.setattr(broad, "box_pairs", candidates)
     monkeypatch.setattr(straddle, "row_windows", windows)
     monkeypatch.setattr(straddle, "_straddle_window", side)
     compute_all_interference_free(assembly)
@@ -194,6 +204,8 @@ def test_sweeps_window_only_the_pairs_they_need(monkeypatch):
         windowed = np.concatenate([w["si"] * len(upper.corners) + w["mi"] for w in s["windows"]])
         si, mi = s["pairs"]
         assert np.array_equal(windowed, si * len(upper.corners) + mi)
+        streamed = broad.gather(iter(s["streamed"]))
+        assert np.array_equal(streamed[0], si) and np.array_equal(streamed[1], mi)
         survivors = 0
         for w in s["windows"]:
             (moved, plane_rows, (t_lo, t_hi)), (plane, static_rows, _) = w["sides"]
@@ -204,6 +216,49 @@ def test_sweeps_window_only_the_pairs_they_need(monkeypatch):
             assert static_rows == np.count_nonzero(first < last)
             survivors += static_rows
         assert 0 < 4 * survivors < len(si)
+
+
+def test_blocked_sweep_stops_generating_candidates(monkeypatch):
+    """Counter, not timing, on two stacked 1,024-triangle cylinders in face
+    contact, with the block budget patched small. No dense box test of any
+    sweep exceeds the budget, and the blocked -z sweep runs fewer of them
+    than its whole candidate set needs: it stops generating candidates at
+    its first crossing."""
+    lower = revolve_mesh([(0, 0), (20, 0), (20, 30), (0, 30)], 256)
+    upper = revolve_mesh([(0, 30), (17, 30), (17, 60), (0, 60)], 256)
+    assembly = AssemblyModel((PartModel("lower", lower, 1.0), PartModel("upper", upper, 1.0)))
+    budget = 1 << 10
+    sweeps = []
+    penetrates, box_pairs, overlap = relations.penetrates_along, broad.box_pairs, broad._overlap
+
+    def sweep(static, moving, axis, offsets):
+        sweeps.append({"direction": direction_of(np.sign(offsets[0]) * np.eye(3)[axis]),
+                       "tests": []})
+        sweeps[-1]["blocked"] = penetrates(static, moving, axis, offsets)
+        return sweeps[-1]["blocked"]
+
+    def candidates(*args):
+        sweeps[-1]["args"] = args
+        return box_pairs(*args)
+
+    def counted(*boxes):
+        sweeps[-1]["tests"].append(len(boxes[0]) * boxes[2].shape[1])
+        return overlap(*boxes)
+
+    monkeypatch.setattr(broad, "BLOCK_CELLS", budget)
+    monkeypatch.setattr(relations, "penetrates_along", sweep)
+    monkeypatch.setattr(broad, "box_pairs", candidates)
+    monkeypatch.setattr(broad, "_overlap", counted)
+    free = compute_all_interference_free(assembly)
+    for d in DIRECTION_ORDER:
+        assert free[d][0, 1] == (d is not Direction.MINUS_Z)
+    assert all(0 < max(s["tests"]) <= budget for s in sweeps)
+
+    (blocked,) = [s for s in sweeps if s["direction"] is Direction.MINUS_Z]
+    assert blocked["blocked"]
+    sweeps.append({"tests": []})
+    broad.gather(box_pairs(*blocked["args"]))
+    assert 0 < len(blocked["tests"]) < len(sweeps[-1]["tests"])
 
 
 def test_fully_separated_cubes_free_in_all_directions():
