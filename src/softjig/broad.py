@@ -6,7 +6,9 @@ triangles (``rays.ray_containment``) takes its candidates from
 :func:`box_pairs`. The pairs come block by block in row-major order, so a
 scan that stops at its first hit never builds the rest, and no dense box
 test covers more than ``BLOCK_CELLS`` (box, box) cells, so memory follows
-one block instead of the product of the two sides.
+one block instead of the product of the two sides. :func:`interiors_overlap`
+is the whole-box test of the penetration queries, where touching boxes
+count as apart.
 """
 
 from __future__ import annotations
@@ -24,6 +26,14 @@ BLOCK_CELLS = 1 << 15
 # plain slices, so that on triangles in no spatial order, where cropping
 # removes nothing, it costs under 1/100 of the dense tests
 SPLIT_ROWS = 1 << 8
+
+
+def interiors_overlap(lo_a: np.ndarray, hi_a: np.ndarray, lo_b: np.ndarray, hi_b: np.ndarray,
+                      axes: Iterable[int] = (0, 1, 2)) -> bool:
+    """True iff the boxes ``[lo_a, hi_a]`` and ``[lo_b, hi_b]`` share
+    interior on each of ``axes``: ``lo_a < hi_b and lo_b < hi_a`` per axis.
+    Boxes that only touch on one of them, in a slab of zero width, do not."""
+    return all(lo_a[ax] < hi_b[ax] and lo_b[ax] < hi_a[ax] for ax in axes)
 
 
 def _reaching(lo: np.ndarray, hi: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray) -> np.ndarray:

@@ -20,22 +20,6 @@ import sys
 from pathlib import Path
 
 from .descriptors import DescriptorError, load_descriptor, proxy_descriptor_dict
-from .evaluation import (
-    EvaluationError,
-    displacement_report,
-    load_force_series,
-    load_observation,
-    peak_forces,
-)
-from .fixtures import (
-    BOLT_MASS_G,
-    BOLT_OFFSET_X,
-    MOTOR_MASS_G,
-    PLATE_MASS_G,
-    bolt_mesh,
-    generate_proxy_fixture,
-    proxy_assembly,
-)
 from .jsonio import write_json_atomic
 from .mesh import MeshError, save_stl_binary
 from .parts import AssemblyModel, PartError
@@ -111,6 +95,7 @@ def _load_assembly(args) -> tuple[AssemblyModel, SweepParams]:
     if (args.descriptor is None) == (args.fixtures is None):
         raise _CliError("give exactly one assembly source: a descriptor path or --fixtures proxy")
     if args.fixtures:
+        from .fixtures import proxy_assembly
         assembly, params = proxy_assembly(), SweepParams()
     else:
         assembly, params = load_descriptor(args.descriptor)
@@ -167,32 +152,40 @@ def _cmd_matrices(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    # imported here, so that plan and matrices never load the evaluation toolkit
+    from .evaluation import (EvaluationError, displacement_report, load_force_series,
+                             load_observation, peak_forces)
     if args.jig_width_px is None:
         raise _CliError("--jig-width-px is required (the known jig width in image pixels)")
-    before = load_observation(args.before)
-    after = load_observation(args.after)
-    result = displacement_report(
-        before, after,
-        jig_width_px=args.jig_width_px,
-        jig_width_mm=args.jig_width_mm,
-        push_mm=args.push_mm,
-        success_ratio=args.ratio,
-    )
-    report = result.to_json_dict()
-    if args.force_csv:
-        series = load_force_series(args.force_csv)
-        peak_normal, peak_shear = peak_forces(series)
-        report["peak_normal_force_n"] = peak_normal
-        report["peak_shear_force_n"] = peak_shear
-    label = "success" if result.success else "failure"
-    print(f"{label}: jig moved {result.centroid_translation_mm:.3f} mm "
-          f"(threshold {args.ratio * args.push_mm:.3f} mm)")
-    if args.out:
-        write_json_atomic(report, args.out)
-    return 0 if result.success else _PARTIAL_OR_FAILURE
+    try:
+        before = load_observation(args.before)
+        after = load_observation(args.after)
+        result = displacement_report(
+            before, after,
+            jig_width_px=args.jig_width_px,
+            jig_width_mm=args.jig_width_mm,
+            push_mm=args.push_mm,
+            success_ratio=args.ratio,
+        )
+        report = result.to_json_dict()
+        if args.force_csv:
+            series = load_force_series(args.force_csv)
+            peak_normal, peak_shear = peak_forces(series)
+            report["peak_normal_force_n"] = peak_normal
+            report["peak_shear_force_n"] = peak_shear
+        label = "success" if result.success else "failure"
+        print(f"{label}: jig moved {result.centroid_translation_mm:.3f} mm "
+              f"(threshold {args.ratio * args.push_mm:.3f} mm)")
+        if args.out:
+            write_json_atomic(report, args.out)
+        return 0 if result.success else _PARTIAL_OR_FAILURE
+    except EvaluationError as exc:
+        raise _CliError(str(exc)) from None
 
 
 def _cmd_fixtures(args) -> int:
+    from .fixtures import (BOLT_MASS_G, BOLT_OFFSET_X, MOTOR_MASS_G, PLATE_MASS_G, bolt_mesh,
+                           generate_proxy_fixture)
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -237,8 +230,8 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else _INPUT_ERROR
     try:
         return _HANDLERS[args.command](args)
-    except (_CliError, DescriptorError, EvaluationError, MeshError, PartError,
-            PlannerError, RelationError, FileNotFoundError) as exc:
+    except (_CliError, DescriptorError, MeshError, PartError, PlannerError, RelationError,
+            FileNotFoundError) as exc:
         print(f"softjig: {exc}", file=sys.stderr)
         return _INPUT_ERROR
 

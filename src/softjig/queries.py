@@ -8,6 +8,11 @@ Conventions that everything downstream relies on:
 * One kernel, ``penetrates_along``, decides penetration of a mesh shifted by
   a set of offsets along an axis. ``intersects`` is its zero-offset case and
   the translational sweeps in ``relations`` are its sampled case.
+* Boxes that only touch count as disjoint wherever the question is
+  penetration (``broad.interiors_overlap``): a closed solid lies in its
+  box, so solids whose boxes meet in a slab of zero width have disjoint
+  interiors. ``intersects`` answers False for them, and a sweep whose boxes
+  touch on an axis across it is free at every offset, without the kernel.
 * ``min_distance`` is exactly symmetric in its arguments and returns the
   same float as the all-pairs scan: it runs the distance kernel over the
   triangle pairs whose boxes come within a point-to-surface upper bound, in
@@ -446,11 +451,11 @@ def penetrates_along(static: TriangleMesh, moving: TriangleMesh, axis: int,
 def intersects(mesh_a: TriangleMesh, mesh_b: TriangleMesh) -> bool:
     """True iff the solids overlap with positive penetration: the
     zero-offset case of :func:`penetrates_along`. Pure surface touching
-    returns False.
+    returns False, and so do solids whose boxes share no interior, touching
+    boxes included: a closed solid lies in its box, so their interiors are
+    disjoint (see :func:`softjig.relations.sweep_translation_is_free`).
     """
-    lo_a, hi_a = mesh_a.aabb
-    lo_b, hi_b = mesh_b.aabb
-    if np.any(lo_a > hi_b) or np.any(lo_b > hi_a):
+    if not broad.interiors_overlap(*mesh_a.aabb, *mesh_b.aabb):
         return False
     return penetrates_along(mesh_a, mesh_b, 0, np.zeros(1))
 

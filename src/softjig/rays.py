@@ -35,15 +35,19 @@ def _crossings(tri: np.ndarray, q: np.ndarray, pc: np.ndarray, axis: int,
                tol: float) -> tuple[np.ndarray, ...]:
     """For candidate rows (probe ``pc[r]`` at projected point ``q[r]``,
     triangle corners ``tri[r]``): the probes of the rows within ``tol`` of a
-    projected edge's line, then ``(probe, z*, sign, margin)`` of every other
-    row whose probe line crosses the triangle."""
+    projected edge's line, or of the corner of an edge that projects to a
+    point, then ``(probe, z*, sign, margin)`` of every other row whose probe
+    line crosses the triangle."""
     u, v = (axis + 1) % 3, (axis + 2) % 3
     # edge functions of the projected candidates; E[:, k] runs from corner k
     # to corner k+1 and weighs the corner opposite it
     pu, pv = tri[:, :, u], tri[:, :, v]
     du, dv = np.roll(pu, -1, axis=1) - pu, np.roll(pv, -1, axis=1) - pv
-    edge = du * (q[:, 1, None] - pv) - dv * (q[:, 0, None] - pu)
-    near = (np.abs(edge) <= tol * np.hypot(du, dv)).any(axis=1)
+    ru, rv = q[:, 0, None] - pu, q[:, 1, None] - pv
+    edge = du * rv - dv * ru
+    length = np.hypot(du, dv)
+    near = np.where(length > 0, np.abs(edge) <= tol * length,
+                    np.hypot(ru, rv) <= tol).any(axis=1)
     hit = ~near & ((edge > 0).all(axis=1) | (edge < 0).all(axis=1))
 
     # crossings of the hit triangles: coordinate, sign and margin
@@ -87,7 +91,10 @@ def ray_containment(target: TriangleMesh, probes: np.ndarray, axis: int,
     * its probe lies within ``tol`` of the line of a candidate's projected
       edge, ``|E| <= tol * |edge|``; a triangle parallel to the axis
       projects to a segment, so a probe line within ``tol`` of one lands
-      here;
+      here. An edge parallel to the axis projects to a point, its E is 0
+      exactly, and it counts only for a probe within ``tol`` of that point:
+      the triangle projects to a segment through it, or to the point alone,
+      and is crossed by no line farther away;
     * c lies within ``m = 2 (tol |n| + 24 u S^3) / |n[axis]|`` of one of its
       probe's crossings, S being the sum of the crossed triangle's box
       extents plus ``2 tol``.

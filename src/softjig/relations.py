@@ -13,7 +13,9 @@ For parts i, k of an assembled product:
 
 Each unordered pair is swept once per direction on the pair's relative
 motion (the higher-index part is always the one displaced), which makes the
-mirror identity ``M_j(i,k) == M_-j(k,i)`` hold exactly.
+mirror identity ``M_j(i,k) == M_-j(k,i)`` hold exactly. A pair whose boxes
+share no interior on an axis across the sweep, face contact included, is
+free without the kernel; ``sweep_translation_is_free`` carries the proof.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from enum import Enum
 
 import numpy as np
 
+from .broad import interiors_overlap
 from .mesh import TriangleMesh
 from .parts import AssemblyModel
 from .queries import penetrates_along, within_distance
@@ -157,17 +160,24 @@ def sweep_translation_is_free(static: TriangleMesh, moving: TriangleMesh,
                               n_steps: int) -> bool:
     """True iff ``moving`` never penetrates ``static`` at any sampled offset.
 
-    Samples where the two whole bounding boxes cannot overlap are cropped;
-    the rest go to :func:`softjig.queries.penetrates_along`, the same kernel
-    that :func:`softjig.queries.intersects` runs at offset zero, so a
-    sample blocks exactly when ``intersects`` would report the shifted pair.
+    A pair whose whole boxes share no interior on one of the two axes
+    across the sweep is free outright, touching boxes included: a closed
+    solid lies in its box, and a shift along the sweep axis leaves the
+    other coordinates unchanged, so boxes that meet in a slab of zero width
+    on such an axis keep the solids' interiors disjoint at every offset.
+    No proper crossing (its segment would lie in the slab, in the relative
+    interior of both triangles, making them coplanar) and no probe strictly
+    inside the other solid can occur, so "free" holds exactly, not only at
+    the samples. Otherwise, samples where the two boxes cannot overlap are
+    cropped; the rest go to :func:`softjig.queries.penetrates_along`, the
+    same kernel that :func:`softjig.queries.intersects` runs at offset zero
+    on boxes that share interior.
     """
     axis, sign = direction.axis, direction.sign
     s_lo, s_hi = static.aabb
     m_lo, m_hi = moving.aabb
-    for ax in range(3):
-        if ax != axis and (s_lo[ax] > m_hi[ax] or m_lo[ax] > s_hi[ax]):
-            return True
+    if not interiors_overlap(s_lo, s_hi, m_lo, m_hi, [ax for ax in range(3) if ax != axis]):
+        return True
     if sign > 0:
         t_lo, t_hi = s_lo[axis] - m_hi[axis], s_hi[axis] - m_lo[axis]
     else:

@@ -97,9 +97,24 @@ def test_overlapping_cubes_intersect():
     assert intersects(unit_cube(), unit_cube().translated((0.5, 0, 0)))
 
 
-def test_kissing_contact_does_not_intersect():
-    assert not intersects(unit_cube(), unit_cube().translated((1.0, 0, 0)))
-    assert not intersects(unit_cube(), unit_cube().translated((0, 0, 1.0)))
+def test_kissing_contact_does_not_intersect(monkeypatch):
+    """Solids whose boxes touch only on a face, overlapping on the other
+    two axes or not, are not intersecting in either order, and the
+    penetration kernel is never asked."""
+    def forbidden(*args):
+        raise AssertionError("penetrates_along called")
+
+    monkeypatch.setattr(queries, "penetrates_along", forbidden)
+    lower = box_mesh((0, 0, 0), (10, 10, 10))
+    cylinder = revolve_mesh([(0, 0), (4, 0), (4, 6), (0, 6)], 16)
+    for a, b in [(unit_cube(), unit_cube().translated((1.0, 0, 0))),
+                 (unit_cube(), unit_cube().translated((0, 0, 1.0))),
+                 (lower, box_mesh((2, 3, 10), (9, 12, 18))),
+                 (lower, box_mesh((-5, -5, -5), (0, 15, 15))),
+                 (lower, cylinder.translated((5, 5, 10))),
+                 (lower, cylinder.translated((14, 5, 2)))]:
+        assert not intersects(a, b)
+        assert not intersects(b, a)
 
 
 def test_containment_intersects_without_crossings():
@@ -602,6 +617,28 @@ def test_ray_containment_matches_winding_number(seed, kind, axis):
     offsets = rng.uniform(-12, 12, 6)
     assert (penetrates_along(target, moving, axis, offsets)
             == naive_penetrates_along(target, moving, axis, offsets))
+
+
+def test_rays_decide_rows_beside_walls_parallel_to_the_axis():
+    """Counter: inside a revolved part whose side wall runs along the
+    sweep axis, every row whose probe line passes no projected edge or
+    corner is decided by the rays, although the wall triangles' projected
+    boxes hold many of the probes, and each answer is the winding number's.
+    A wall edge parallel to the axis projects to a point and marks only
+    probes within ``tol`` of it."""
+    target = revolve_mesh([(0, 0), (10, 0), (10, 20), (0, 20)], 8)
+    rng = np.random.default_rng(0)
+    radius, angle = 9.9 * np.sqrt(rng.random(200)), rng.uniform(0, 2 * np.pi, 200)
+    probes = np.column_stack([radius * np.cos(angle), radius * np.sin(angle),
+                              rng.uniform(1, 19, 200)])
+    pi = np.repeat(np.arange(200), 4)
+    coords = rng.uniform(1, 19, len(pi))
+    inside, undecided = ray_containment(target, probes, 2, pi, coords, 1 << 10)
+    points = probes[pi]
+    points[:, 2] = coords
+    assert not undecided.any()
+    assert np.array_equal(inside, winding_fraction(points, target.corners) > queries.INSIDE_WINDING)
+    assert 0 < inside.sum() < len(pi)
 
 
 def count_winding_rows(monkeypatch) -> dict:

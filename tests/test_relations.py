@@ -7,6 +7,7 @@ from conftest import (
     ROT_Z_QUARTER,
     dense_box_pairs,
     direction_of,
+    naive_penetrates_along,
     naive_sweep_is_free,
     rotated_assembly,
 )
@@ -28,6 +29,7 @@ from softjig.relations import (
     compute_relation_matrices,
     merge_entity,
     reachable_direction_list,
+    sweep_sample_distances,
     sweep_translation_is_free,
 )
 
@@ -122,14 +124,42 @@ def test_contact_symmetry_on_random_stacks(cube_stacks):
 
 # -- interference sweeps ------------------------------------------------------
 
+def stacked_cylinders() -> AssemblyModel:
+    """Two 1,024-triangle cylinders in face contact, the upper one narrower."""
+    lower = revolve_mesh([(0, 0), (20, 0), (20, 30), (0, 30)], 256)
+    upper = revolve_mesh([(0, 30), (17, 30), (17, 60), (0, 60)], 256)
+    return AssemblyModel((PartModel("lower", lower, 1.0), PartModel("upper", upper, 1.0)))
+
+
+LATERAL = (Direction.PLUS_X, Direction.MINUS_X, Direction.PLUS_Y, Direction.MINUS_Y)
+
+
+def lateral_sweep_offsets(assembly: AssemblyModel, direction: Direction) -> np.ndarray:
+    """The signed offsets of the default sweep of the second part past the
+    first along ``direction`` at which the whole boxes overlap along the
+    axis: what the penetration kernel would be given if the touching-box
+    cull did not decide the sweep first."""
+    static, moving = (p.mesh for p in assembly.parts)
+    params = SweepParams()
+    max_distance = params.resolved_distance(assembly)
+    thin = min(float(np.min(m.aabb[1] - m.aabb[0])) for m in (static, moving))
+    samples = sweep_sample_distances(max_distance, params.steps_for(max_distance, thin))
+    ax = direction.axis
+    if direction.sign > 0:
+        t_lo, t_hi = static.aabb[0][ax] - moving.aabb[1][ax], static.aabb[1][ax] - moving.aabb[0][ax]
+    else:
+        t_lo, t_hi = moving.aabb[0][ax] - static.aabb[1][ax], moving.aabb[1][ax] - static.aabb[0][ax]
+    return direction.sign * samples[(samples >= t_lo) & (samples <= t_hi)]
+
+
 def test_crossing_rows_pruned_on_stacked_cylinders(monkeypatch):
     """Work-count guard, not a timing: on two stacked 1,024-triangle
     cylinders in face contact, the straddle windows leave at most a fifth
     of the rows that the triangle-box windows alone give, and the six
-    matrices do not change."""
-    lower = revolve_mesh([(0, 0), (20, 0), (20, 30), (0, 30)], 256)
-    upper = revolve_mesh([(0, 30), (17, 30), (17, 60), (0, 60)], 256)
-    assembly = AssemblyModel((PartModel("lower", lower, 1.0), PartModel("upper", upper, 1.0)))
+    matrices do not change. The lateral sweeps are decided by the box cull,
+    so the kernel is driven with their offsets directly."""
+    assembly = stacked_cylinders()
+    lower, upper = (p.mesh for p in assembly.parts)
     rows = [0]
     original = queries.proper_crossings
 
@@ -137,14 +167,21 @@ def test_crossing_rows_pruned_on_stacked_cylinders(monkeypatch):
         rows[-1] += len(a)
         return original(a, b, *args)
 
+    def lateral_blocked():
+        return [queries.penetrates_along(lower, upper, d.axis, lateral_sweep_offsets(assembly, d))
+                for d in LATERAL]
+
     monkeypatch.setattr(queries, "proper_crossings", counted)
     pruned = compute_all_interference_free(assembly)
+    pruned_lateral = lateral_blocked()
     # a zero slack leaves no pair's rounding bound under it, so every pair
     # keeps its whole box window
     monkeypatch.setattr(straddle, "SLACK_SHARE", 0.0)
     rows.append(0)
     box_only = compute_all_interference_free(assembly)
+    box_only_lateral = lateral_blocked()
     assert 0 < 5 * rows[0] <= rows[1]
+    assert pruned_lateral == box_only_lateral == [False] * 4
     for d in DIRECTION_ORDER:
         assert np.array_equal(pruned[d], box_only[d])
         assert pruned[d][0, 1] == (d is not Direction.MINUS_Z)
@@ -157,10 +194,10 @@ def test_sweeps_window_only_the_pairs_they_need(monkeypatch):
     candidate pairs before its first crossing. A free lateral sweep streams
     and windows each candidate pair of the dense oracle exactly once, and
     its static-side straddle windows see only the pairs that the
-    static-plane windows leave in range."""
-    lower = revolve_mesh([(0, 0), (20, 0), (20, 30), (0, 30)], 256)
-    upper = revolve_mesh([(0, 30), (17, 30), (17, 60), (0, 60)], 256)
-    assembly = AssemblyModel((PartModel("lower", lower, 1.0), PartModel("upper", upper, 1.0)))
+    static-plane windows leave in range. The lateral sweeps are decided by
+    the box cull, so the kernel is driven with their offsets directly."""
+    assembly = stacked_cylinders()
+    lower, upper = (p.mesh for p in assembly.parts)
     sweeps = []
     penetrates, box_pairs = relations.penetrates_along, broad.box_pairs
     row_windows, straddle_window = straddle.row_windows, straddle._straddle_window
@@ -192,13 +229,14 @@ def test_sweeps_window_only_the_pairs_they_need(monkeypatch):
     monkeypatch.setattr(straddle, "row_windows", windows)
     monkeypatch.setattr(straddle, "_straddle_window", side)
     compute_all_interference_free(assembly)
+    for d in LATERAL:
+        sweep(lower, upper, d.axis, lateral_sweep_offsets(assembly, d))
 
     by_direction = {s["direction"]: s for s in sweeps}
     blocked = by_direction[Direction.MINUS_Z]
     assert blocked["blocked"]
     assert 0 < sum(len(w["si"]) for w in blocked["windows"]) <= queries._FIRST_BATCH_ROWS
-    lateral = [by_direction[d] for d in (Direction.PLUS_X, Direction.MINUS_X,
-                                         Direction.PLUS_Y, Direction.MINUS_Y)]
+    lateral = [by_direction[d] for d in LATERAL]
     for s in lateral:
         assert not s["blocked"]
         windowed = np.concatenate([w["si"] * len(upper.corners) + w["mi"] for w in s["windows"]])
@@ -218,15 +256,97 @@ def test_sweeps_window_only_the_pairs_they_need(monkeypatch):
         assert 0 < 4 * survivors < len(si)
 
 
+def test_face_contact_sweeps_skip_the_kernel(monkeypatch):
+    """Counter: on two stacked cylinders in face contact, whose boxes touch
+    on z, the +-x and +-y sweeps are proven free by the boxes alone and make
+    no ``penetrates_along`` call; only the blocked -z sweep reaches it (+z
+    has no overlapping sample)."""
+    assembly = stacked_cylinders()
+    axes = []
+    penetrates = relations.penetrates_along
+
+    def counted(static, moving, axis, offsets):
+        axes.append((axis, float(np.sign(offsets[0]))))
+        return penetrates(static, moving, axis, offsets)
+
+    monkeypatch.setattr(relations, "penetrates_along", counted)
+    free = compute_all_interference_free(assembly)
+    assert axes == [(2, -1.0)]
+    for d in DIRECTION_ORDER:
+        assert free[d][0, 1] == (d is not Direction.MINUS_Z)
+
+
+QUARTER_TURNS = (
+    np.eye(3),
+    ROT_Z_QUARTER,
+    np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]),   # about x
+    np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]),   # about y
+)
+
+
+@st.composite
+def integer_solid(draw):
+    """A box or a revolved part (a multiple of 4 segments) whose box corners
+    are integers, so that integer shifts and quarter turns keep them exact."""
+    lo = np.array(draw(st.tuples(*[st.integers(-4, 4)] * 3)), dtype=float)
+    size = np.array(draw(st.tuples(*[st.integers(1, 6)] * 3)), dtype=float)
+    if draw(st.booleans()):
+        return box_mesh(lo, lo + size)
+    radius, height = float(draw(st.integers(1, 4))), size[2]
+    segments = draw(st.sampled_from([4, 8, 12]))
+    return revolve_mesh([(0, 0), (radius, 0), (radius, height), (0, height)],
+                        segments).translated(lo)
+
+
+@st.composite
+def touching_pairs(draw):
+    """(static, moving) whose boxes touch on at least one axis in a slab of
+    zero width: neighbours of a cube stack, or integer solids placed against
+    each other on a drawn axis and side, both turned by one quarter turn."""
+    if draw(st.booleans()):
+        stack = cube_stack_assembly(draw(st.integers(0, 1000)), levels=2)
+        static, moving = (p.mesh for p in stack.parts)
+    else:
+        static, moving = draw(integer_solid()), draw(integer_solid())
+        ax, shift = draw(st.integers(0, 2)), np.zeros(3)
+        if draw(st.booleans()):
+            shift[ax] = static.aabb[1][ax] - moving.aabb[0][ax]
+        else:
+            shift[ax] = static.aabb[0][ax] - moving.aabb[1][ax]
+        moving = moving.translated(shift)
+    if draw(st.booleans()):
+        static, moving = moving, static
+    turn = draw(st.sampled_from(QUARTER_TURNS))
+    return static.rotated(turn), moving.rotated(turn)
+
+
+@given(pair=touching_pairs())
+@settings(max_examples=40, deadline=None)
+def test_touching_boxes_cull_only_free_sweeps(pair):
+    """Oracle with no broad phase and no cull: for a pair whose boxes touch
+    on an axis across the sweep, every sample offset of the sweep is free
+    under ``naive_penetrates_along``, so the cull that calls the sweep free
+    outright gives the kernel's own answer."""
+    static, moving = pair
+    (s_lo, s_hi), (m_lo, m_hi) = static.aabb, moving.aabb
+    touching = [ax for ax in range(3) if s_hi[ax] == m_lo[ax] or m_hi[ax] == s_lo[ax]]
+    assert touching
+    max_distance = 2.0 * float(np.linalg.norm(np.maximum(s_hi, m_hi) - np.minimum(s_lo, m_lo)))
+    offsets = sweep_sample_distances(max_distance, 16)
+    for d in DIRECTION_ORDER:
+        if all(ax == d.axis for ax in touching):
+            continue
+        assert sweep_translation_is_free(static, moving, d, max_distance, 16), d.value
+        assert not naive_penetrates_along(static, moving, d.axis, d.sign * offsets), d.value
+
+
 def test_blocked_sweep_stops_generating_candidates(monkeypatch):
     """Counter, not timing, on two stacked 1,024-triangle cylinders in face
     contact, with the block budget patched small. No dense box test of any
     sweep exceeds the budget, and the blocked -z sweep runs fewer of them
     than its whole candidate set needs: it stops generating candidates at
     its first crossing."""
-    lower = revolve_mesh([(0, 0), (20, 0), (20, 30), (0, 30)], 256)
-    upper = revolve_mesh([(0, 30), (17, 30), (17, 60), (0, 60)], 256)
-    assembly = AssemblyModel((PartModel("lower", lower, 1.0), PartModel("upper", upper, 1.0)))
+    assembly = stacked_cylinders()
     budget = 1 << 10
     sweeps = []
     penetrates, box_pairs, overlap = relations.penetrates_along, broad.box_pairs, broad._overlap
