@@ -4,13 +4,12 @@ Subcommands::
 
     softjig fixtures  --out-dir DIR            write proxy meshes + descriptor
     softjig plan      [DESCRIPTOR] --sequence a,b,c [--out plan.json]
-    softjig matrices  [DESCRIPTOR] [--out matrices.json] [--oracle]
+    softjig matrices  [DESCRIPTOR] [--out matrices.json]
     softjig evaluate  BEFORE.json AFTER.json --jig-width-px W [--force-csv F]
 
 Exit codes: 0 success / complete plan / success classification; 2 partial
-plan or failure classification; 3 oracle mismatch (matrices --oracle);
-1 any input or usage error. Output files are written atomically, so an
-error exit never leaves a partial file.
+plan or failure classification; 1 any input or usage error. Output files
+are written atomically, so an error exit never leaves a partial file.
 """
 
 from __future__ import annotations
@@ -19,22 +18,15 @@ import argparse
 import sys
 from pathlib import Path
 
-from .descriptors import DescriptorError, load_descriptor, proxy_descriptor_dict
+from .descriptors import DescriptorError, descriptor_dict, load_descriptor
 from .jsonio import write_json_atomic
 from .mesh import MeshError, save_stl_binary
 from .parts import AssemblyModel, PartError
 from .planner import AssemblySequence, PlannerError, configure_fixing_parts
-from .relations import (
-    DIRECTION_ORDER,
-    RelationError,
-    SweepParams,
-    compute_all_interference_free,
-    compute_relation_matrices,
-)
+from .relations import RelationError, SweepParams, compute_relation_matrices
 
 _INPUT_ERROR = 1
 _PARTIAL_OR_FAILURE = 2
-_ORACLE_MISMATCH = 3
 
 
 class _CliError(Exception):
@@ -65,14 +57,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--sequence", required=True,
                         help="comma-separated entity ids in assembly order")
     p_plan.add_argument("--out", help="write the plan JSON here")
-    p_plan.add_argument("--oracle", action="store_true",
-                        help="sweep at 10x finer steps")
 
     p_mat = sub.add_parser("matrices", help="compute contact/interference/reachable matrices")
     add_assembly_source(p_mat)
     p_mat.add_argument("--out", help="write the matrices JSON here")
-    p_mat.add_argument("--oracle", action="store_true",
-                       help="also sweep at 10x finer steps and require equality")
 
     p_eval = sub.add_parser("evaluate", help="classify a fixing trial from marker observations")
     p_eval.add_argument("before", help="marker observation JSON before the push")
@@ -116,8 +104,6 @@ def _load_assembly(args) -> tuple[AssemblyModel, SweepParams]:
 
 def _cmd_plan(args) -> int:
     assembly, params = _load_assembly(args)
-    if args.oracle:
-        params = SweepParams(params.max_distance, params.step_count, oracle_mode=True)
     sequence = AssemblySequence.parse(args.sequence)
     plan = configure_fixing_parts(assembly, sequence, params)
 
@@ -134,14 +120,6 @@ def _cmd_plan(args) -> int:
 def _cmd_matrices(args) -> int:
     assembly, params = _load_assembly(args)
     matrices = compute_relation_matrices(assembly, params)
-    if args.oracle:
-        oracle_params = SweepParams(params.max_distance, params.step_count, oracle_mode=True)
-        oracle = compute_all_interference_free(assembly, oracle_params)
-        for d in DIRECTION_ORDER:
-            if not (matrices.interference_free[d] == oracle[d]).all():
-                print(f"oracle mismatch in interference-free matrix {d.value}",
-                      file=sys.stderr)
-                return _ORACLE_MISMATCH
     if args.out:
         write_json_atomic(matrices.to_json_dict(), args.out)
     else:
@@ -184,32 +162,18 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
-    from .fixtures import (BOLT_MASS_G, BOLT_OFFSET_X, MOTOR_MASS_G, PLATE_MASS_G, bolt_mesh,
-                           generate_proxy_fixture)
+    from .fixtures import proxy_assembly
     out_dir = Path(args.out_dir)
+    parts = proxy_assembly().parts
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        meshes = {
-            "motor": generate_proxy_fixture("motor").mesh,
-            "plate": generate_proxy_fixture("plate").mesh,
-            "bolt_a": bolt_mesh(-BOLT_OFFSET_X),
-            "bolt_b": bolt_mesh(BOLT_OFFSET_X),
-        }
-        files = {}
-        for name, mesh in meshes.items():
-            save_stl_binary(mesh, out_dir / f"{name}.stl")
-            files[name] = f"{name}.stl"
-        descriptor = proxy_descriptor_dict(
-            files,
-            groups={"bolt_a": "bolts", "bolt_b": "bolts"},
-            masses={"motor": MOTOR_MASS_G, "plate": PLATE_MASS_G,
-                    "bolt_a": BOLT_MASS_G, "bolt_b": BOLT_MASS_G},
-        )
-        write_json_atomic(descriptor, out_dir / "assembly.json")
+        for part in parts:
+            save_stl_binary(part.mesh, out_dir / f"{part.id}.stl")
+        write_json_atomic(descriptor_dict(parts), out_dir / "assembly.json")
     except OSError as exc:
         print(f"softjig: cannot write fixtures: {exc}", file=sys.stderr)
         return _INPUT_ERROR
-    print(f"wrote {len(files)} meshes + assembly.json to {out_dir}")
+    print(f"wrote {len(parts)} meshes + assembly.json to {out_dir}")
     return 0
 
 

@@ -117,24 +117,21 @@ def load_descriptor(path) -> tuple[AssemblyModel, SweepParams]:
     return assembly, params
 
 
-def proxy_descriptor_dict(mesh_files: dict[str, str],
-                          groups: dict[str, str] | None = None,
-                          masses: dict[str, float] | None = None) -> dict:
-    """Descriptor content for a set of already-assembled mesh files."""
-    groups = groups or {}
-    masses = masses or {}
+def descriptor_dict(parts: tuple[PartModel, ...]) -> dict:
+    """Descriptor content for assembled parts whose meshes are saved as
+    ``<id>.stl`` beside it: identity poses, and a group only where set."""
     return {
         "parts": [
             {
-                "id": part_id,
-                "mesh_path": rel_path,
-                "mass_g": masses.get(part_id, 1.0),
+                "id": part.id,
+                "mesh_path": f"{part.id}.stl",
+                "mass_g": part.mass,
                 "pose": {
                     "rotation": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
                     "translation_mm": [0.0, 0.0, 0.0],
                 },
-                **({"group": groups[part_id]} if part_id in groups else {}),
+                **({"group": part.group} if part.group is not None else {}),
             }
-            for part_id, rel_path in mesh_files.items()
+            for part in parts
         ],
     }

@@ -143,10 +143,12 @@ def displacement_report(before: JigFrameObservation, after: JigFrameObservation,
     The jig travelled with the part while the gripper pushed ``push_mm``;
     the trial succeeds when the centroid translation reaches
     ``success_ratio * push_mm`` (boundary inclusive). Pixel scale comes from
-    the known jig width.
+    the known jig width. Each of the four numbers must be positive and finite.
     """
-    if not (jig_width_px > 0):
-        raise EvaluationError(f"jig_width_px must be positive, got {jig_width_px}")
+    for name, value in (("jig_width_px", jig_width_px), ("jig_width_mm", jig_width_mm),
+                        ("push_mm", push_mm), ("success_ratio", success_ratio)):
+        if not (math.isfinite(value) and value > 0):
+            raise EvaluationError(f"{name} must be positive and finite, got {value}")
     _, _, c_before = jig_frame(before)
     _, _, c_after = jig_frame(after)
     mm_per_px = jig_width_mm / jig_width_px

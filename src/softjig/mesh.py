@@ -146,10 +146,20 @@ class PerMesh:
 
 def weld_vertices(vertices: np.ndarray, triangles: np.ndarray,
                   tolerance: float = WELD_TOLERANCE_MM) -> tuple[np.ndarray, np.ndarray]:
-    """Merge vertices that coincide within ``tolerance`` (grid snap)."""
+    """Merge vertices that coincide within ``tolerance`` (grid snap).
+
+    The grid keys are int64, so a coordinate at or beyond ``2**63 *
+    tolerance`` (about 9.2e12 mm at the default) is refused rather than
+    wrapped into a key that welds unrelated vertices together.
+    """
     v = np.asarray(vertices, dtype=np.float64)
     t = np.asarray(triangles, dtype=np.int64)
-    keys = np.round(v / tolerance).astype(np.int64)
+    scaled = np.round(v / tolerance)
+    if len(v) and np.abs(scaled).max() >= 2.0 ** 63:
+        raise DegenerateMeshError(
+            f"vertex coordinate {np.abs(v).max():.6g} mm is beyond the weld limit of "
+            f"{2.0 ** 63 * tolerance:.6g} mm")
+    keys = scaled.astype(np.int64)
     _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     return v[first], inverse[t]
 

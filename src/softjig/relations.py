@@ -110,12 +110,10 @@ class SweepParams:
     not be set lower. The effective step never exceeds half the thinnest
     AABB extent of the swept pair; ``step_count`` is raised as needed, and
     a pair that would need more than ``MAX_SWEEP_STEPS`` is refused.
-    ``oracle_mode`` samples 10x finer on an exactly nested grid.
     """
 
     max_distance: float | None = None
     step_count: int = 64
-    oracle_mode: bool = False
 
     def __post_init__(self) -> None:
         if self.step_count < 16:
@@ -138,8 +136,6 @@ class SweepParams:
         n = self.step_count
         if thinnest_extent > 0:
             n = max(n, math.ceil(max_distance / (0.5 * thinnest_extent)))
-        if self.oracle_mode:
-            n *= 10
         return n
 
 
@@ -280,52 +276,40 @@ def compute_contact_matrix(assembly: AssemblyModel) -> np.ndarray:
     return contact
 
 
-def _pair_sweep(assembly: AssemblyModel, params: SweepParams, max_distance: float,
-                i: int, k: int, direction: Direction) -> bool:
-    """Canonical sweep for the unordered pair: the higher index moves.
-
-    ``interference_free[j][i, k]`` asks whether part k translates freely
-    along j past static part i; for i > k this is evaluated as the exact
-    relative motion with roles swapped and the direction negated, so the
-    mirror identity between (i, k, j) and (k, i, -j) is bit-exact. Running
-    out of memory raises :class:`RelationError` naming both parts.
-    """
-    if i > k:
-        i, k, direction = k, i, direction.opposite
-    static = assembly.parts[i].mesh
-    moving = assembly.parts[k].mesh
-    thin = min(
-        float(np.min(static.aabb[1] - static.aabb[0])),
-        float(np.min(moving.aabb[1] - moving.aabb[0])),
-    )
-    n_steps = params.steps_for(max_distance, thin)
-    if n_steps > MAX_SWEEP_STEPS:
-        raise RelationError(
-            f"sweeping {assembly.parts[k].id!r} past {assembly.parts[i].id!r} needs "
-            f"{n_steps} steps, more than the limit of {MAX_SWEEP_STEPS}")
-    try:
-        return sweep_translation_is_free(static, moving, direction, max_distance, n_steps)
-    except MemoryError:
-        raise RelationError(f"out of memory sweeping {assembly.parts[k].id!r} past "
-                            f"{assembly.parts[i].id!r} along {direction.value}") from None
-
-
 def compute_all_interference_free(assembly: AssemblyModel,
                                   params: SweepParams | None = None
                                   ) -> dict[Direction, np.ndarray]:
-    """All six interference-free matrices from one canonical sweep per
-    unordered pair and direction. Entry (i, k) of matrix j is true when part
-    k sweeps out along j without penetrating part i."""
+    """All six interference-free matrices. Entry (i, k) of matrix j is true
+    when part k sweeps out along j without penetrating part i.
+
+    Each unordered pair i < k resolves its step count once and is swept once
+    per direction with the higher index moving; the result fills (i, k) of
+    matrix j and (k, i) of matrix -j, so the mirror identity between
+    (i, k, j) and (k, i, -j) is bit-exact. A pair that needs more than
+    ``MAX_SWEEP_STEPS`` steps is refused before any offsets are allocated,
+    and running out of memory raises :class:`RelationError` naming both parts.
+    """
     params = params or SweepParams()
     max_distance = params.resolved_distance(assembly)
     n = len(assembly.parts)
     free = {d: np.zeros((n, n), dtype=bool) for d in DIRECTION_ORDER}
     for i in range(n):
         for k in range(i + 1, n):
+            static, moving = assembly.parts[i], assembly.parts[k]
+            thin = min(float(np.min(p.mesh.aabb[1] - p.mesh.aabb[0])) for p in (static, moving))
+            n_steps = params.steps_for(max_distance, thin)
+            if n_steps > MAX_SWEEP_STEPS:
+                raise RelationError(
+                    f"sweeping {moving.id!r} past {static.id!r} needs "
+                    f"{n_steps} steps, more than the limit of {MAX_SWEEP_STEPS}")
             for d in DIRECTION_ORDER:
-                result = _pair_sweep(assembly, params, max_distance, i, k, d)
-                free[d][i, k] = result
-                free[d.opposite][k, i] = result
+                try:
+                    result = sweep_translation_is_free(static.mesh, moving.mesh, d,
+                                                       max_distance, n_steps)
+                except MemoryError:
+                    raise RelationError(f"out of memory sweeping {moving.id!r} past "
+                                        f"{static.id!r} along {d.value}") from None
+                free[d][i, k] = free[d.opposite][k, i] = result
     return free
 
 

@@ -17,7 +17,12 @@ from softjig.queries import (
     triangle_pair_distance_sq,
     winding_fraction,
 )
-from softjig.relations import DIRECTION_ORDER, sweep_sample_distances
+from softjig.relations import (
+    DIRECTION_ORDER,
+    SweepParams,
+    sweep_sample_distances,
+    sweep_translation_is_free,
+)
 
 
 @pytest.fixture(scope="session")
@@ -86,6 +91,26 @@ def naive_sweep_is_free(static_mesh, moving_mesh, direction, max_distance, n_ste
         if intersects(static_mesh, moving_mesh.translated(t * unit)):
             return False
     return True
+
+
+def oracle_interference_free(assembly: AssemblyModel) -> dict:
+    """The 10x sampled oracle for ``compute_all_interference_free``: each
+    pair i < k swept at 10 x the step count ``SweepParams().steps_for``
+    resolves for it, so its grid nests the default grid exactly, with the
+    higher-index part moving and the result mirrored into (k, i) of -j."""
+    params = SweepParams()
+    max_distance = params.resolved_distance(assembly)
+    n = len(assembly.parts)
+    free = {d: np.zeros((n, n), dtype=bool) for d in DIRECTION_ORDER}
+    for i in range(n):
+        for k in range(i + 1, n):
+            static, moving = assembly.parts[i].mesh, assembly.parts[k].mesh
+            thin = min(float(np.min(m.aabb[1] - m.aabb[0])) for m in (static, moving))
+            n_steps = 10 * params.steps_for(max_distance, thin)
+            for d in DIRECTION_ORDER:
+                free[d][i, k] = free[d.opposite][k, i] = sweep_translation_is_free(
+                    static, moving, d, max_distance, n_steps)
+    return free
 
 
 def min_distance_brute_force(mesh_a, mesh_b) -> float:

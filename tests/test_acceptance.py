@@ -10,7 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import ROT_Z_QUARTER, direction_of, rotated_assembly, tunnel_assembly
+from conftest import (ROT_Z_QUARTER, direction_of, oracle_interference_free, rotated_assembly,
+                      tunnel_assembly)
 
 from softjig.cli import main
 from softjig.evaluation import ForceSample, displacement_report, frame_distance, resolve_forces
@@ -19,7 +20,6 @@ from softjig.parts import mass_properties
 from softjig.planner import AssemblySequence, configure_fixing_parts
 from softjig.relations import (
     DIRECTION_ORDER,
-    SweepParams,
     compute_all_interference_free,
     compute_relation_matrices,
 )
@@ -62,7 +62,7 @@ def test_criterion_02_interference_oracle_equivalence():
     ok = True
     for assembly in (proxy_assembly(), peg_assembly()):
         standard = compute_all_interference_free(assembly)
-        oracle = compute_all_interference_free(assembly, SweepParams(oracle_mode=True))
+        oracle = oracle_interference_free(assembly)
         for d in DIRECTION_ORDER:
             ok &= bool((standard[d] == oracle[d]).all())
     elapsed = time.perf_counter() - started

@@ -1,14 +1,20 @@
 import importlib.util
 import json
+import re
+import shlex
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from softjig import relations
-from softjig.cli import main
-from softjig.fixtures import box_mesh
+from softjig.cli import _build_parser, main
+from softjig.descriptors import load_descriptor
+from softjig.fixtures import box_mesh, proxy_assembly
 from softjig.mesh import save_stl_binary
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +52,14 @@ def test_fixtures_writes_meshes_and_descriptor(fixture_dir):
     descriptor = json.loads((fixture_dir / "assembly.json").read_text())
     assert [p["id"] for p in descriptor["parts"]] == ["motor", "plate", "bolt_a", "bolt_b"]
     assert descriptor["parts"][2]["group"] == "bolts"
+    loaded, _ = load_descriptor(fixture_dir / "assembly.json")
+    expected = proxy_assembly()
+    assert [(p.id, p.mass, p.group) for p in loaded.parts] == \
+        [(p.id, p.mass, p.group) for p in expected.parts]
+    for part, reference in zip(loaded.parts, expected.parts):
+        # binary STL stores float32 corners
+        np.testing.assert_array_equal(part.mesh.corners,
+                                      reference.mesh.corners.astype(np.float32))
 
 
 def test_fixtures_regeneration_byte_identical(fixture_dir, tmp_path):
@@ -235,13 +249,6 @@ def test_matrices_empty_parts_exits_1(tmp_path):
     assert main(["matrices", str(path)]) == 1
 
 
-def test_matrices_oracle_agrees(tmp_path):
-    descriptor = write_two_cube_descriptor(tmp_path, gap_x=0.0)
-    out = tmp_path / "matrices.json"
-    assert main(["matrices", str(descriptor), "--oracle", "--out", str(out)]) == 0
-    assert out.exists()
-
-
 def test_matrices_determinism(fixture_dir, tmp_path):
     out1 = tmp_path / "m1.json"
     out2 = tmp_path / "m2.json"
@@ -251,26 +258,14 @@ def test_matrices_determinism(fixture_dir, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_matrices_oracle_mismatch_exits_3(tmp_path, monkeypatch):
-    # a disagreement between default and oracle sweeps is unreachable with
-    # well-formed fixtures, so fake one to pin the exit code contract
-    import softjig.cli as cli_module
-    from softjig.relations import DIRECTION_ORDER
-
+@pytest.mark.parametrize("command", [["plan", "--sequence", "a,b"], ["matrices"]],
+                         ids=["plan", "matrices"])
+def test_retired_oracle_flag_exits_1(tmp_path, capsys, command):
     descriptor = write_two_cube_descriptor(tmp_path, gap_x=0.0)
-    real = cli_module.compute_all_interference_free
-
-    def flaky(assembly, params=None):
-        matrices = real(assembly, params)
-        if params.oracle_mode:  # the oracle pass disagrees
-            flipped = dict(matrices)
-            flipped[DIRECTION_ORDER[0]] = ~matrices[DIRECTION_ORDER[0]]
-            return flipped
-        return matrices
-
-    monkeypatch.setattr(cli_module, "compute_all_interference_free", flaky)
-    out = tmp_path / "matrices.json"
-    assert main(["matrices", str(descriptor), "--oracle", "--out", str(out)]) == 3
+    out = tmp_path / "out.json"
+    assert main([command[0], str(descriptor), *command[1:], "--oracle",
+                 "--out", str(out)]) == 1
+    assert "--oracle" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -316,6 +311,25 @@ def test_evaluate_with_forces(tmp_path):
     assert report["peak_shear_force_n"] == 5.0
 
 
+@pytest.mark.parametrize("flag, value, name", [
+    ("--ratio", "-1", "success_ratio"),
+    ("--push-mm", "-70", "push_mm"),
+    ("--push-mm", "nan", "push_mm"),
+    ("--jig-width-mm", "0", "jig_width_mm"),
+    ("--jig-width-px", "inf", "jig_width_px"),
+])
+def test_evaluate_bad_number_exits_1(tmp_path, capsys, flag, value, name):
+    before = write_observation(tmp_path / "before.json", 500.0)
+    after = write_observation(tmp_path / "after.json", 656.4)
+    out = tmp_path / "report.json"
+    args = ["evaluate", str(before), str(after), "--jig-width-px", "320", "--out", str(out)]
+    assert main(args + [flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and name in captured.err
+    assert not out.exists()
+
+
 def test_evaluate_determinism(tmp_path):
     before = write_observation(tmp_path / "before.json", 0.0)
     after = write_observation(tmp_path / "after.json", 100.0)
@@ -339,6 +353,25 @@ def test_bad_flag_exits_1():
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "softjig" in capsys.readouterr().out
+
+
+def readme_commands() -> list[str]:
+    """The ``softjig ...`` lines of README's command-line block, with ``\\``
+    continuations joined."""
+    block = re.search(r"## Command line\s+```sh\n(.*?)```", README.read_text(), re.S).group(1)
+    joined = block.replace("\\\n", " ")
+    return [line.strip() for line in joined.splitlines() if line.startswith("softjig ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) >= 5
+    parser = _build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")
 
 
 # -- benchmark tooling -------------------------------------------------------------

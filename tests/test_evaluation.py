@@ -214,6 +214,14 @@ def test_nonpositive_width_rejected():
         report_for_push(100.0, jig_width_px=0.0)
 
 
+@pytest.mark.parametrize("name", ["jig_width_px", "jig_width_mm", "push_mm", "success_ratio"])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+def test_nonpositive_or_non_finite_numbers_rejected(name, value):
+    numbers = {"jig_width_px": 320.0, name: value}
+    with pytest.raises(EvaluationError, match=f"^{name} must be positive and finite"):
+        displacement_report(square_obs(0.0, 0.0), square_obs(100.0, 0.0), **numbers)
+
+
 # -- file formats ---------------------------------------------------------------
 
 def test_observation_round_trip(tmp_path):

@@ -164,6 +164,32 @@ def test_duplicate_vertices_welded():
     assert welded_t.max() < 4
 
 
+def write_far_box_obj(path, x: float):
+    """A 10 mm box at ``x`` as OBJ, every coordinate written exactly."""
+    box = box_mesh((x, 0, 0), (x + 10, 10, 10))
+    lines = [f"v {a!r} {b!r} {c!r}" for a, b, c in box.vertices.tolist()]
+    lines += [f"f {i + 1} {j + 1} {k + 1}" for i, j, k in box.triangles.tolist()]
+    path.write_text("\n".join(lines) + "\n")
+    return box
+
+
+def test_far_off_mesh_refused_at_the_weld_limit(tmp_path):
+    path = tmp_path / "far.obj"
+    write_far_box_obj(path, 1e13)
+    with pytest.raises(DegenerateMeshError, match="weld limit of 9.22337e\\+12 mm"):
+        load_mesh(path)
+
+
+def test_far_mesh_inside_the_weld_limit_loads_unchanged(tmp_path):
+    path = tmp_path / "far.obj"
+    box = write_far_box_obj(path, 1e12)
+    mesh = load_mesh(path)
+    assert len(mesh.vertices) == 8 and len(mesh.triangles) == 12
+    np.testing.assert_array_equal(np.unique(mesh.vertices, axis=0),
+                                  np.unique(box.vertices, axis=0))
+    assert mesh.signed_volume() == 1000.0
+
+
 def test_inward_winding_normalized_on_load(tmp_path):
     flipped = TriangleMesh(
         box_mesh((0, 0, 0), (1, 1, 1)).vertices,

@@ -9,11 +9,12 @@ from conftest import (
     direction_of,
     naive_penetrates_along,
     naive_sweep_is_free,
+    oracle_interference_free,
     rotated_assembly,
 )
 
 from softjig import broad, cube_stack_assembly, queries, relations, straddle
-from softjig.fixtures import box_mesh, generate_proxy_fixture, revolve_mesh
+from softjig.fixtures import box_mesh, compound_mesh, generate_proxy_fixture, revolve_mesh
 from softjig.parts import AssemblyModel, PartModel
 from softjig.queries import intersects, min_distance, triangle_pair_distance_sq, within_distance
 from softjig.relations import (
@@ -488,12 +489,30 @@ def test_refining_steps_never_flips_free_to_blocked_to_free(peg):
             assert not (finer[d] & ~base[d]).any()
 
 
-def test_oracle_mode_equals_standard_on_fixtures(proxy, peg):
+def test_default_sweeps_equal_the_10x_oracle_on_fixtures(proxy, peg):
     for asm in (proxy, peg):
         std = compute_all_interference_free(asm)
-        oracle = compute_all_interference_free(asm, SweepParams(oracle_mode=True))
+        oracle = oracle_interference_free(asm)
         for d in DIRECTION_ORDER:
             assert (std[d] == oracle[d]).all()
+
+
+def thin_shelf_pair() -> AssemblyModel:
+    """A 1 mm sheet under a 1 mm shelf, each hung from a post: sweeping the
+    sheet along +z meets the shelf only for offsets in (41.3, 43.3) mm, a
+    window narrower than the default 4.375 mm step."""
+    static = compound_mesh(box_mesh((-60, -20, 0), (-50, 20, 53.3)),
+                           box_mesh((-40, -20, 52.3), (40, 20, 53.3)))
+    moving = compound_mesh(box_mesh((50, -15, 0), (60, 15, 60)),
+                           box_mesh((-30, -15, 10), (30, 15, 11)))
+    return AssemblyModel((PartModel("shelf", static, 1.0), PartModel("sheet", moving, 1.0)))
+
+
+def test_thin_shelf_blocks_plus_z_under_finer_sampling():
+    pair = thin_shelf_pair()
+    assert not oracle_interference_free(pair)[Direction.PLUS_Z][0, 1]
+    finer = compute_all_interference_free(pair, SweepParams(step_count=640))
+    assert not finer[Direction.PLUS_Z][0, 1]
 
 
 def test_rotation_permutes_interference_matrices(proxy):
@@ -548,8 +567,15 @@ def test_steps_raised_for_thin_movers():
     params = SweepParams(step_count=16)
     assert params.steps_for(max_distance=100.0, thinnest_extent=4.0) == 50
     assert params.steps_for(max_distance=100.0, thinnest_extent=50.0) == 16
-    oracle = SweepParams(step_count=16, oracle_mode=True)
-    assert oracle.steps_for(100.0, 4.0) == 500
+
+
+def test_step_count_resolved_once_per_pair(monkeypatch, proxy):
+    calls = []
+    steps_for = SweepParams.steps_for
+    monkeypatch.setattr(SweepParams, "steps_for",
+                        lambda self, *args: calls.append(args) or steps_for(self, *args))
+    compute_all_interference_free(proxy)
+    assert len(proxy.parts) == 4 and len(calls) == 6
 
 
 # -- reachable gate -----------------------------------------------------------
