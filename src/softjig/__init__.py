@@ -25,8 +25,7 @@ _EXPORTS = {
     "queries": ("intersects", "min_distance", "within_distance"),
     "relations": ("DIRECTION_ORDER", "Direction", "ReachableDirectionList", "RelationMatrices",
                   "SweepParams", "compute_all_interference_free", "compute_contact_matrix",
-                  "compute_reachable_matrix", "compute_relation_matrices", "merge_entity",
-                  "reachable_direction_list"),
+                  "compute_reachable_matrix", "compute_relation_matrices", "merge_entity"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

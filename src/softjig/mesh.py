@@ -315,11 +315,11 @@ def save_stl_ascii(mesh: TriangleMesh, path) -> None:
     safe = lengths > 0
     normals[safe] /= lengths[safe, None]
     normals[~safe] = 0.0
-    for tri, n in zip(corners, normals):
-        lines.append(f"  facet normal {n[0]:.9g} {n[1]:.9g} {n[2]:.9g}")
+    for tri, n in zip(corners.tolist(), normals.tolist()):
+        lines.append(f"  facet normal {n[0]!r} {n[1]!r} {n[2]!r}")
         lines.append("    outer loop")
         for v in tri:
-            lines.append(f"      vertex {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}")
+            lines.append(f"      vertex {v[0]!r} {v[1]!r} {v[2]!r}")
         lines.append("    endloop")
         lines.append("  endfacet")
     lines.append("endsolid softjig")
@@ -363,8 +363,8 @@ def _parse_obj(text: str) -> tuple[np.ndarray, np.ndarray]:
 
 def save_obj(mesh: TriangleMesh, path) -> None:
     lines = []
-    for v in mesh.vertices:
-        lines.append(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}")
+    for v in mesh.vertices.tolist():
+        lines.append(f"v {v[0]!r} {v[1]!r} {v[2]!r}")
     for t in mesh.triangles:
         lines.append(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -143,6 +143,3 @@ class AssemblyModel:
             if p.id == part_id:
                 return p
         raise KeyError(part_id)
-
-    def group_members(self, group: str) -> list[str]:
-        return [p.id for p in self.parts if p.group == group]

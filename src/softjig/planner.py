@@ -1,11 +1,12 @@
 """Sequential parts-fixing configuration.
 
-Walks a given assembly order. At each step it computes the
-reachable-direction list between the subassembly built so far and the next
-entity, halts with a diagnostic if no direction is reachable, otherwise
-merges the entity in, picks the posture whose vertical placement gives the
-combined model the lowest center of gravity, and records the bottom part as
-the one to fix on the jig.
+Walks a given assembly order. At each step it reads the reachable-direction
+list between the subassembly built so far and the next entity off the
+part-level matrices, taking both as sets of part indices; it halts with a
+diagnostic if no direction is reachable, otherwise adds the entity's parts,
+picks the posture whose vertical placement gives the combined model the
+lowest center of gravity, and records the bottom part as the one to fix on
+the jig.
 
 A posture label names the mating axis; the physical orientation is the one
 of its two verticalizations (axis up or axis down) with the lower CoG
@@ -20,14 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .parts import AssemblyModel, PartModel, RigidOrientation, mass_properties
-from .relations import (
-    Direction,
-    ReachableDirectionList,
-    RelationMatrices,
-    SweepParams,
-    compute_relation_matrices,
-    merge_entity,
-)
+from .relations import Direction, ReachableDirectionList, SweepParams, compute_relation_matrices
 
 BOTTOM_TIE_TOL_MM = 1e-6
 
@@ -173,35 +167,24 @@ def bottom_part(parts: list[PartModel], orientation: RigidOrientation) -> str:
     return tied[0].id
 
 
-def _resolve_entities(assembly: AssemblyModel, sequence: AssemblySequence) -> list[str]:
-    groups = {p.group for p in assembly.parts if p.group is not None}
-    grouped_parts = {p.id for p in assembly.parts if p.group is not None}
-    entities = []
+def _entity_members(assembly: AssemblyModel, sequence: AssemblySequence) -> dict[str, list[int]]:
+    """Part indices of every entity (a group or an ungrouped part), in part
+    order, after checking that the sequence names only entities."""
+    members: dict[str, list[int]] = {}
+    for i, p in enumerate(assembly.parts):
+        members.setdefault(p.id if p.group is None else p.group, []).append(i)
     for ref in sequence.steps:
-        if ref in groups:
-            entities.append(ref)
-        elif ref in grouped_parts:
+        if ref in members:
+            continue
+        if ref in assembly.part_ids:
             raise PlannerError(
                 f"entity {ref!r} belongs to a group and cannot be sequenced alone"
             )
-        elif ref in assembly.part_ids:
-            entities.append(ref)
-        else:
-            raise PlannerError(f"unknown sequence entity {ref!r}")
-    return entities
+        raise PlannerError(f"unknown sequence entity {ref!r}")
+    return members
 
 
-def _collapse_groups(assembly: AssemblyModel, matrices: RelationMatrices) -> RelationMatrices:
-    seen: list[str] = []
-    for p in assembly.parts:
-        if p.group is not None and p.group not in seen:
-            seen.append(p.group)
-    for group in seen:
-        matrices = merge_entity(matrices, set(assembly.group_members(group)), group)
-    return matrices
-
-
-def _merge_id(existing: tuple[str, ...], left: str, right: str) -> str:
+def _merge_id(existing: set[str], left: str, right: str) -> str:
     candidate = f"{left}+{right}"
     while candidate in existing:
         candidate += "~"
@@ -216,19 +199,16 @@ def configure_fixing_parts(assembly: AssemblyModel, sequence: AssemblySequence,
     plan with ``halt_reason`` naming the first pair that cannot be mated
     along any axis direction.
     """
-    entities = _resolve_entities(assembly, sequence)
-    matrices = _collapse_groups(assembly, compute_relation_matrices(assembly, params))
+    members = _entity_members(assembly, sequence)
+    matrices = compute_relation_matrices(assembly, params)
+    live_ids = set(members)
 
-    members: dict[str, list[PartModel]] = {}
-    for p in assembly.parts:
-        members.setdefault(p.group or p.id, []).append(p)
-
-    target = entities[0]
-    model_parts = list(members[target])
+    target = sequence.steps[0]
+    rows = list(members[target])
     steps: list[FixingStep] = []
 
-    for i, entity in enumerate(entities[1:], start=2):
-        reachable = matrices.reachable_list(target, entity)
+    for i, entity in enumerate(sequence.steps[1:], start=2):
+        reachable = matrices.reachable_between(rows, members[entity])
         if not reachable.any_set:
             return FixingPlan(
                 steps=tuple(steps),
@@ -238,9 +218,10 @@ def configure_fixing_parts(assembly: AssemblyModel, sequence: AssemblySequence,
                     f"at step {i - 1}"
                 ),
             )
-        model_parts = model_parts + members[entity]
-        combined_id = _merge_id(matrices.entity_ids, target, entity)
-        matrices = merge_entity(matrices, {target, entity}, combined_id)
+        rows += members[entity]
+        model_parts = [assembly.parts[k] for k in rows]
+        combined_id = _merge_id(live_ids, target, entity)
+        live_ids = (live_ids - {target, entity}) | {combined_id}
         target = combined_id
 
         label, orientation = select_posture(reachable, model_parts)

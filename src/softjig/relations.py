@@ -240,7 +240,24 @@ class RelationMatrices:
             raise RelationError(f"unknown entity {entity_id!r}") from None
 
     def reachable_list(self, source_id: str, target_id: str) -> ReachableDirectionList:
-        return reachable_direction_list(self.reachable, self.entity_ids, source_id, target_id)
+        """The six reachable flags for an ordered entity pair, in fixed order."""
+        i, k = self.index_of(source_id), self.index_of(target_id)
+        if i == k:
+            raise RelationError(f"self-pair {source_id!r} has no reachable list")
+        return self.reachable_between([i], [k])
+
+    def reachable_between(self, rows: list[int], cols: list[int]) -> ReachableDirectionList:
+        """Reachable flags between two disjoint index sets, taken as wholes.
+
+        The sets are in contact when any member pair is, and ``cols`` moves
+        freely along a direction only when every member pair does: the
+        directional blocking relations of Wilson & Latombe for a
+        subassembly, read from the part-level matrices.
+        """
+        block = np.ix_(rows, cols)
+        touching = self.contact[block].any()
+        return ReachableDirectionList(tuple(
+            touching and self.interference_free[d][block].all() for d in DIRECTION_ORDER))
 
     def to_json_dict(self) -> dict:
         return {
@@ -324,21 +341,6 @@ def compute_reachable_matrix(contact: np.ndarray, interference_free: np.ndarray)
     return (c | c.T) & m
 
 
-def reachable_direction_list(reachable: dict[Direction, np.ndarray],
-                             entity_ids, source_id: str, target_id: str
-                             ) -> ReachableDirectionList:
-    """The six reachable flags for an ordered entity pair, in fixed order."""
-    ids = list(entity_ids)
-    if source_id not in ids:
-        raise RelationError(f"unknown entity {source_id!r}")
-    if target_id not in ids:
-        raise RelationError(f"unknown entity {target_id!r}")
-    if source_id == target_id:
-        raise RelationError(f"self-pair {source_id!r} has no reachable list")
-    i, k = ids.index(source_id), ids.index(target_id)
-    return ReachableDirectionList(tuple(bool(reachable[d][i, k]) for d in DIRECTION_ORDER))
-
-
 def compute_relation_matrices(assembly: AssemblyModel,
                               params: SweepParams | None = None) -> RelationMatrices:
     """Contact, interference-free, and reachable matrices over the parts."""
@@ -354,7 +356,8 @@ def merge_entity(matrices: RelationMatrices, members: set[str] | frozenset[str],
     The combined entity contacts a neighbour when any member does (OR) and
     moves freely only when every member does (AND); reachability is then
     recomputed from the gate formula. The combined row/column sits at the
-    first member's position.
+    first member's position. This is :meth:`RelationMatrices.reachable_between`
+    in matrix form; the planner reads index sets and never merges.
     """
     members = set(members)
     if not members:

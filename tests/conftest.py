@@ -9,6 +9,14 @@ from softjig import (
     proxy_assembly,
 )
 from softjig.fixtures import box_mesh, compound_mesh
+from softjig.planner import (
+    FixingPlan,
+    FixingStep,
+    PlannerError,
+    bottom_part,
+    cog_height,
+    select_posture,
+)
 from softjig.queries import (
     INSIDE_WINDING,
     intersects,
@@ -20,6 +28,8 @@ from softjig.queries import (
 from softjig.relations import (
     DIRECTION_ORDER,
     SweepParams,
+    compute_relation_matrices,
+    merge_entity,
     sweep_sample_distances,
     sweep_translation_is_free,
 )
@@ -111,6 +121,43 @@ def oracle_interference_free(assembly: AssemblyModel) -> dict:
                 free[d][i, k] = free[d.opposite][k, i] = sweep_translation_is_free(
                     static, moving, d, max_distance, n_steps)
     return free
+
+
+def merge_walk_plan(assembly: AssemblyModel, sequence, params=None) -> FixingPlan:
+    """Reference for ``configure_fixing_parts``: the walk over merged
+    matrices. Every group is collapsed with ``merge_entity`` first, and the
+    target and the next entity are merged after every step, so each step's
+    flags come from one entry of freshly merged matrices."""
+    groups = list(dict.fromkeys(p.group for p in assembly.parts if p.group is not None))
+    for ref in sequence.steps:
+        part = next((p for p in assembly.parts if p.id == ref), None)
+        if part is not None and part.group is not None:
+            raise PlannerError(f"entity {ref!r} belongs to a group and cannot be sequenced alone")
+        if part is None and ref not in groups:
+            raise PlannerError(f"unknown sequence entity {ref!r}")
+    matrices = compute_relation_matrices(assembly, params)
+    for group in groups:
+        matrices = merge_entity(matrices, {p.id for p in assembly.parts if p.group == group},
+                                group)
+
+    target = sequence.steps[0]
+    model_parts = [p for p in assembly.parts if target in (p.id, p.group)]
+    steps = []
+    for i, entity in enumerate(sequence.steps[1:], start=1):
+        reachable = matrices.reachable_list(target, entity)
+        if not reachable.any_set:
+            return FixingPlan(tuple(steps), False, f"no reachable direction between "
+                                                   f"{target!r} and {entity!r} at step {i}")
+        model_parts += [p for p in assembly.parts if entity in (p.id, p.group)]
+        combined_id = f"{target}+{entity}"
+        while combined_id in matrices.entity_ids:
+            combined_id += "~"
+        matrices = merge_entity(matrices, {target, entity}, combined_id)
+        target = combined_id
+        label, orientation = select_posture(reachable, model_parts)
+        steps.append(FixingStep(i, bottom_part(model_parts, orientation), label, orientation,
+                                cog_height(model_parts, orientation), reachable))
+    return FixingPlan(tuple(steps), True, None)
 
 
 def min_distance_brute_force(mesh_a, mesh_b) -> float:

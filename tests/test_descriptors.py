@@ -47,7 +47,7 @@ def test_groups_and_overrides_parsed(tmp_path):
         "sweep": {"step_count": 33, "max_distance_mm": 500.0},
     })
     assembly, params = load_descriptor(path)
-    assert assembly.group_members("pair") == ["b", "c"]
+    assert [p.id for p in assembly.parts if p.group == "pair"] == ["b", "c"]
     assert assembly.contact_epsilon == 0.05
     assert params.step_count == 33
     assert params.max_distance == 500.0

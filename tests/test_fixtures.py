@@ -81,7 +81,7 @@ def test_shaft_clears_plate_hole():
 
 def test_proxy_assembly_layout(proxy):
     assert proxy.part_ids == ["motor", "plate", "bolt_a", "bolt_b"]
-    assert proxy.group_members("bolts") == ["bolt_a", "bolt_b"]
+    assert [p.id for p in proxy.parts if p.group == "bolts"] == ["bolt_a", "bolt_b"]
     merged = proxy_assembly(split_bolts=False)
     assert merged.part_ids == ["motor", "plate", "bolts"]
 

@@ -1,4 +1,6 @@
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,11 +167,9 @@ def test_duplicate_vertices_welded():
 
 
 def write_far_box_obj(path, x: float):
-    """A 10 mm box at ``x`` as OBJ, every coordinate written exactly."""
+    """A 10 mm box at ``x`` as OBJ."""
     box = box_mesh((x, 0, 0), (x + 10, 10, 10))
-    lines = [f"v {a!r} {b!r} {c!r}" for a, b, c in box.vertices.tolist()]
-    lines += [f"f {i + 1} {j + 1} {k + 1}" for i, j, k in box.triangles.tolist()]
-    path.write_text("\n".join(lines) + "\n")
+    save_obj(box, path)
     return box
 
 
@@ -188,6 +188,39 @@ def test_far_mesh_inside_the_weld_limit_loads_unchanged(tmp_path):
     np.testing.assert_array_equal(np.unique(mesh.vertices, axis=0),
                                   np.unique(box.vertices, axis=0))
     assert mesh.signed_volume() == 1000.0
+
+
+@pytest.mark.parametrize("save, name", [(save_obj, "far.obj"), (save_stl_ascii, "far.stl")],
+                         ids=["obj", "stl-ascii"])
+def test_text_writers_keep_a_far_box(tmp_path, save, name):
+    path = tmp_path / name
+    save(box_mesh((1e12, 0, 0), (1e12 + 10, 10, 10)), path)
+    mesh = load_mesh(path)
+    assert len(mesh.vertices) == 8
+    assert mesh.signed_volume() == 1000.0
+
+
+WRITERS = [pytest.param(save_obj, "obj", np.float64, 1e12, id="obj"),
+           pytest.param(save_stl_ascii, "stl-ascii", np.float64, 1e12, id="stl-ascii"),
+           pytest.param(save_stl_binary, "stl-binary", np.float32, 1e6, id="stl-binary")]
+
+
+@pytest.mark.parametrize("save, fmt, dtype, reach", WRITERS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_writers_round_trip_box_vertices_exactly(save, fmt, dtype, reach, data):
+    # binary STL stores float32, so its boxes stay where float32 still
+    # resolves a 1 mm edge
+    coordinate = st.one_of(st.floats(-100.0, 100.0), st.floats(-reach, reach))
+    lo = np.array([data.draw(coordinate) for _ in range(3)])
+    size = np.array([data.draw(st.floats(1.0, 1000.0)) for _ in range(3)])
+    box = box_mesh(lo, lo + size)
+    expected = np.unique(box.vertices.astype(dtype).astype(np.float64), axis=0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "box"
+        save(box, path)
+        loaded = load_mesh(path, fmt=fmt)
+    np.testing.assert_array_equal(np.unique(loaded.vertices, axis=0), expected)
 
 
 def test_inward_winding_normalized_on_load(tmp_path):

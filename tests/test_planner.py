@@ -1,9 +1,19 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import ROT_Z_QUARTER, direction_of, rotated_assembly, tunnel_assembly
+from conftest import (
+    ROT_Z_QUARTER,
+    direction_of,
+    merge_walk_plan,
+    rotated_assembly,
+    tunnel_assembly,
+)
 
-from softjig.fixtures import box_mesh, generate_proxy_fixture, proxy_assembly
+from softjig.fixtures import box_mesh, cube_stack_assembly, generate_proxy_fixture, proxy_assembly
 from softjig.parts import AssemblyModel, PartModel, RigidOrientation
 from softjig.planner import (
     AssemblySequence,
@@ -268,6 +278,59 @@ def test_determinism(proxy):
     a = configure_fixing_parts(proxy, seq)
     b = configure_fixing_parts(proxy, seq)
     assert a.to_json_dict() == b.to_json_dict()
+
+
+@st.composite
+def grouped_stack_walks(draw):
+    """A 6-10 box stack with random groups, sometimes a part named like the
+    merge of two others, and a random order over a random subset of its
+    entities (most such orders halt)."""
+    levels = draw(st.integers(6, 10))
+    base = cube_stack_assembly(draw(st.integers(0, 999)), levels)
+    ids = base.part_ids
+    if draw(st.booleans()):
+        a, b, c = draw(st.permutations(range(levels)))[:3]
+        ids[c] = f"{ids[a]}+{ids[b]}"
+    groups = draw(st.lists(st.sampled_from([None, None, "g0", "g1", "g2"]),
+                           min_size=levels, max_size=levels))
+    assembly = AssemblyModel(tuple(
+        PartModel(pid, p.mesh, p.mass, g) for pid, p, g in zip(ids, base.parts, groups)))
+    entities = list(dict.fromkeys(pid if g is None else g for pid, g in zip(ids, groups)))
+    assume(len(entities) >= 2)
+    order = draw(st.permutations(entities))
+    return assembly, AssemblySequence(tuple(order[:draw(st.integers(2, len(order)))]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(walk=grouped_stack_walks())
+def test_plan_equals_the_merge_walk(walk):
+    assembly, sequence = walk
+    assert (configure_fixing_parts(assembly, sequence).to_json_dict()
+            == merge_walk_plan(assembly, sequence).to_json_dict())
+
+
+def test_part_named_like_a_merge_keeps_the_merge_name_unique():
+    parts = tuple(cube_part(pid, 1.0 + i, (0, 0, 10 * i), (10, 10, 10 * i + 10))
+                  for i, pid in enumerate(["a", "b", "a+b", "c"]))
+    assembly = AssemblyModel(parts)
+    plans = {}
+    for steps in (("a", "b", "c"), ("a", "b", "a+b", "c")):
+        sequence = AssemblySequence(steps)
+        plans[steps] = configure_fixing_parts(assembly, sequence).to_json_dict()
+        assert plans[steps] == merge_walk_plan(assembly, sequence).to_json_dict()
+    assert plans[("a", "b", "c")]["halt_reason"] == \
+        "no reachable direction between 'a+b~' and 'c' at step 2"
+
+
+def test_planner_never_merges_matrices(proxy, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("merge_entity called")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("softjig") and hasattr(module, "merge_entity"):
+            monkeypatch.setattr(module, "merge_entity", refuse)
+    plan = configure_fixing_parts(proxy, AssemblySequence.parse("plate,bolts,motor"))
+    assert plan.complete and len(plan.steps) == 2
 
 
 def test_fixing_step_validates_flag():

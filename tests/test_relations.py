@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,7 +31,6 @@ from softjig.relations import (
     compute_reachable_matrix,
     compute_relation_matrices,
     merge_entity,
-    reachable_direction_list,
     sweep_sample_distances,
     sweep_translation_is_free,
 )
@@ -624,19 +625,23 @@ def test_reachable_direction_list_ordering(peg):
     assert flags.set_directions == (Direction.PLUS_Z,)
 
 
+def unrelated_pair() -> RelationMatrices:
+    zeros = np.zeros((2, 2), dtype=bool)
+    return RelationMatrices(("a", "b"), zeros, {d: zeros for d in DIRECTION_ORDER})
+
+
 def test_reachable_list_all_zero():
-    reach = {d: np.zeros((2, 2), dtype=bool) for d in DIRECTION_ORDER}
-    flags = reachable_direction_list(reach, ["a", "b"], "a", "b")
+    flags = unrelated_pair().reachable_list("a", "b")
     assert flags.flags == (False,) * 6
     assert not flags.any_set
 
 
 def test_reachable_list_unknown_entity():
-    reach = {d: np.zeros((2, 2), dtype=bool) for d in DIRECTION_ORDER}
+    mats = unrelated_pair()
     with pytest.raises(RelationError):
-        reachable_direction_list(reach, ["a", "b"], "a", "zz")
+        mats.reachable_list("a", "zz")
     with pytest.raises(RelationError):
-        reachable_direction_list(reach, ["a", "b"], "a", "a")
+        mats.reachable_list("a", "a")
 
 
 def test_proxy_motor_plate_reachable_only_plus_z(proxy):
@@ -681,6 +686,19 @@ def test_case1_merge_reachable_only_plus_z(proxy):
     mats = merge_entity(mats, {"motor", "plate"}, "combined")
     flags = mats.reachable_list("combined", "bolts")
     assert flags.flags == (False, False, False, False, True, False)
+
+
+def test_reachable_between_equals_the_merged_entry(proxy):
+    mats = compute_relation_matrices(proxy)
+    ids = mats.entity_ids
+    for labels in itertools.product((0, 1, 2), repeat=len(ids)):
+        rows = [i for i, label in enumerate(labels) if label == 1]
+        cols = [i for i, label in enumerate(labels) if label == 2]
+        if not rows or not cols:
+            continue
+        merged = merge_entity(mats, {ids[i] for i in rows}, "rows")
+        merged = merge_entity(merged, {ids[i] for i in cols}, "cols")
+        assert mats.reachable_between(rows, cols) == merged.reachable_list("rows", "cols")
 
 
 def test_merge_unknown_member(proxy):
