@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from . import rays
 from .mesh import MeshError, load_mesh
 from .parts import AssemblyModel, PartError, PartModel, RigidOrientation
 from .relations import RelationError, SweepParams
@@ -51,7 +52,9 @@ def _setting(path: Path, name: str, value, convert):
 
 
 def load_descriptor(path) -> tuple[AssemblyModel, SweepParams]:
-    """Parse a descriptor and load its meshes into an assembly."""
+    """Parse a descriptor and load its meshes into an assembly. A part
+    whose posed mesh is not a closed 2-cycle (:func:`softjig.rays.closed_surface`)
+    is refused, naming the part and its count of unbalanced directed edges."""
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
@@ -95,6 +98,11 @@ def load_descriptor(path) -> tuple[AssemblyModel, SweepParams]:
                 mesh = mesh.transformed(rotation.rotation, translation)
             except MeshError as exc:
                 raise DescriptorError(f"{path}: parts[{i}] ({part_id}): {exc}") from exc
+        # a per-mesh count that ray containment reads again later
+        unbalanced = rays.unbalanced_edges(mesh)
+        if unbalanced:
+            raise DescriptorError(f"{path}: parts[{i}] ({part_id}): mesh is not closed: "
+                                  f"{unbalanced} directed edges do not match their reverses")
         group = entry.get("group")
         try:
             parts.append(PartModel(part_id, mesh, mass, group=None if group is None else str(group)))

@@ -21,6 +21,12 @@ Conventions that everything downstream relies on:
   ``min_distance(a, b) <= epsilon``: a whole-box early-out, triangle pairs
   whose boxes come within epsilon, the distance kernel over those pairs in
   growing batches with early exit, and ``intersects`` last for nested solids.
+  The first batch is 64 pairs, since a touching pair usually matches on its
+  first candidates.
+* The distance kernel, ``triangle_pair_distance_sq``, stacks the 6
+  vertex-face and 18 edge-edge candidates of up to ``_STACK_PAIRS`` pairs
+  into one call of each row kernel, so a batch costs a fixed, small number
+  of numpy calls, and each row's arithmetic is that of its candidate alone.
 * ``min_distance``, ``within_distance``, ``penetrates_along`` and its ray
   containment share one broad phase, ``broad.box_pairs``, a stream of
   candidate pairs in blocks; the early-exit scans consume it batch by
@@ -75,6 +81,10 @@ _CHUNK_ROWS = 1 << 17
 _FIRST_BATCH_ROWS = 1 << 12
 _LAST_BATCH_ROWS = 1 << 13
 
+# first batch of the contact scan: a touching pair's first few candidates
+# are usually within epsilon already
+_FIRST_CONTACT_ROWS = 1 << 6
+
 
 # -- low-level kernels -------------------------------------------------------
 
@@ -82,11 +92,14 @@ def point_triangle_distance_sq(points: np.ndarray, triangles: np.ndarray) -> np.
     """Row-wise squared distance from ``points[i]`` to triangle ``triangles[i]``.
 
     Vectorized form of the closest-point-on-triangle region walk from
-    Ericson's Real-Time Collision Detection.
+    Ericson's Real-Time Collision Detection. Each row's closest point is
+    computed only in the region that holds for it; a vertex region's
+    distance is the vertex distance that every row takes the minimum with.
     """
     p = np.asarray(points, dtype=np.float64)
     tri = np.asarray(triangles, dtype=np.float64)
-    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+    # corners as contiguous arrays, so that each step runs as one loop
+    a, b, c = np.ascontiguousarray(tri.transpose(1, 0, 2))
 
     ab = b - a
     ac = c - a
@@ -104,39 +117,42 @@ def point_triangle_distance_sq(points: np.ndarray, triangles: np.ndarray) -> np.
     vb = d5 * d2 - d1 * d6
     va = d3 * d6 - d5 * d4
 
-    closest = np.empty_like(p)
-    done = np.zeros(len(p), dtype=bool)
+    # the first region that holds: vertex a (0), vertex b (1), edge ab (2),
+    # vertex c (3), edge ac (4), edge bc (5), else the face (6)
+    holds = [(d1 <= 0) & (d2 <= 0), (d3 >= 0) & (d4 <= d3), (vc <= 0) & (d1 >= 0) & (d3 <= 0),
+             (d6 >= 0) & (d5 <= d6), (vb <= 0) & (d2 >= 0) & (d6 <= 0),
+             (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0)]
+    region = np.full(len(p), 6, dtype=np.int8)
+    for k in range(5, -1, -1):
+        region = np.where(holds[k], k, region)
 
-    def settle(mask: np.ndarray, value: np.ndarray) -> None:
-        use = mask & ~done
-        closest[use] = value[use] if value.shape == closest.shape else value
-        done[use] = True
+    best = np.full(len(p), np.inf)
 
-    settle((d1 <= 0) & (d2 <= 0), a)
-    settle((d3 >= 0) & (d4 <= d3), b)
+    def settle(rows: np.ndarray, closest: np.ndarray) -> None:
+        diff = p[rows] - closest
+        best[rows] = np.einsum("ij,ij->i", diff, diff)
+
     with np.errstate(divide="ignore", invalid="ignore"):
-        denom_ab = d1 - d3
-        v = np.where(denom_ab != 0, d1 / np.where(denom_ab != 0, denom_ab, 1.0), 0.0)
-        settle((vc <= 0) & (d1 >= 0) & (d3 <= 0), a + v[:, None] * ab)
-    settle((d6 >= 0) & (d5 <= d6), c)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        denom_ac = d2 - d6
-        w = np.where(denom_ac != 0, d2 / np.where(denom_ac != 0, denom_ac, 1.0), 0.0)
-        settle((vb <= 0) & (d2 >= 0) & (d6 <= 0), a + w[:, None] * ac)
-        num_bc = d4 - d3
-        den_bc = (d4 - d3) + (d5 - d6)
-        w2 = np.where(den_bc != 0, num_bc / np.where(den_bc != 0, den_bc, 1.0), 0.0)
-        settle((va <= 0) & (num_bc >= 0) & (d5 - d6 >= 0), b + w2[:, None] * (c - b))
-        total = va + vb + vc
-        safe = np.where(total != 0, total, 1.0)
-        vi = vb / safe
-        wi = vc / safe
-        interior = a + vi[:, None] * ab + wi[:, None] * ac
-        interior[total == 0] = a[total == 0]  # degenerate sliver fallback
-    settle(np.ones(len(p), dtype=bool), interior)
+        r = np.flatnonzero(region == 2)
+        denom = d1[r] - d3[r]
+        v = np.where(denom != 0, d1[r] / np.where(denom != 0, denom, 1.0), 0.0)
+        settle(r, a[r] + v[:, None] * ab[r])
+        r = np.flatnonzero(region == 4)
+        denom = d2[r] - d6[r]
+        w = np.where(denom != 0, d2[r] / np.where(denom != 0, denom, 1.0), 0.0)
+        settle(r, a[r] + w[:, None] * ac[r])
+        r = np.flatnonzero(region == 5)
+        num = d4[r] - d3[r]
+        denom = (d4[r] - d3[r]) + (d5[r] - d6[r])
+        w = np.where(denom != 0, num / np.where(denom != 0, denom, 1.0), 0.0)
+        settle(r, b[r] + w[:, None] * (c[r] - b[r]))
+    # the face, except for degenerate slivers (total 0), whose closest
+    # point falls back to vertex a
+    r = np.flatnonzero(region == 6)
+    total = va[r] + vb[r] + vc[r]
+    r, total = r[total != 0], total[total != 0]
+    settle(r, a[r] + (vb[r] / total)[:, None] * ab[r] + (vc[r] / total)[:, None] * ac[r])
 
-    diff = p - closest
-    best = np.einsum("ij,ij->i", diff, diff)
     # zero-area triangles can mislead the region walk; vertex distances are
     # a free upper bound and leave non-degenerate results untouched
     for v in (a, b, c):
@@ -180,28 +196,54 @@ def _segment_segment_distance_sq(p1, q1, p2, q2) -> np.ndarray:
 
 _EDGES = ((0, 1), (1, 2), (2, 0))
 
+# the stacked kernel's segment rows as (p1, q1, p2, q2) indices into a
+# pair's six corners, a's then b's: the 9 (edge of a, edge of b) pairs in
+# the order of _EDGES x _EDGES, then the same 9 with the segments swapped
+_EDGE_A = np.repeat(_EDGES, 3, axis=0).T
+_EDGE_B = np.tile(_EDGES, (3, 1)).T + 3
+_SEGMENT_CORNERS = np.vstack([np.hstack([_EDGE_A, _EDGE_B]), np.hstack([_EDGE_B, _EDGE_A])])
+
+# triangle pairs per stacked kernel call: a pair makes 6 point-triangle and
+# 18 segment rows, and past a few hundred pairs the larger temporaries cost
+# more than the calls they save
+_STACK_PAIRS = 1 << 7
+
+
+def _stacked_distance_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`triangle_pair_distance_sq` of at most ``_STACK_PAIRS`` pairs,
+    each kind of candidate stacked into one kernel call."""
+    n = len(a)
+    pair = np.stack([a, b])
+    corners = pair.transpose(0, 2, 1, 3).reshape(6, n, 3)
+    # vertex-face rows: a's corners against b, then b's against a
+    faces = np.take(pair, [1, 1, 1, 0, 0, 0], axis=0)
+    vertex_face = point_triangle_distance_sq(corners.reshape(-1, 3), faces.reshape(-1, 3, 3))
+    p1, q1, p2, q2 = np.take(corners, _SEGMENT_CORNERS, axis=0).reshape(4, -1, 3)
+    edge_edge = _segment_segment_distance_sq(p1, q1, p2, q2)
+    return np.minimum(vertex_face.reshape(6, n).min(axis=0), edge_edge.reshape(18, n).min(axis=0))
+
 
 def triangle_pair_distance_sq(tri_a: np.ndarray, tri_b: np.ndarray) -> np.ndarray:
     """Row-wise squared distance between triangle pairs.
 
-    Exactly symmetric: the candidate set (6 vertex-face and 18 edge-edge
-    evaluations) is identical for both argument orders, so the float minimum
-    is too. For properly crossing pairs the value is a positive
-    overestimate; callers combine with :func:`proper_crossings`.
+    Exactly symmetric: the candidate set (6 vertex-face evaluations, and
+    each of the 9 edge-edge pairs in both argument orders) is identical for
+    both argument orders, so the float minimum is too. For properly
+    crossing pairs the value is a positive overestimate; callers combine
+    with :func:`proper_crossings`.
+
+    The candidates of up to ``_STACK_PAIRS`` pairs are stacked into one
+    :func:`point_triangle_distance_sq` call, 6 rows per pair, and one
+    segment call, 18 rows per pair, and the minimum is taken over the
+    stacked axis. Each row's arithmetic is that of its candidate alone, so
+    the result is the same to the bit however the pairs are stacked.
     """
     a = np.asarray(tri_a, dtype=np.float64)
     b = np.asarray(tri_b, dtype=np.float64)
-    best = np.full(len(a), np.inf)
-    for i in range(3):
-        best = np.minimum(best, point_triangle_distance_sq(a[:, i], b))
-        best = np.minimum(best, point_triangle_distance_sq(b[:, i], a))
-    for i0, i1 in _EDGES:
-        for j0, j1 in _EDGES:
-            pa, qa = a[:, i0], a[:, i1]
-            pb, qb = b[:, j0], b[:, j1]
-            best = np.minimum(best, _segment_segment_distance_sq(pa, qa, pb, qb))
-            best = np.minimum(best, _segment_segment_distance_sq(pb, qb, pa, qa))
-    return best
+    if len(a) <= _STACK_PAIRS:
+        return _stacked_distance_sq(a, b)
+    return np.concatenate([_stacked_distance_sq(a[s:s + _STACK_PAIRS], b[s:s + _STACK_PAIRS])
+                           for s in range(0, len(a), _STACK_PAIRS)])
 
 
 def _interval_on_line(signed: np.ndarray, proj: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -473,11 +515,16 @@ def within_distance(mesh_a: TriangleMesh, mesh_b: TriangleMesh, epsilon: float) 
 
     Parts whose whole boxes are more than ``epsilon`` apart cannot touch or
     penetrate. Otherwise the triangle pairs whose boxes come within
-    ``epsilon`` run through :func:`triangle_pair_distance_sq` in batches that
-    start small and grow, stopping at the first pair within ``epsilon``;
-    failing that, the answer is :func:`intersects`, which covers nested
-    solids. Boxes are padded by :func:`_padded`, so no pair whose computed
-    distance is within ``epsilon`` is skipped.
+    ``epsilon`` run through :func:`triangle_pair_distance_sq` in batches of
+    ``_FIRST_CONTACT_ROWS`` (64) pairs, doubling up to ``_LAST_BATCH_ROWS``,
+    stopping at the first pair within ``epsilon``; a touching pair usually
+    stops in its first batch. A pair with no candidate within ``epsilon``
+    runs a few more, smaller batches than from a 4,096-pair start, but the
+    kernel stacks at most ``_STACK_PAIRS`` pairs per call either way, so
+    its kernel calls barely grow. Failing that, the answer is
+    :func:`intersects`, which covers nested solids. Boxes are padded by
+    :func:`_padded`, so no pair whose computed distance is within
+    ``epsilon`` is skipped.
     """
     lo_a, hi_a = mesh_a.aabb
     lo_b, hi_b = mesh_b.aabb
@@ -486,7 +533,7 @@ def within_distance(mesh_a: TriangleMesh, mesh_b: TriangleMesh, epsilon: float) 
         return False
     ca, cb = mesh_a.corners, mesh_b.corners
     pairs = broad.box_pairs(*mesh_a.triangle_bounds, *mesh_b.triangle_bounds, reach)
-    for ia, ib in broad.batches(pairs, _FIRST_BATCH_ROWS, _LAST_BATCH_ROWS):
+    for ia, ib in broad.batches(pairs, _FIRST_CONTACT_ROWS, _LAST_BATCH_ROWS):
         if (np.sqrt(triangle_pair_distance_sq(ca[ia], cb[ib])) <= epsilon).any():
             return True
     return intersects(mesh_a, mesh_b)

@@ -16,19 +16,34 @@ from . import broad
 from .mesh import PerMesh, TriangleMesh
 
 
-def closed_surface(mesh: TriangleMesh) -> bool:
-    """True iff every directed edge of ``mesh`` occurs exactly once and its
-    reverse exactly once, so that its winding number is an integer off the
-    surface."""
+def _count_unbalanced_edges(mesh: TriangleMesh) -> int:
+    """How many directed edges of ``mesh`` their reverses leave unbalanced:
+    the size of the multiset difference between the sorted edge keys and
+    the sorted keys of their reverses, which is ``|#(u, v) - #(v, u)|``
+    summed over each pair of vertices {u, v}. It is 0 iff the triangles
+    form a closed 2-cycle, such as a closed, consistently wound surface or
+    a union of them welded along shared edges or faces."""
     t = mesh.triangles
     n = len(mesh.vertices)
     tail, head = t.ravel(), np.roll(t, -1, axis=1).ravel()
-    edges = np.sort(tail * n + head)
-    return bool((edges[1:] != edges[:-1]).all()
-                and np.array_equal(edges, np.sort(head * n + tail)))
+    forward, reverse = np.sort(tail * n + head), np.sort(head * n + tail)
+    if np.array_equal(forward, reverse):
+        return 0
+    key, count = np.unique(forward, return_counts=True)
+    count -= np.searchsorted(reverse, key, "right") - np.searchsorted(reverse, key, "left")
+    return int(np.maximum(count, 0).sum())
 
 
-_closed = PerMesh(closed_surface)
+# the count of each mesh, computed once: descriptors refuse a part whose
+# count is not 0, and ray containment reads it again per target
+unbalanced_edges = PerMesh(_count_unbalanced_edges)
+
+
+def closed_surface(mesh: TriangleMesh) -> bool:
+    """True iff every directed edge of ``mesh`` occurs as often as its
+    reverse (:data:`unbalanced_edges` is 0), so that its winding number is
+    an integer off the surface."""
+    return unbalanced_edges(mesh) == 0
 
 
 def _crossings(tri: np.ndarray, q: np.ndarray, pc: np.ndarray, axis: int,
@@ -79,15 +94,25 @@ def ray_containment(target: TriangleMesh, probes: np.ndarray, axis: int,
     along ``axis``, and the triangles' boxes padded by ``tol``.
     Three 2-D edge functions E say whether the probe's line passes through
     a candidate; as barycentric weights they also give the ``axis``
-    coordinate z* where it does, and its sign s = sign(n[axis]). For a
-    closed, consistently wound target the winding number at coordinate c
-    is the signed count of crossings of the ray towards +``axis``,
+    coordinate z* where it does, and its sign s = sign(n[axis]).
+
+    When every directed edge of the target occurs as often as its reverse
+    (:func:`closed_surface`), the edges of its triangles cancel, so the
+    triangles form a closed 2-cycle: a closed, consistently wound surface,
+    or a union of such surfaces welded along shared edges or faces, where
+    coincident faces of opposite orientation may remain. The winding
+    number of a closed 2-cycle is an integer off its surface. Along the
+    probe's line, which passes through no projected edge or corner, it is
+    constant between crossings, 0 beyond the target's box, and drops by s
+    where c rises past a crossing's z*. So at coordinate c it is the
+    signed count of crossings of the ray towards +``axis``,
     ``sum(s for z* > c)``: the integer that ``winding_fraction``
     approximates, so ``>= 1`` is its ``> INSIDE_WINDING``.
 
     A row is left undecided when
 
-    * the target is not closed (:func:`closed_surface`, once per mesh);
+    * the target is not a closed 2-cycle (:func:`closed_surface`, once per
+      mesh);
     * its probe lies within ``tol`` of the line of a candidate's projected
       edge, ``|E| <= tol * |edge|``; a triangle parallel to the axis
       projects to a segment, so a probe line within ``tol`` of one lands
@@ -128,7 +153,7 @@ def ray_containment(target: TriangleMesh, probes: np.ndarray, axis: int,
     n_rows = len(coords)
     inside = np.zeros(n_rows, dtype=bool)
     undecided = np.ones(n_rows, dtype=bool)
-    if n_rows == 0 or not _closed(target):
+    if n_rows == 0 or not closed_surface(target):
         return inside, undecided
     lo, hi = target.aabb
     tol = 1e-9 * (1.0 + float(np.abs(np.concatenate([lo, hi])).max()))

@@ -19,6 +19,7 @@ from softjig.planner import (
 )
 from softjig.queries import (
     INSIDE_WINDING,
+    _segment_segment_distance_sq,
     intersects,
     proper_crossings,
     surface_probe_points,
@@ -158,6 +159,87 @@ def merge_walk_plan(assembly: AssemblyModel, sequence, params=None) -> FixingPla
         steps.append(FixingStep(i, bottom_part(model_parts, orientation), label, orientation,
                                 cog_height(model_parts, orientation), reachable))
     return FixingPlan(tuple(steps), True, None)
+
+
+def naive_point_triangle_distance_sq(points, triangles) -> np.ndarray:
+    """Reference for ``queries.point_triangle_distance_sq``: Ericson's
+    region walk, computing every region's closest point for every row and
+    settling each row on the first region that holds."""
+    p = np.asarray(points, dtype=np.float64)
+    tri = np.asarray(triangles, dtype=np.float64)
+    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+
+    ab = b - a
+    ac = c - a
+    ap = p - a
+    d1 = np.einsum("ij,ij->i", ab, ap)
+    d2 = np.einsum("ij,ij->i", ac, ap)
+    bp = p - b
+    d3 = np.einsum("ij,ij->i", ab, bp)
+    d4 = np.einsum("ij,ij->i", ac, bp)
+    cp = p - c
+    d5 = np.einsum("ij,ij->i", ab, cp)
+    d6 = np.einsum("ij,ij->i", ac, cp)
+
+    vc = d1 * d4 - d3 * d2
+    vb = d5 * d2 - d1 * d6
+    va = d3 * d6 - d5 * d4
+
+    closest = np.empty_like(p)
+    done = np.zeros(len(p), dtype=bool)
+
+    def settle(mask, value):
+        use = mask & ~done
+        closest[use] = value[use] if value.shape == closest.shape else value
+        done[use] = True
+
+    settle((d1 <= 0) & (d2 <= 0), a)
+    settle((d3 >= 0) & (d4 <= d3), b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom_ab = d1 - d3
+        v = np.where(denom_ab != 0, d1 / np.where(denom_ab != 0, denom_ab, 1.0), 0.0)
+        settle((vc <= 0) & (d1 >= 0) & (d3 <= 0), a + v[:, None] * ab)
+    settle((d6 >= 0) & (d5 <= d6), c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom_ac = d2 - d6
+        w = np.where(denom_ac != 0, d2 / np.where(denom_ac != 0, denom_ac, 1.0), 0.0)
+        settle((vb <= 0) & (d2 >= 0) & (d6 <= 0), a + w[:, None] * ac)
+        num_bc = d4 - d3
+        den_bc = (d4 - d3) + (d5 - d6)
+        w2 = np.where(den_bc != 0, num_bc / np.where(den_bc != 0, den_bc, 1.0), 0.0)
+        settle((va <= 0) & (num_bc >= 0) & (d5 - d6 >= 0), b + w2[:, None] * (c - b))
+        total = va + vb + vc
+        safe = np.where(total != 0, total, 1.0)
+        interior = a + (vb / safe)[:, None] * ab + (vc / safe)[:, None] * ac
+        interior[total == 0] = a[total == 0]
+    settle(np.ones(len(p), dtype=bool), interior)
+
+    diff = p - closest
+    best = np.einsum("ij,ij->i", diff, diff)
+    for v in (a, b, c):
+        dv = p - v
+        best = np.minimum(best, np.einsum("ij,ij->i", dv, dv))
+    return best
+
+
+def naive_triangle_pair_distance_sq(tri_a, tri_b) -> np.ndarray:
+    """Reference for ``queries.triangle_pair_distance_sq``: one kernel call
+    per candidate, 6 vertex-face and 18 edge-edge (each of the 9 edge pairs
+    in both argument orders), folded into a running minimum."""
+    a = np.asarray(tri_a, dtype=np.float64)
+    b = np.asarray(tri_b, dtype=np.float64)
+    edges = ((0, 1), (1, 2), (2, 0))
+    best = np.full(len(a), np.inf)
+    for i in range(3):
+        best = np.minimum(best, naive_point_triangle_distance_sq(a[:, i], b))
+        best = np.minimum(best, naive_point_triangle_distance_sq(b[:, i], a))
+    for i0, i1 in edges:
+        for j0, j1 in edges:
+            pa, qa = a[:, i0], a[:, i1]
+            pb, qb = b[:, j0], b[:, j1]
+            best = np.minimum(best, _segment_segment_distance_sq(pa, qa, pb, qb))
+            best = np.minimum(best, _segment_segment_distance_sq(pb, qb, pa, qa))
+    return best
 
 
 def min_distance_brute_force(mesh_a, mesh_b) -> float:

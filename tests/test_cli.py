@@ -12,7 +12,7 @@ from softjig import relations
 from softjig.cli import _build_parser, main
 from softjig.descriptors import load_descriptor
 from softjig.fixtures import box_mesh, proxy_assembly
-from softjig.mesh import save_stl_binary
+from softjig.mesh import TriangleMesh, load_mesh, save_stl_binary
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -140,6 +140,27 @@ def test_plan_non_finite_translation_exits_1_naming_the_part(fixture_dir, tmp_pa
     assert not out.exists()
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "(plate)" in err and "non-finite" in err
+
+
+def test_plan_open_mesh_exits_1_naming_the_part(fixture_dir, tmp_path, capsys):
+    """``plate.stl`` with 2 of its 120 triangles removed is refused at load:
+    exit 1, one stderr line naming the part and its 4 unbalanced edges."""
+    doc = json.loads((fixture_dir / "assembly.json").read_text())
+    for part in doc["parts"]:
+        part["mesh_path"] = str(fixture_dir / part["mesh_path"])
+    plate = load_mesh(fixture_dir / "plate.stl")
+    assert len(plate.triangles) == 120
+    save_stl_binary(TriangleMesh(plate.vertices, plate.triangles[2:]), tmp_path / "plate.stl")
+    doc["parts"][1]["mesh_path"] = str(tmp_path / "plate.stl")
+    descriptor = tmp_path / "assembly.json"
+    descriptor.write_text(json.dumps(doc))
+    out = tmp_path / "plan.json"
+    code = main(["plan", str(descriptor), "--sequence", "motor,plate,bolts", "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "(plate)" in err and "not closed" in err
+    assert "4 directed edges" in err
 
 
 def test_matrices_infinite_max_distance_flag_exits_1(tmp_path, capsys):

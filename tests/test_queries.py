@@ -1,11 +1,20 @@
 import itertools
+import tempfile
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_box_pairs, min_distance_brute_force, naive_penetrates_along
+from conftest import (
+    dense_box_pairs,
+    min_distance_brute_force,
+    naive_penetrates_along,
+    naive_point_triangle_distance_sq,
+    naive_triangle_pair_distance_sq,
+)
 
 from softjig import (
     AssemblyModel,
@@ -19,7 +28,8 @@ from softjig import (
     straddle,
 )
 from softjig.fixtures import box_mesh, compound_mesh, generate_proxy_fixture, revolve_mesh
-from softjig.mesh import TriangleMesh
+from softjig.cli import main
+from softjig.mesh import TriangleMesh, load_mesh, save_stl_binary
 from softjig.queries import (
     TOUCH_TOLERANCE_MM,
     intersects,
@@ -199,6 +209,95 @@ def test_triangle_pair_distance_symmetry(seed):
     a = rng.uniform(-3, 3, (4, 3, 3))
     b = rng.uniform(-3, 3, (4, 3, 3))
     assert np.array_equal(triangle_pair_distance_sq(a, b), triangle_pair_distance_sq(b, a))
+
+
+def touching_copies(tri, rng) -> np.ndarray:
+    """Triangles touching ``tri`` row by row: one corner on a point of its
+    face or edge, the others on its plane or pushed off it."""
+    out = rng.uniform(-2, 2, tri.shape) + tri.mean(axis=1, keepdims=True)
+    weights = rng.dirichlet(np.ones(3), len(tri))
+    weights[rng.random(len(tri)) < 0.3, 2] = 0.0
+    out[:, 0] = np.einsum("pk,pkj->pj", weights / weights.sum(axis=1, keepdims=True), tri)
+    normal = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    out[:, 1:] += rng.choice([0.0, 1.0], (len(tri), 2, 1)) * normal[:, None]
+    return out
+
+
+def degenerate(tri, rng) -> np.ndarray:
+    """``tri`` with some rows collapsed: a repeated corner, three collinear
+    corners, a sliver a few ulps off a line, or a single point."""
+    tri = tri.copy()
+    kind = rng.integers(0, 5, len(tri))
+    t = rng.uniform(-1, 2, len(tri))[:, None]
+    tri[kind == 0, 2] = tri[kind == 0, 1]
+    line = tri[:, 0] + t * (tri[:, 1] - tri[:, 0])
+    tri[kind == 1, 2] = line[kind == 1]
+    tri[kind == 2, 2] = line[kind == 2] + 4 * np.spacing(line[kind == 2])
+    tri[kind == 3] = tri[kind == 3, :1]
+    return tri
+
+
+@st.composite
+def triangle_pair_stacks(draw):
+    """Stacks of triangle pairs of a drawn kind and size, sizes around the
+    first contact batch and the kernel's stacking chunk."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = queries._STACK_PAIRS
+    n = draw(st.sampled_from([1, 2, 63, 64, 65, stack - 1, stack, stack + 1, 2 * stack + 3]))
+    kind = draw(st.sampled_from(["random", "grid", "degenerate", "shared", "touching",
+                                 "coincident"]))
+    if kind == "grid":
+        a, b = rng.integers(-2, 3, (2, n, 3, 3)).astype(float)
+    else:
+        a, b = rng.normal(size=(2, n, 3, 3)) * rng.uniform(0.01, 10)
+    if kind == "degenerate":
+        a, b = degenerate(a, rng), degenerate(b, rng)
+    elif kind == "shared":
+        # one shared corner, or two (a shared edge), at random places in b
+        for row in range(n):
+            k = int(rng.integers(1, 3))
+            b[row, rng.permutation(3)[:k]] = a[row, rng.permutation(3)[:k]]
+    elif kind == "touching":
+        b = touching_copies(a, rng)
+    elif kind == "coincident":
+        b = a[:, rng.permutation(3)]
+    if draw(st.booleans()):
+        a, b = a + 1e6, b + 1e6
+    return a, b
+
+
+@given(pair=triangle_pair_stacks())
+@settings(max_examples=120, deadline=None)
+def test_stacked_distance_kernel_matches_per_candidate_calls(pair):
+    """Bit for bit, in both argument orders: the stacked kernel against
+    ``naive_triangle_pair_distance_sq``, one call per candidate, and the
+    point-triangle kernel against the region walk that settles every row."""
+    a, b = pair
+    expected = naive_triangle_pair_distance_sq(a, b).view(np.int64)
+    assert np.array_equal(triangle_pair_distance_sq(a, b).view(np.int64), expected)
+    assert np.array_equal(triangle_pair_distance_sq(b, a).view(np.int64), expected)
+    for p, tri in ((a[:, 0], b), (b[:, 2], a)):
+        assert np.array_equal(point_triangle_distance_sq(p, tri).view(np.int64),
+                              naive_point_triangle_distance_sq(p, tri).view(np.int64))
+
+
+def test_touching_cylinders_decide_contact_in_one_small_batch(monkeypatch):
+    """Counter, no timing: two closed 1,024-triangle cylinders stacked face
+    to face are in contact after one kernel call over at most 64 candidate
+    pairs, the first contact batch."""
+    lower = revolve_mesh([(0, 0), (20, 0), (20, 30), (0, 30)], 256)
+    upper = revolve_mesh([(0, 30), (17, 30), (17, 62), (0, 62)], 256)
+    assert len(lower.triangles) == len(upper.triangles) == 1024
+    rows = []
+    original = queries.triangle_pair_distance_sq
+
+    def recorded(tri_a, tri_b):
+        rows.append(len(tri_a))
+        return original(tri_a, tri_b)
+
+    monkeypatch.setattr(queries, "triangle_pair_distance_sq", recorded)
+    assert within_distance(lower, upper, 0.01)
+    assert len(rows) == 1 and rows[0] <= 64
 
 
 @given(seed=st.integers(0, 10_000))
@@ -538,8 +637,10 @@ def test_probe_points_computed_once_per_mesh(monkeypatch):
 def ray_target(kind: str, rng) -> TriangleMesh:
     """A closed target: an axis-aligned or rotated box, a solid of
     revolution (faces parallel to one axis), two overlapping boxes in one
-    mesh (winding number 2 where they overlap) or an inward-wound copy of
-    one of those; or an "open" one, with two triangles removed."""
+    mesh (winding number 2 where they overlap), a welded union of boxes
+    sharing a face and an edge (directed edges that occur twice, each as
+    often as its reverse) or an inward-wound copy of one of those; or an
+    "open" one, with two triangles removed."""
     if kind == "box":
         lo = rng.integers(-8, 0, 3)
         mesh = box_mesh(lo, lo + rng.integers(1, 9, 3))
@@ -553,11 +654,36 @@ def ray_target(kind: str, rng) -> TriangleMesh:
     if kind == "overlap":
         lo = rng.integers(-6, 0, (2, 3))
         return compound_mesh(*(box_mesh(l, l + rng.integers(3, 7, 3)) for l in lo))
-    mesh = ray_target(str(rng.choice(["box", "revolve", "overlap"])), rng)
+    if kind == "welded":
+        # a box, one sharing its whole face and one sharing only its edge,
+        # welded by an STL round trip
+        lo, size = rng.integers(-6, 0, 3), rng.integers(1, 5, 3)
+        ax = int(rng.integers(3))
+        face, edge = np.zeros(3, dtype=int), np.zeros(3, dtype=int)
+        face[ax] = edge[ax] = size[ax]
+        edge[(ax + 1) % 3] = size[(ax + 1) % 3]
+        mesh = compound_mesh(*(box_mesh(lo + s, lo + s + size) for s in (0 * face, face, -edge)))
+        with tempfile.TemporaryDirectory() as tmp:
+            save_stl_binary(mesh, Path(tmp) / "welded.stl")
+            mesh = load_mesh(Path(tmp) / "welded.stl")
+        return mesh if rng.random() < 0.5 else mesh.rotated(random_rotation(rng))
     if kind == "inward":
+        mesh = ray_target(str(rng.choice(["box", "revolve", "overlap", "welded"])), rng)
         return TriangleMesh(mesh.vertices, mesh.triangles[:, ::-1])
+    # not welded: taking out its two coincident faces of opposite
+    # orientation would leave it closed
+    mesh = ray_target(str(rng.choice(["box", "revolve", "overlap"])), rng)
     drop = rng.choice(len(mesh.triangles), 2, replace=False)
     return TriangleMesh(mesh.vertices, np.delete(mesh.triangles, drop, axis=0))
+
+
+def naive_unbalanced_edges(mesh: TriangleMesh) -> int:
+    """``|#(u, v) - #(v, u)|`` summed over each pair of vertices {u, v},
+    counted edge by edge."""
+    directed = Counter((int(u), int(v)) for tri in mesh.triangles
+                       for u, v in zip(tri, np.roll(tri, -1)))
+    pairs = {(min(u, v), max(u, v)) for u, v in directed}
+    return sum(abs(directed[u, v] - directed[v, u]) for u, v in pairs)
 
 
 def nudged(x: np.ndarray, rng) -> np.ndarray:
@@ -569,7 +695,7 @@ def nudged(x: np.ndarray, rng) -> np.ndarray:
 
 
 @given(seed=st.integers(0, 2**32 - 1),
-       kind=st.sampled_from(["box", "revolve", "overlap", "inward", "open"]),
+       kind=st.sampled_from(["box", "revolve", "overlap", "welded", "inward", "open"]),
        axis=st.integers(0, 2))
 @settings(max_examples=150, deadline=None)
 def test_ray_containment_matches_winding_number(seed, kind, axis):
@@ -602,6 +728,8 @@ def test_ray_containment_matches_winding_number(seed, kind, axis):
     pi, points = pi[keep], points[keep]
 
     inside, undecided = ray_containment(target, probes, axis, pi, points[:, axis], 1 << 10)
+    assert rays.unbalanced_edges(target) == naive_unbalanced_edges(target)
+    assert rays.closed_surface(target) == (kind != "open")
     if kind == "open":
         assert undecided.all()
     decided = ~undecided
@@ -664,9 +792,23 @@ def test_rays_decide_most_proxy_containment_rows(monkeypatch):
     plan = configure_fixing_parts(proxy_assembly(), sequence).to_json_dict()
     assert sum(rows.values()) <= 4359 // 20
     rows.clear()
-    monkeypatch.setattr(rays, "_closed", lambda mesh: False)
+    monkeypatch.setattr(rays, "closed_surface", lambda mesh: False)
     assert configure_fixing_parts(proxy_assembly(), sequence).to_json_dict() == plan
     assert sum(rows.values()) == 4359
+
+
+def test_rays_decide_every_cli_proxy_containment_row(monkeypatch, tmp_path):
+    """Counter: a proxy plan from the STL files that ``softjig fixtures``
+    writes, whose welded plate repeats directed edges, sends no row to the
+    winding number."""
+    rows = count_winding_rows(monkeypatch)
+    assert main(["fixtures", "--out-dir", str(tmp_path)]) == 0
+    plate = load_mesh(tmp_path / "plate.stl")
+    tail, head = plate.triangles.ravel(), np.roll(plate.triangles, -1, axis=1).ravel()
+    assert len(np.unique(tail * len(plate.vertices) + head)) < len(tail)
+    assert main(["plan", str(tmp_path / "assembly.json"), "--sequence", "motor,plate,bolts",
+                 "--out", str(tmp_path / "plan.json")]) == 0
+    assert sum(rows.values()) == 0
 
 
 def test_open_target_sends_every_row_to_winding(monkeypatch):
@@ -682,7 +824,7 @@ def test_open_target_sends_every_row_to_winding(monkeypatch):
     free = compute_all_interference_free(assembly)
     by_ray = dict(rows)
     rows.clear()
-    monkeypatch.setattr(rays, "_closed", lambda mesh: False)
+    monkeypatch.setattr(rays, "closed_surface", lambda mesh: False)
     by_winding = compute_all_interference_free(assembly)
     assert by_ray[plate] == rows[plate] > 0
     assert sum(by_ray.values()) < sum(rows.values())

@@ -9,6 +9,7 @@ from conftest import (
     ROT_Z_QUARTER,
     dense_box_pairs,
     direction_of,
+    min_distance_brute_force,
     naive_penetrates_along,
     naive_sweep_is_free,
     oracle_interference_free,
@@ -340,6 +341,28 @@ def test_touching_boxes_cull_only_free_sweeps(pair):
             continue
         assert sweep_translation_is_free(static, moving, d, max_distance, 16), d.value
         assert not naive_penetrates_along(static, moving, d.axis, d.sign * offsets), d.value
+
+
+@given(pair=touching_pairs(), gap=st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+@settings(max_examples=40, deadline=None)
+def test_contact_matrix_matches_brute_force_distance(pair, gap):
+    """The contact matrix, decided by early-exit batches of the stacked
+    distance kernel, against ``min_distance_brute_force`` over every
+    triangle pair: touching pairs, and the same pairs moved apart by
+    ``gap`` times the contact tolerance along the axis of their box
+    centres' largest offset."""
+    static, moving = pair
+    epsilon = AssemblyModel((PartModel("s", static, 1.0),
+                             PartModel("m", moving, 1.0))).contact_epsilon
+    centres = [0.5 * (m.aabb[0] + m.aabb[1]) for m in pair]
+    ax = int(np.argmax(np.abs(centres[1] - centres[0])))
+    shift = np.zeros(3)
+    shift[ax] = gap * epsilon * np.sign(centres[1][ax] - centres[0][ax])
+    moving = moving.translated(shift)
+    assembly = AssemblyModel((PartModel("s", static, 1.0), PartModel("m", moving, 1.0)),
+                             contact_epsilon=epsilon)
+    expected = min_distance_brute_force(static, moving) <= epsilon
+    assert compute_contact_matrix(assembly)[0, 1] == expected
 
 
 def test_blocked_sweep_stops_generating_candidates(monkeypatch):
