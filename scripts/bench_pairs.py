@@ -6,9 +6,10 @@ Run from anywhere inside a checkout::
     python3 scripts/bench_pairs.py --parent HEAD~1 --label my_change \\
         --seeds 11-21 --claim dense_pair:op_s.p50
 
-The change side is this checkout's working tree. The parent side is a
-``git worktree`` of ``--parent`` in a temporary directory, removed at the
-end. Each seed is one pair per workload: both sides run
+The change side is this checkout's working tree. The parent side is the
+committed tree of ``--parent``, exported with ``git archive`` into a
+temporary directory and removed at the end; the repository itself is not
+touched. Each seed is one pair per workload: both sides run
 ``perfbench/run.py --trace 0`` with that seed and ``BENCHMARK.json``'s
 ``run_seconds``, one process at a time, and the side that runs first flips
 every pair. The result is ``BENCH_<label>.json`` at the root of the
@@ -25,10 +26,13 @@ by more than the parent's quartile spread.
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -53,6 +57,16 @@ def parse_seeds(text: str) -> list[int]:
 def git(*args: str, cwd: Path = ROOT) -> str:
     return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def export(rev: str) -> Path:
+    """The committed files of ``rev`` in a new temporary directory."""
+    directory = Path(tempfile.mkdtemp(prefix="bench-parent-"))
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(directory)
+    return directory
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -145,15 +159,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     parent_rev = git("rev-parse", "--short", args.parent)
-    worktree = Path(tempfile.mkdtemp(prefix="bench-parent-"))
-    git("worktree", "add", "--detach", str(worktree), parent_rev)
+    parent = export(parent_rev)
     try:
-        checkouts = {"parent": worktree, "change": ROOT}
+        checkouts = {"parent": parent, "change": ROOT}
         workloads, host = {}, {}
         for workload in args.workload or [w["name"] for w in BENCHMARK["workloads"]]:
             workloads[workload], host = bench_workload(workload, args.seeds, checkouts)
     finally:
-        git("worktree", "remove", "--force", str(worktree))
+        shutil.rmtree(parent, ignore_errors=True)
     bench = {
         "label": args.label,
         "change": "",

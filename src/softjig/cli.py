@@ -49,8 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="contact tolerance override in mm")
         p.add_argument("--steps", type=int, default=None,
                        help="sweep step count override (>= 16)")
-        p.add_argument("--max-distance-mm", type=float, default=None,
-                       help="sweep distance override in mm")
 
     p_plan = sub.add_parser("plan", help="plan fixed parts and postures for an assembly order")
     add_assembly_source(p_plan)
@@ -89,16 +87,8 @@ def _load_assembly(args) -> tuple[AssemblyModel, SweepParams]:
         assembly, params = load_descriptor(args.descriptor)
     if args.epsilon_mm is not None:
         assembly = AssemblyModel(assembly.parts, contact_epsilon=args.epsilon_mm)
-    overrides = {}
     if args.steps is not None:
-        overrides["step_count"] = args.steps
-    if args.max_distance_mm is not None:
-        overrides["max_distance"] = args.max_distance_mm
-    if overrides:
-        params = SweepParams(
-            max_distance=overrides.get("max_distance", params.max_distance),
-            step_count=overrides.get("step_count", params.step_count),
-        )
+        params = SweepParams(step_count=args.steps)
     return assembly, params
 
 
@@ -195,7 +185,7 @@ def main(argv=None) -> int:
     try:
         return _HANDLERS[args.command](args)
     except (_CliError, DescriptorError, MeshError, PartError, PlannerError, RelationError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(f"softjig: {exc}", file=sys.stderr)
         return _INPUT_ERROR
 

@@ -2,7 +2,7 @@
 
 A descriptor lists each part's mesh file, mass, and rigid pose that places
 the mesh in assembled-frame coordinates, plus optional contact tolerance
-and sweep settings::
+and the sweep step count::
 
     {
       "parts": [
@@ -11,20 +11,23 @@ and sweep settings::
          "group": null}
       ],
       "contact_epsilon_mm": null,
-      "sweep": {"max_distance_mm": null, "step_count": 64}
+      "sweep": {"step_count": 64}
     }
 
-Mesh paths are resolved relative to the descriptor's directory.
+Mesh paths are resolved relative to the descriptor's directory. A number
+in ``sweep.max_distance_mm`` is refused: every sweep runs twice the
+assembly diagonal. Posed parts may not interpenetrate.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
-from . import rays
 from .mesh import MeshError, load_mesh
 from .parts import AssemblyModel, PartError, PartModel, RigidOrientation
+from .queries import intersects
 from .relations import RelationError, SweepParams
 
 
@@ -47,20 +50,20 @@ def _setting(path: Path, name: str, value, convert):
     """``convert(value)``, or a :class:`DescriptorError` naming the field."""
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DescriptorError(f"{path}: {name}: {exc}") from None
 
 
 def load_descriptor(path) -> tuple[AssemblyModel, SweepParams]:
     """Parse a descriptor and load its meshes into an assembly. A part
-    whose posed mesh is not a closed 2-cycle (:func:`softjig.rays.closed_surface`)
-    is refused, naming the part and its count of unbalanced directed edges."""
+    whose posed mesh is open is refused by :class:`PartModel`, and a pair of
+    parts that interpenetrate (:func:`softjig.queries.intersects`) by name."""
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise DescriptorError(f"descriptor not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise DescriptorError(f"cannot read descriptor {path}: {exc.strerror or exc}") from None
+    except (ValueError, RecursionError) as exc:   # UnicodeDecodeError is a ValueError
         raise DescriptorError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DescriptorError(f"{path}: descriptor must be a JSON object")
@@ -79,18 +82,18 @@ def load_descriptor(path) -> tuple[AssemblyModel, SweepParams]:
             mass = float(entry["mass_g"])
         except KeyError as exc:
             raise DescriptorError(f"{path}: parts[{i}] missing field {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DescriptorError(f"{path}: parts[{i}]: {exc}") from exc
         try:
             mesh = load_mesh(mesh_path)
-        except (MeshError, FileNotFoundError) as exc:
+        except (MeshError, OSError) as exc:
             raise DescriptorError(f"{path}: parts[{i}] ({part_id}): {exc}") from exc
         pose = entry.get("pose")
         if pose is not None:
             try:
                 rotation = RigidOrientation(pose["rotation"])
                 translation = [float(v) for v in pose["translation_mm"]]
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise DescriptorError(f"{path}: parts[{i}]: bad pose: {exc}") from exc
             if len(translation) != 3:
                 raise DescriptorError(f"{path}: parts[{i}]: translation must have 3 entries")
@@ -98,11 +101,6 @@ def load_descriptor(path) -> tuple[AssemblyModel, SweepParams]:
                 mesh = mesh.transformed(rotation.rotation, translation)
             except MeshError as exc:
                 raise DescriptorError(f"{path}: parts[{i}] ({part_id}): {exc}") from exc
-        # a per-mesh count that ray containment reads again later
-        unbalanced = rays.unbalanced_edges(mesh)
-        if unbalanced:
-            raise DescriptorError(f"{path}: parts[{i}] ({part_id}): mesh is not closed: "
-                                  f"{unbalanced} directed edges do not match their reverses")
         group = entry.get("group")
         try:
             parts.append(PartModel(part_id, mesh, mass, group=None if group is None else str(group)))
@@ -112,16 +110,21 @@ def load_descriptor(path) -> tuple[AssemblyModel, SweepParams]:
     sweep_cfg = data.get("sweep") or {}
     if not isinstance(sweep_cfg, dict):
         raise DescriptorError(f"{path}: 'sweep' must be an object")
+    if sweep_cfg.get("max_distance_mm") is not None:
+        raise DescriptorError(f"{path}: sweep.max_distance_mm: must be null; the sweep "
+                              f"distance is twice the assembly diagonal")
     epsilon = _setting(path, "contact_epsilon_mm", data.get("contact_epsilon_mm"), _optional_float)
-    max_distance = _setting(path, "sweep.max_distance_mm", sweep_cfg.get("max_distance_mm"),
-                            _optional_float)
     step_count = _setting(path, "sweep.step_count",
                           sweep_cfg.get("step_count", SweepParams.step_count), _integer)
     try:
         assembly = AssemblyModel(tuple(parts), contact_epsilon=epsilon)
-        params = SweepParams(max_distance=max_distance, step_count=step_count)
+        params = SweepParams(step_count=step_count)
     except (PartError, RelationError) as exc:
         raise DescriptorError(f"{path}: {exc}") from exc
+    for a, b in itertools.combinations(assembly.parts, 2):
+        if intersects(a.mesh, b.mesh):
+            raise DescriptorError(f"{path}: parts {a.id!r} and {b.id!r} interpenetrate in "
+                                  f"the assembled pose")
     return assembly, params
 
 

@@ -27,7 +27,7 @@ class MeshParseError(MeshError):
 
 
 class DegenerateMeshError(MeshError):
-    """Too few vertices/triangles, bad indices, or non-finite coordinates."""
+    """Too few vertices/triangles, bad indices, non-finite coordinates, or an open solid."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,8 +38,8 @@ class TriangleMesh:
     The corners, the per-triangle boxes and the whole-mesh box are computed
     once here; every array is read-only.
     Construction validates shape, index range, and finiteness; it does not
-    weld or reorient (see :func:`weld_vertices` and
-    :func:`orient_outward`).
+    weld, reorient or require a closed surface (see :func:`weld_vertices`,
+    :func:`orient_outward` and :data:`unbalanced_edges`).
     """
 
     vertices: np.ndarray
@@ -142,6 +142,27 @@ class PerMesh:
                 value = self._compute(mesh)
                 self._values[mesh] = value
         return value
+
+
+def _count_unbalanced_edges(mesh: TriangleMesh) -> int:
+    """``|#(u, v) - #(v, u)|`` summed over each pair of vertices {u, v}:
+    the size of the multiset difference between the sorted directed-edge
+    keys and the sorted keys of their reverses. It is 0 iff the triangles
+    form a closed 2-cycle, such as a closed, consistently wound surface or
+    a union of them welded along shared edges or faces."""
+    t = mesh.triangles
+    n = len(mesh.vertices)
+    tail, head = t.ravel(), np.roll(t, -1, axis=1).ravel()
+    forward, reverse = np.sort(tail * n + head), np.sort(head * n + tail)
+    if np.array_equal(forward, reverse):
+        return 0
+    key, count = np.unique(forward, return_counts=True)
+    count -= np.searchsorted(reverse, key, "right") - np.searchsorted(reverse, key, "left")
+    return int(np.maximum(count, 0).sum())
+
+
+# per mesh, computed once: parts and the penetration kernel require 0
+unbalanced_edges = PerMesh(_count_unbalanced_edges)
 
 
 def weld_vertices(vertices: np.ndarray, triangles: np.ndarray,
@@ -262,16 +283,14 @@ def load_mesh(path, fmt: str = "auto") -> TriangleMesh:
         raise FileNotFoundError(path)
     if fmt == "auto":
         fmt = _sniff_format(path)
-    if fmt == "stl-ascii":
-        try:
-            text = path.read_text(encoding="utf-8", errors="strict")
-        except UnicodeDecodeError as exc:
-            raise MeshParseError(f"{path}: not valid ASCII STL") from exc
-        vertices, triangles = _parse_stl_ascii(text)
-    elif fmt == "stl-binary":
+    if fmt == "stl-binary":
         vertices, triangles = _parse_stl_binary(path.read_bytes())
-    elif fmt == "obj":
-        vertices, triangles = _parse_obj(path.read_text(encoding="utf-8"))
+    elif fmt in ("stl-ascii", "obj"):
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise MeshParseError(f"{path}: not UTF-8 text") from exc
+        vertices, triangles = (_parse_stl_ascii if fmt == "stl-ascii" else _parse_obj)(text)
     else:
         raise ValueError(f"unknown mesh format {fmt!r}")
     return _finish_mesh(vertices, triangles)
@@ -355,7 +374,10 @@ def _parse_obj(text: str) -> tuple[np.ndarray, np.ndarray]:
     if not vertices or not faces:
         raise MeshParseError("OBJ contains no v/f records")
     v = np.asarray(vertices, dtype=np.float64)
-    t = np.asarray(faces, dtype=np.int64)
+    try:
+        t = np.asarray(faces, dtype=np.int64)
+    except OverflowError:
+        raise MeshParseError("OBJ face index out of range") from None
     if t.min() < 0 or t.max() >= len(v):
         raise MeshParseError("OBJ face index out of range")
     return v, t

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import DegenerateMeshError, TriangleMesh
+from .mesh import DegenerateMeshError, TriangleMesh, unbalanced_edges
 
 DEFAULT_CONTACT_EPSILON_FACTOR = 1e-3
 MAX_CONTACT_EPSILON_FACTOR = 1e-2
@@ -28,6 +28,10 @@ class PartError(ValueError):
 class PartModel:
     """One rigid part: id, triangle mesh in assembled pose, mass in grams.
 
+    The mesh must be a closed 2-cycle (:data:`softjig.mesh.unbalanced_edges`
+    is 0) enclosing a positive volume; every part is built here, so the
+    penetration kernel only ever sees closed solids.
+
     ``group`` marks parts that are assembled as a single unit (e.g. a set of
     bolts placed in one step); group names act as sequence entities.
     """
@@ -42,6 +46,10 @@ class PartModel:
             raise PartError("part id must be non-empty")
         if not (self.mass > 0 and math.isfinite(self.mass)):
             raise PartError(f"part {self.id!r}: mass must be finite and > 0, got {self.mass}")
+        unbalanced = unbalanced_edges(self.mesh)
+        if unbalanced:
+            raise DegenerateMeshError(f"part {self.id!r}: mesh is not closed: {unbalanced} "
+                                      f"directed edges do not match their reverses")
         volume = self.mesh.signed_volume()
         if not (volume > 0):
             raise DegenerateMeshError(

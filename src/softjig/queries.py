@@ -7,7 +7,8 @@ Conventions that everything downstream relies on:
   other stay legal.
 * One kernel, ``penetrates_along``, decides penetration of a mesh shifted by
   a set of offsets along an axis. ``intersects`` is its zero-offset case and
-  the translational sweeps in ``relations`` are its sampled case.
+  the translational sweeps in ``relations`` are its sampled case. It
+  refuses an open mesh (``mesh.unbalanced_edges``); a part's never is.
 * Boxes that only touch count as disjoint wherever the question is
   penetration (``broad.interiors_overlap``): a closed solid lies in its
   box, so solids whose boxes meet in a slab of zero width have disjoint
@@ -47,13 +48,12 @@ Conventions that everything downstream relies on:
 * All offsets of one probe lie on one line along the sweep axis, so
   containment is decided per probe by signed ray crossings
   (``rays.ray_containment``): the winding number at each offset is the
-  signed count of the target's crossings above it. Rows against a target
-  that is not closed, rows whose probe line passes within ``tol`` of a
-  projected triangle edge or vertex, and rows within a margin of a
-  crossing go to the dense ``winding_fraction`` instead. ``tol`` is 1e-9
-  of (1 + the target's largest coordinate magnitude), far enough from the
-  surface that ``winding_fraction``'s rounding cannot cross
-  ``INSIDE_WINDING``.
+  signed count of the target's crossings above it. Rows whose probe line
+  passes within ``tol`` of a projected triangle edge or vertex, and rows
+  within a margin of a crossing, go to the dense ``winding_fraction``
+  instead. ``tol`` is 1e-9 of (1 + the target's largest coordinate
+  magnitude), far enough from the surface that ``winding_fraction``'s
+  rounding cannot cross ``INSIDE_WINDING``.
 
 All tolerances are absolute millimetres.
 """
@@ -63,7 +63,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import broad, straddle
-from .mesh import PerMesh, TriangleMesh
+from .mesh import DegenerateMeshError, PerMesh, TriangleMesh, unbalanced_edges
 from .rays import ray_containment
 
 TOUCH_TOLERANCE_MM = 1e-9
@@ -246,24 +246,26 @@ def triangle_pair_distance_sq(tri_a: np.ndarray, tri_b: np.ndarray) -> np.ndarra
                            for s in range(0, len(a), _STACK_PAIRS)])
 
 
-def _interval_on_line(signed: np.ndarray, proj: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _interval_on_line(signed: np.ndarray, proj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Interval each triangle cuts on the plane-intersection line.
 
     ``signed`` (n, 3): vertex distances to the other plane in mm;
-    ``proj`` (n, 3): vertex projections onto the line. Candidates are
-    vertices on the plane plus edge crossings with strictly opposite signs.
+    ``proj`` (n, 3): vertex projections onto the line. The cut is where the
+    triangle meets the plane: vertices with ``signed`` exactly 0, and edges
+    whose ends have strictly opposite signs, interpolated at 0. A vertex
+    merely near a nearly parallel plane can lie far from the line.
     """
     n = len(signed)
     lo = np.full(n, np.inf)
     hi = np.full(n, -np.inf)
-    on_plane = np.abs(signed) <= tol
+    on_plane = signed == 0
     for i in range(3):
         x = proj[:, i]
         lo = np.where(on_plane[:, i], np.minimum(lo, x), lo)
         hi = np.where(on_plane[:, i], np.maximum(hi, x), hi)
     for i, j in _EDGES:
         si, sj = signed[:, i], signed[:, j]
-        crossing = ((si > tol) & (sj < -tol)) | ((si < -tol) & (sj > tol))
+        crossing = ((si > 0) & (sj < 0)) | ((si < 0) & (sj > 0))
         with np.errstate(divide="ignore", invalid="ignore"):
             frac = si / np.where(crossing, si - sj, 1.0)
             x = proj[:, i] + (proj[:, j] - proj[:, i]) * frac
@@ -277,9 +279,10 @@ def proper_crossings(tri_a: np.ndarray, tri_b: np.ndarray,
     """Row-wise transversal-crossing test for triangle pairs.
 
     True only when both triangles straddle each other's plane strictly
-    beyond ``tol`` and the intersection segments overlap by more than
-    ``tol`` mm. Coplanar overlap, edge touches, and vertex touches are all
-    false: those are contacts, not penetrations.
+    beyond ``tol`` and the segments in which each meets the other's plane
+    overlap by more than ``tol`` mm along the planes' line. Coplanar
+    overlap, edge touches, and vertex touches are all false: those are
+    contacts, not penetrations.
     """
     a = np.asarray(tri_a, dtype=np.float64)
     b = np.asarray(tri_b, dtype=np.float64)
@@ -310,8 +313,8 @@ def proper_crossings(tri_a: np.ndarray, tri_b: np.ndarray,
 
     pa = np.einsum("ikj,ij->ik", a, d_hat)
     pb = np.einsum("ikj,ij->ik", b, d_hat)
-    lo_a, hi_a = _interval_on_line(sa, pa, tol)
-    lo_b, hi_b = _interval_on_line(sb, pb, tol)
+    lo_a, hi_a = _interval_on_line(sa, pa)
+    lo_b, hi_b = _interval_on_line(sb, pb)
     overlap = np.minimum(hi_a, hi_b) - np.maximum(lo_a, lo_b)
     return mask & (overlap > tol)
 
@@ -403,8 +406,12 @@ def penetrates_along(static: TriangleMesh, moving: TriangleMesh, axis: int,
     or a surface/interior probe of either mesh strictly inside the other
     solid; probes also catch overlaps whose boundaries meet only along
     tangent planes. Surface contact is not penetration. No offsets, no
-    penetration. Each triangle pair whose boxes overlap somewhere on the
-    offset range is checked only at the offsets where they do, padded by
+    penetration. Both meshes must be closed 2-cycles, as parts are: the
+    callers' box culls and ray containment hold only for those, so an open
+    one (:data:`softjig.mesh.unbalanced_edges`) raises
+    :class:`~softjig.mesh.DegenerateMeshError`. Each triangle pair whose
+    boxes overlap somewhere on the offset range is checked only at the
+    offsets where they do, padded by
     1e-9 of the largest offset magnitude (:func:`softjig.straddle.box_ranges`),
     and, when a batch's ranges hold more than ``straddle.MIN_ROWS`` rows,
     where both triangles can straddle each other's planes.
@@ -424,11 +431,15 @@ def penetrates_along(static: TriangleMesh, moving: TriangleMesh, axis: int,
     target's box, are decided by the signed count of the target's
     crossings of each probe's line above them
     (:func:`softjig.rays.ray_containment`), and by :func:`winding_fraction`
-    where that is unsafe: against a target that is not closed, for a probe
-    line within ``tol`` of a projected triangle edge or vertex, and within
-    a margin of at least ``tol |n| / |n[axis]|`` of a crossing, ``tol``
-    being 1e-9 (1 + the target's largest coordinate magnitude).
+    where that is unsafe: for a probe line within ``tol`` of a projected
+    triangle edge or vertex, and within a margin of at least
+    ``tol |n| / |n[axis]|`` of a crossing, ``tol`` being 1e-9 (1 + the
+    target's largest coordinate magnitude).
     """
+    for mesh in (static, moving):
+        if unbalanced_edges(mesh):
+            raise DegenerateMeshError(f"{mesh!r} is not closed: {unbalanced_edges(mesh)} "
+                                      f"directed edges do not match their reverses")
     offsets = np.sort(np.asarray(offsets, dtype=np.float64))
     if not len(offsets):
         return False

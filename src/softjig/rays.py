@@ -6,6 +6,8 @@ shifts of one probe lie on one line parallel to the axis, so
 :func:`ray_containment` intersects the target with that line once per probe
 and decides every shift on it by counting the signed crossings above it.
 Rows it cannot decide safely are left to ``queries.winding_fraction``.
+The target must be a closed 2-cycle, as every part's mesh is
+(``parts.PartModel``); ``queries.penetrates_along`` enforces it.
 """
 
 from __future__ import annotations
@@ -13,37 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import broad
-from .mesh import PerMesh, TriangleMesh
-
-
-def _count_unbalanced_edges(mesh: TriangleMesh) -> int:
-    """How many directed edges of ``mesh`` their reverses leave unbalanced:
-    the size of the multiset difference between the sorted edge keys and
-    the sorted keys of their reverses, which is ``|#(u, v) - #(v, u)|``
-    summed over each pair of vertices {u, v}. It is 0 iff the triangles
-    form a closed 2-cycle, such as a closed, consistently wound surface or
-    a union of them welded along shared edges or faces."""
-    t = mesh.triangles
-    n = len(mesh.vertices)
-    tail, head = t.ravel(), np.roll(t, -1, axis=1).ravel()
-    forward, reverse = np.sort(tail * n + head), np.sort(head * n + tail)
-    if np.array_equal(forward, reverse):
-        return 0
-    key, count = np.unique(forward, return_counts=True)
-    count -= np.searchsorted(reverse, key, "right") - np.searchsorted(reverse, key, "left")
-    return int(np.maximum(count, 0).sum())
-
-
-# the count of each mesh, computed once: descriptors refuse a part whose
-# count is not 0, and ray containment reads it again per target
-unbalanced_edges = PerMesh(_count_unbalanced_edges)
-
-
-def closed_surface(mesh: TriangleMesh) -> bool:
-    """True iff every directed edge of ``mesh`` occurs as often as its
-    reverse (:data:`unbalanced_edges` is 0), so that its winding number is
-    an integer off the surface."""
-    return unbalanced_edges(mesh) == 0
+from .mesh import TriangleMesh
 
 
 def _crossings(tri: np.ndarray, q: np.ndarray, pc: np.ndarray, axis: int,
@@ -84,7 +56,9 @@ def ray_containment(target: TriangleMesh, probes: np.ndarray, axis: int,
     ``target`` (winding number at least 1) and ``undecided`` marks the rows
     left to ``winding_fraction``. Every row must lie inside the target's
     box. Candidates run in batches of ``block`` (probe, triangle) pairs and
-    rows in blocks of ``block`` (row, crossing) cells.
+    rows in blocks of ``block`` (row, crossing) cells. Precondition, checked
+    by the caller: the target is closed (:data:`softjig.mesh.unbalanced_edges`
+    is 0).
 
     The target is projected along ``axis`` onto the cyclic axes
     ``(axis+1)%3, (axis+2)%3``, where a triangle's doubled signed area is
@@ -96,12 +70,11 @@ def ray_containment(target: TriangleMesh, probes: np.ndarray, axis: int,
     a candidate; as barycentric weights they also give the ``axis``
     coordinate z* where it does, and its sign s = sign(n[axis]).
 
-    When every directed edge of the target occurs as often as its reverse
-    (:func:`closed_surface`), the edges of its triangles cancel, so the
-    triangles form a closed 2-cycle: a closed, consistently wound surface,
-    or a union of such surfaces welded along shared edges or faces, where
-    coincident faces of opposite orientation may remain. The winding
-    number of a closed 2-cycle is an integer off its surface. Along the
+    As every directed edge of the target occurs as often as its reverse,
+    the edges of its triangles cancel: a closed, consistently wound
+    surface, or a union of such surfaces welded along shared edges or
+    faces, where coincident faces of opposite orientation may remain. The
+    winding number of such a closed 2-cycle is an integer off its surface. Along the
     probe's line, which passes through no projected edge or corner, it is
     constant between crossings, 0 beyond the target's box, and drops by s
     where c rises past a crossing's z*. So at coordinate c it is the
@@ -111,8 +84,6 @@ def ray_containment(target: TriangleMesh, probes: np.ndarray, axis: int,
 
     A row is left undecided when
 
-    * the target is not a closed 2-cycle (:func:`closed_surface`, once per
-      mesh);
     * its probe lies within ``tol`` of the line of a candidate's projected
       edge, ``|E| <= tol * |edge|``; a triangle parallel to the axis
       projects to a segment, so a probe line within ``tol`` of one lands
@@ -153,7 +124,7 @@ def ray_containment(target: TriangleMesh, probes: np.ndarray, axis: int,
     n_rows = len(coords)
     inside = np.zeros(n_rows, dtype=bool)
     undecided = np.ones(n_rows, dtype=bool)
-    if n_rows == 0 or not closed_surface(target):
+    if n_rows == 0:
         return inside, undecided
     lo, hi = target.aabb
     tol = 1e-9 * (1.0 + float(np.abs(np.concatenate([lo, hi])).max()))

@@ -105,32 +105,18 @@ class ReachableDirectionList:
 class SweepParams:
     """Discretization of the translational sweeps.
 
-    ``max_distance`` defaults to twice the assembly AABB diagonal (beyond
-    that an axis translation cannot re-enter the assembly bounds) and may
-    not be set lower. The effective step never exceeds half the thinnest
-    AABB extent of the swept pair; ``step_count`` is raised as needed, and
-    a pair that would need more than ``MAX_SWEEP_STEPS`` is refused.
+    Every sweep runs twice the assembly AABB diagonal: beyond that an axis
+    translation cannot re-enter the assembly bounds. The effective step
+    never exceeds half the thinnest AABB extent of the swept pair;
+    ``step_count`` is raised as needed, and a pair that would need more
+    than ``MAX_SWEEP_STEPS`` is refused.
     """
 
-    max_distance: float | None = None
     step_count: int = 64
 
     def __post_init__(self) -> None:
         if self.step_count < 16:
             raise RelationError(f"step_count must be >= 16, got {self.step_count}")
-        distance = self.max_distance
-        if distance is not None and not (math.isfinite(distance) and distance > 0):
-            raise RelationError(f"max_distance must be positive and finite, got {distance}")
-
-    def resolved_distance(self, assembly: AssemblyModel) -> float:
-        floor = 2.0 * assembly.aabb_diagonal
-        if self.max_distance is None:
-            return floor
-        if self.max_distance < floor:
-            raise RelationError(
-                f"max_distance {self.max_distance} < 2 x assembly diagonal {floor}"
-            )
-        return float(self.max_distance)
 
     def steps_for(self, max_distance: float, thinnest_extent: float) -> int:
         n = self.step_count
@@ -307,7 +293,7 @@ def compute_all_interference_free(assembly: AssemblyModel,
     and running out of memory raises :class:`RelationError` naming both parts.
     """
     params = params or SweepParams()
-    max_distance = params.resolved_distance(assembly)
+    max_distance = 2.0 * assembly.aabb_diagonal
     n = len(assembly.parts)
     free = {d: np.zeros((n, n), dtype=bool) for d in DIRECTION_ORDER}
     for i in range(n):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -110,7 +112,7 @@ def oracle_interference_free(assembly: AssemblyModel) -> dict:
     resolves for it, so its grid nests the default grid exactly, with the
     higher-index part moving and the result mirrored into (k, i) of -j."""
     params = SweepParams()
-    max_distance = params.resolved_distance(assembly)
+    max_distance = 2.0 * assembly.aabb_diagonal
     n = len(assembly.parts)
     free = {d: np.zeros((n, n), dtype=bool) for d in DIRECTION_ORDER}
     for i in range(n):
@@ -279,3 +281,76 @@ def naive_penetrates_along(static_mesh, moving_mesh, axis, offsets) -> bool:
         if (winding_fraction(points, target) > INSIDE_WINDING).any():
             return True
     return False
+
+
+# -- exact triangle intersection ------------------------------------------------
+
+def _sub(p, q):
+    return tuple(x - y for x, y in zip(p, q))
+
+
+def _dot(p, q):
+    return sum(x * y for x, y in zip(p, q))
+
+
+def _cross(p, q):
+    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+
+
+def _on_segment(x, p, q) -> bool:
+    """Whether point ``x`` lies on the closed segment pq."""
+    d, w = _sub(q, p), _sub(x, p)
+    return not any(_cross(w, d)) and 0 <= _dot(w, d) <= _dot(d, d)
+
+
+def _segments_meet(p, q, r, s) -> bool:
+    """Whether the closed segments pq and rs share a point."""
+    d1, d2, w = _sub(q, p), _sub(s, r), _sub(r, p)
+    if not any(d1):
+        return _on_segment(p, r, s)
+    if not any(d2):
+        return _on_segment(r, p, q)
+    c = _cross(d1, d2)
+    if any(c):
+        if _dot(w, c) != 0:
+            return False       # skew lines
+        cc = _dot(c, c)
+        t, u = _dot(_cross(w, d2), c) / cc, _dot(_cross(w, d1), c) / cc
+        return 0 <= t <= 1 and 0 <= u <= 1
+    if any(_cross(w, d1)):
+        return False           # parallel lines
+    lo, hi = sorted((_dot(w, d1), _dot(_sub(s, p), d1)))
+    return lo <= _dot(d1, d1) and hi >= 0
+
+
+def _segment_meets_triangle(p, q, tri) -> bool:
+    """Whether the closed segment pq meets the closed triangle ``tri``."""
+    a, b, c = tri
+    n = _cross(_sub(b, a), _sub(c, a))
+    edges = ((a, b), (b, c), (c, a))
+    if not any(n):             # the triangle is a segment or a point
+        return any(_segments_meet(p, q, u, v) for u, v in edges)
+    sp, sq = _dot(n, _sub(p, a)), _dot(n, _sub(q, a))
+    if (sp > 0 and sq > 0) or (sp < 0 and sq < 0):
+        return False
+
+    def inside(x) -> bool:     # x in the triangle's plane
+        return all(_dot(_cross(_sub(v, u), _sub(x, u)), n) >= 0 for u, v in edges)
+
+    if sp == sq == 0:
+        return inside(p) or inside(q) or any(_segments_meet(p, q, u, v) for u, v in edges)
+    t = sp / (sp - sq)
+    return inside(tuple(x + t * (y - x) for x, y in zip(p, q)))
+
+
+def exact_triangles_meet(tri_a, tri_b) -> bool:
+    """Whether two closed triangles share a point, in exact rational
+    arithmetic on their float corners. When they do, an edge of one meets
+    the other: the ends of each triangle's cut on the other's plane lie on
+    its edges, coplanar triangles that overlap cross edges or nest, and a
+    triangle with collinear corners is the union of its edges."""
+    a, b = ([tuple(Fraction(float(x)) for x in corner) for corner in tri]
+            for tri in (tri_a, tri_b))
+    return any(_segment_meets_triangle(p, q, other)
+               for tri, other in ((a, b), (b, a))
+               for p, q in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])))

@@ -163,26 +163,80 @@ def test_plan_open_mesh_exits_1_naming_the_part(fixture_dir, tmp_path, capsys):
     assert "4 directed edges" in err
 
 
+def test_plan_interpenetrating_pose_exits_1_naming_both_parts(fixture_dir, tmp_path, capsys):
+    """The plate posed 1 mm down sinks into the motor: the descriptor is
+    refused with one stderr line naming both parts, not planned."""
+    doc = json.loads((fixture_dir / "assembly.json").read_text())
+    for part in doc["parts"]:
+        part["mesh_path"] = str(fixture_dir / part["mesh_path"])
+    doc["parts"][1]["pose"]["translation_mm"] = [0, 0, -1]
+    descriptor = tmp_path / "assembly.json"
+    descriptor.write_text(json.dumps(doc))
+    out = tmp_path / "plan.json"
+    code = main(["plan", str(descriptor), "--sequence", "motor,plate,bolts", "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "interpenetrate" in err
+    assert "'motor'" in err and "'plate'" in err
+
+
+def unreadable_input(kind: str, fixture_dir: Path, tmp_path: Path) -> list[str]:
+    """Arguments of a ``matrices`` call whose descriptor is not UTF-8, whose
+    descriptor path is a directory, whose OBJ mesh is not UTF-8, or whose
+    ``--out`` is an existing directory."""
+    descriptor = fixture_dir / "assembly.json"
+    if kind == "descriptor_not_utf8":
+        descriptor = tmp_path / "latin1.json"
+        descriptor.write_bytes('{"parts": [], "note": "\u00e9"}'.encode("latin-1"))
+    elif kind == "descriptor_is_a_directory":
+        descriptor = tmp_path
+    elif kind == "obj_not_utf8":
+        (tmp_path / "cube.obj").write_bytes(b"# caf\xe9\nv 0 0 0\n")
+        descriptor = tmp_path / "obj.json"
+        descriptor.write_text(json.dumps({"parts": [
+            {"id": "cube", "mesh_path": "cube.obj", "mass_g": 1.0}]}))
+    else:
+        return ["matrices", str(descriptor), "--out", str(tmp_path)]
+    return ["matrices", str(descriptor), "--out", str(tmp_path / "matrices.json")]
+
+
+@pytest.mark.parametrize("kind", ["descriptor_not_utf8", "descriptor_is_a_directory",
+                                  "obj_not_utf8", "out_is_a_directory"])
+def test_unreadable_input_or_output_exits_1_with_one_line(fixture_dir, tmp_path, capsys, kind):
+    args = unreadable_input(kind, fixture_dir, tmp_path)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("softjig: ")
+    assert not (tmp_path / "matrices.json").exists()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 def test_matrices_infinite_max_distance_flag_exits_1(tmp_path, capsys):
+    """``--max-distance-mm`` is retired: any value is a usage error."""
     descriptor = write_two_cube_descriptor(tmp_path, gap_x=0.0)
     out = tmp_path / "matrices.json"
     code = main(["matrices", str(descriptor), "--max-distance-mm", "inf", "--out", str(out)])
     assert code == 1
     assert not out.exists()
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and "max_distance" in err and "finite" in err
+    assert "unrecognized arguments: --max-distance-mm" in capsys.readouterr().err
 
 
 def test_plan_infinite_max_distance_in_descriptor_exits_1(tmp_path, capsys):
+    """A number in ``sweep.max_distance_mm`` is refused, infinite or not,
+    with one line naming the field; null is accepted."""
     descriptor = write_two_cube_descriptor(tmp_path, gap_x=0.0)
     doc = json.loads(descriptor.read_text())
-    doc["sweep"] = {"max_distance_mm": float("inf")}
+    for distance in (float("inf"), 500.0):
+        doc["sweep"] = {"max_distance_mm": distance}
+        descriptor.write_text(json.dumps(doc))
+        code = main(["plan", str(descriptor), "--sequence", "a,b"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "sweep.max_distance_mm" in err
+    doc["sweep"] = {"max_distance_mm": None}
     descriptor.write_text(json.dumps(doc))
-    assert "Infinity" in descriptor.read_text()
-    code = main(["plan", str(descriptor), "--sequence", "a,b"])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and "max_distance" in err and "finite" in err
+    assert main(["plan", str(descriptor), "--sequence", "a,b"]) == 0
 
 
 @pytest.mark.parametrize("setting, field", [

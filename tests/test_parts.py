@@ -118,6 +118,19 @@ def test_inverted_mesh_rejected():
         PartModel("bad", inverted, 1.0)
 
 
+def test_open_mesh_rejected_naming_the_part():
+    """The proxy plate with two triangles taken out still encloses a
+    positive signed volume, yet is refused where the part is built, with
+    the part's id and its count of unbalanced directed edges."""
+    plate = generate_proxy_fixture("plate")
+    opened = TriangleMesh(plate.mesh.vertices, plate.mesh.triangles[2:])
+    assert opened.signed_volume() > 0
+    with pytest.raises(DegenerateMeshError) as refused:
+        PartModel("plate", opened, plate.mass)
+    assert str(refused.value) == ("part 'plate': mesh is not closed: 4 directed edges do not "
+                                  "match their reverses")
+
+
 def test_empty_part_list_rejected():
     with pytest.raises(PartError):
         mass_properties([])

@@ -5,11 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     dense_box_pairs,
+    exact_triangles_meet,
     min_distance_brute_force,
     naive_penetrates_along,
     naive_point_triangle_distance_sq,
@@ -17,19 +18,17 @@ from conftest import (
 )
 
 from softjig import (
-    AssemblyModel,
     AssemblySequence,
-    PartModel,
     broad,
     configure_fixing_parts,
     proxy_assembly,
     queries,
-    rays,
     straddle,
 )
 from softjig.fixtures import box_mesh, compound_mesh, generate_proxy_fixture, revolve_mesh
 from softjig.cli import main
-from softjig.mesh import TriangleMesh, load_mesh, save_stl_binary
+from softjig.mesh import (DegenerateMeshError, TriangleMesh, load_mesh, save_stl_binary,
+                          unbalanced_edges)
 from softjig.queries import (
     TOUCH_TOLERANCE_MM,
     intersects,
@@ -42,7 +41,6 @@ from softjig.queries import (
     within_distance,
 )
 from softjig.rays import ray_containment
-from softjig.relations import compute_all_interference_free
 from softjig.straddle import box_ranges, row_windows
 
 unit_cube = lambda: box_mesh((0, 0, 0), (1, 1, 1))
@@ -474,9 +472,44 @@ def straddle_flips(a: np.ndarray, b: np.ndarray, axis: int) -> list[float]:
     return flips
 
 
+def slid_in_plane(a: np.ndarray, b: np.ndarray, rng, n: int) -> np.ndarray:
+    """Up to ``n`` copies of triangle ``b``, each slid within the plane of
+    triangle ``a`` by up to 4 mm along two axes, keeping the copies whose
+    boxes meet ``a``'s: each keeps its distances to ``a``'s plane, and many
+    pass near an edge of ``a``."""
+    normal = np.cross(a[1] - a[0], a[2] - a[0])
+    normal /= np.linalg.norm(normal)
+    e = (a[1] - a[0]) / np.linalg.norm(a[1] - a[0])
+    uv = rng.uniform(-4, 4, (n, 2))
+    slid = b[None] + uv[:, :1, None] * e + uv[:, 1:, None] * np.cross(normal, e)
+    lo, hi = slid.min(axis=1), slid.max(axis=1)
+    return slid[np.all((lo <= a.max(axis=0)) & (hi >= a.min(axis=0)), axis=1)]
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["random", "coplanar", "tilted", "sliver", "needle"]))
+@example(seed=7, kind="tilted")
+@example(seed=24, kind="sliver")
+@example(seed=2, kind="needle")
+@settings(max_examples=150, deadline=None)
+def test_proper_crossings_only_where_triangles_meet(seed, kind):
+    """A pair that ``proper_crossings`` calls crossing shares a point in
+    exact rational arithmetic: a vertex just off the other plane is not
+    taken as a point of the cut, however far it lies from the planes' line.
+    The pairs are slid within the static plane, so many come near its
+    edges, where nearly parallel planes once stretched the cut."""
+    rng = np.random.default_rng(seed)
+    a, b = triangle_pair(kind, rng)
+    slid = slid_in_plane(a, b, rng, 20)
+    hit = proper_crossings(np.broadcast_to(a, slid.shape), slid)
+    for tri in slid[hit]:
+        assert exact_triangles_meet(a, tri), (a.tolist(), tri.tolist())
+
+
 @given(seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(["random", "coplanar", "tilted", "sliver", "needle"]),
        swap=st.booleans())
+@example(seed=880919, kind="tilted", swap=False)
 @settings(max_examples=200, deadline=None)
 def test_row_windows_keep_every_crossing_offset(seed, kind, swap):
     """Every (triangle pair, offset) at which ``proper_crossings`` of the
@@ -700,11 +733,11 @@ def nudged(x: np.ndarray, rng) -> np.ndarray:
 @settings(max_examples=150, deadline=None)
 def test_ray_containment_matches_winding_number(seed, kind, axis):
     """On every row that the ray test decides, its answer is
-    ``winding_fraction > INSIDE_WINDING``; rows against an open target are
-    all left undecided. Probes sit at random, exactly on vertices, edges
-    and faces of the target, and a few ulps off them; rows sit at random,
-    at every vertex height and a few ulps off those. And
-    ``penetrates_along`` equals a scan of every row."""
+    ``winding_fraction > INSIDE_WINDING``. The kernel refuses an open
+    target, whose unbalanced edges are counted as edge by edge. Probes sit
+    at random, exactly on vertices, edges and faces of the target, and a
+    few ulps off them; rows sit at random, at every vertex height and a few
+    ulps off those. And ``penetrates_along`` equals a scan of every row."""
     rng = np.random.default_rng(seed)
     target = ray_target(kind, rng)
     corners = target.corners
@@ -727,22 +760,24 @@ def test_ray_containment_matches_winding_number(seed, kind, axis):
     keep = np.all((points > lo) & (points < hi), axis=1)
     pi, points = pi[keep], points[keep]
 
-    inside, undecided = ray_containment(target, probes, axis, pi, points[:, axis], 1 << 10)
-    assert rays.unbalanced_edges(target) == naive_unbalanced_edges(target)
-    assert rays.closed_surface(target) == (kind != "open")
+    assert unbalanced_edges(target) == naive_unbalanced_edges(target)
+    assert (unbalanced_edges(target) == 0) == (kind != "open")
+    moving = ray_target(str(rng.choice(["box", "revolve", "overlap"])), rng)
+    moving = moving.translated(rng.uniform(-0.5, 0.5, 3))
+    offsets = rng.uniform(-12, 12, 6)
     if kind == "open":
-        assert undecided.all()
+        with pytest.raises(DegenerateMeshError, match="not match their reverses"):
+            penetrates_along(target, moving, axis, offsets)
+        return
+    inside, undecided = ray_containment(target, probes, axis, pi, points[:, axis], 1 << 10)
     decided = ~undecided
     expected = winding_fraction(points[decided], corners) > queries.INSIDE_WINDING
     assert np.array_equal(inside[decided], expected)
     assert not inside[undecided].any()
 
-    # off the integer grid: a probe exactly on the other surface has a
-    # degenerate winding number, which the oracle counts and the kernel's
-    # strict box crop drops
-    moving = ray_target(str(rng.choice(["box", "revolve", "overlap"])), rng)
-    moving = moving.translated(rng.uniform(-0.5, 0.5, 3))
-    offsets = rng.uniform(-12, 12, 6)
+    # the moving target is off the integer grid: a probe exactly on the
+    # other surface has a degenerate winding number, which the oracle counts
+    # and the kernel's strict box crop drops
     assert (penetrates_along(target, moving, axis, offsets)
             == naive_penetrates_along(target, moving, axis, offsets))
 
@@ -786,13 +821,17 @@ def count_winding_rows(monkeypatch) -> dict:
 def test_rays_decide_most_proxy_containment_rows(monkeypatch):
     """Counters, no timing: a proxy plan sends at most 1/20 of its 4,359
     containment rows to the winding number, and its plan is the one made
-    with every row sent there."""
+    with every row sent there, by a ray test that decides no row."""
     rows = count_winding_rows(monkeypatch)
     sequence = AssemblySequence.parse("motor,plate,bolts")
     plan = configure_fixing_parts(proxy_assembly(), sequence).to_json_dict()
     assert sum(rows.values()) <= 4359 // 20
     rows.clear()
-    monkeypatch.setattr(rays, "closed_surface", lambda mesh: False)
+
+    def decides_nothing(target, probes, axis, probe_of_row, coords, block):
+        return np.zeros(len(coords), dtype=bool), np.ones(len(coords), dtype=bool)
+
+    monkeypatch.setattr(queries, "ray_containment", decides_nothing)
     assert configure_fixing_parts(proxy_assembly(), sequence).to_json_dict() == plan
     assert sum(rows.values()) == 4359
 
@@ -811,24 +850,25 @@ def test_rays_decide_every_cli_proxy_containment_row(monkeypatch, tmp_path):
     assert sum(rows.values()) == 0
 
 
-def test_open_target_sends_every_row_to_winding(monkeypatch):
-    """With two triangles taken out of the plate, every containment row
-    against it goes to the winding number, and the six matrices are those
-    made with every row of every target sent there."""
-    proxy = proxy_assembly()
-    parts = tuple(PartModel(p.id, TriangleMesh(p.mesh.vertices, p.mesh.triangles[2:]),
-                            p.mass, p.group) if p.id == "plate" else p for p in proxy.parts)
-    assembly = AssemblyModel(parts, contact_epsilon=proxy.contact_epsilon)
-    plate = id(assembly.part("plate").mesh.corners)
-    rows = count_winding_rows(monkeypatch)
-    free = compute_all_interference_free(assembly)
-    by_ray = dict(rows)
-    rows.clear()
-    monkeypatch.setattr(rays, "closed_surface", lambda mesh: False)
-    by_winding = compute_all_interference_free(assembly)
-    assert by_ray[plate] == rows[plate] > 0
-    assert sum(by_ray.values()) < sum(rows.values())
-    assert all(np.array_equal(free[d], by_winding[d]) for d in free)
+def open_plate() -> TriangleMesh:
+    """The proxy plate with its first two triangles taken out: 4 directed
+    edges lose their reverses."""
+    plate = proxy_assembly().part("plate").mesh
+    return TriangleMesh(plate.vertices, plate.triangles[2:])
+
+
+def test_kernel_refuses_an_open_mesh_on_either_side():
+    """``intersects`` and ``penetrates_along`` raise for an open mesh on
+    either side, whose box culls and ray containment would not hold, even
+    at offsets where a closed pair would be answered at once."""
+    plate, motor = open_plate(), proxy_assembly().part("motor").mesh
+    assert unbalanced_edges(plate) == naive_unbalanced_edges(plate) == 4
+    for static, moving in ((plate, motor), (motor, plate)):
+        with pytest.raises(DegenerateMeshError, match="4 directed edges"):
+            intersects(static, moving)
+        for offsets in ([0.0, 5.0], []):
+            with pytest.raises(DegenerateMeshError, match="4 directed edges"):
+                penetrates_along(static, moving, 2, offsets)
 
 
 def test_winding_classifies_inside_outside():

@@ -144,7 +144,7 @@ def lateral_sweep_offsets(assembly: AssemblyModel, direction: Direction) -> np.n
     cull did not decide the sweep first."""
     static, moving = (p.mesh for p in assembly.parts)
     params = SweepParams()
-    max_distance = params.resolved_distance(assembly)
+    max_distance = 2.0 * assembly.aabb_diagonal
     thin = min(float(np.min(m.aabb[1] - m.aabb[0])) for m in (static, moving))
     samples = sweep_sample_distances(max_distance, params.steps_for(max_distance, thin))
     ax = direction.axis
@@ -549,16 +549,18 @@ def test_rotation_permutes_interference_matrices(proxy):
         assert np.array_equal(m_rot[d], m_orig[d_orig]), (d.value, d_orig.value)
 
 
-def test_sweep_params_validation():
+def test_sweep_params_validation(monkeypatch):
+    """The step count has a floor, and every sweep runs twice the assembly
+    diagonal: there is no other setting of the distance."""
     with pytest.raises(RelationError):
         SweepParams(step_count=8)
     asm = two_cubes(gap=0.0)
-    with pytest.raises(RelationError):
-        SweepParams(max_distance=1.0).resolved_distance(asm)
-    assert SweepParams().resolved_distance(asm) == 2 * asm.aabb_diagonal
-    for value in (float("inf"), float("-inf"), float("nan")):
-        with pytest.raises(RelationError, match="finite"):
-            SweepParams(max_distance=value)
+    distances = set()
+    monkeypatch.setattr(relations, "sweep_translation_is_free",
+                        lambda static, moving, direction, distance, n_steps:
+                        distances.add(distance))
+    compute_all_interference_free(asm, SweepParams(step_count=16))
+    assert distances == {2 * asm.aabb_diagonal}
 
 
 def _forbid_sample_allocation(monkeypatch):
@@ -567,14 +569,22 @@ def _forbid_sample_allocation(monkeypatch):
     monkeypatch.setattr(relations, "sweep_sample_distances", forbidden)
 
 
-@pytest.mark.parametrize("params", [
-    SweepParams(step_count=relations.MAX_SWEEP_STEPS + 1),
-    SweepParams(max_distance=1e12),   # 10 mm cubes: 2e11 steps
-], ids=["step_count", "max_distance"])
-def test_oversized_sweep_refused_before_allocation(monkeypatch, params):
+def thin_plate_beside_cube() -> AssemblyModel:
+    """A 1e-5 mm plate beside a 100 mm cube: the step is capped at half the
+    plate's thickness, so the default sweep needs about 1e8 steps."""
+    a = PartModel("a", box_mesh((0, 0, 0), (100, 100, 100)), 1.0)
+    b = PartModel("b", box_mesh((100, 0, 0), (200, 100, 1e-5)), 1.0)
+    return AssemblyModel((a, b))
+
+
+@pytest.mark.parametrize("assembly, params", [
+    (two_cubes(gap=0.0), SweepParams(step_count=relations.MAX_SWEEP_STEPS + 1)),
+    (thin_plate_beside_cube(), SweepParams()),
+], ids=["step_count", "thin_plate"])
+def test_oversized_sweep_refused_before_allocation(monkeypatch, assembly, params):
     _forbid_sample_allocation(monkeypatch)
     with pytest.raises(RelationError, match=r"'b' past 'a' needs \d+ steps"):
-        compute_all_interference_free(two_cubes(gap=0.0), params)
+        compute_all_interference_free(assembly, params)
 
 
 def test_sweep_at_step_cap_goes_ahead(monkeypatch):
