@@ -23,7 +23,7 @@ from .jsonio import write_json_atomic
 from .mesh import MeshError, save_stl_binary
 from .parts import AssemblyModel, PartError
 from .planner import AssemblySequence, PlannerError, configure_fixing_parts
-from .relations import RelationError, SweepParams, compute_relation_matrices
+from .relations import RelationError, compute_relation_matrices
 
 _INPUT_ERROR = 1
 _PARTIAL_OR_FAILURE = 2
@@ -33,8 +33,15 @@ class _CliError(Exception):
     """Input error mapped to exit code 1 with a message on stderr."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one stderr line, like every other input error."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="softjig",
         description="Plan parts-fixing configurations on a universal soft jig "
                     "and evaluate fixing performance.",
@@ -47,8 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="use a built-in fixture assembly instead of a descriptor")
         p.add_argument("--epsilon-mm", type=float, default=None,
                        help="contact tolerance override in mm")
-        p.add_argument("--steps", type=int, default=None,
-                       help="sweep step count override (>= 16)")
 
     p_plan = sub.add_parser("plan", help="plan fixed parts and postures for an assembly order")
     add_assembly_source(p_plan)
@@ -77,25 +82,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_assembly(args) -> tuple[AssemblyModel, SweepParams]:
+def _check_out(path) -> None:
+    """Refuse an ``--out`` that cannot be written, before any work is done."""
+    if Path(path).is_dir():
+        raise _CliError(f"--out {path}: is a directory")
+    if not Path(path).parent.is_dir():
+        raise _CliError(f"--out {path}: its directory does not exist")
+
+
+def _load_assembly(args) -> AssemblyModel:
     if (args.descriptor is None) == (args.fixtures is None):
         raise _CliError("give exactly one assembly source: a descriptor path or --fixtures proxy")
     if args.fixtures:
         from .fixtures import proxy_assembly
-        assembly, params = proxy_assembly(), SweepParams()
+        assembly = proxy_assembly()
     else:
-        assembly, params = load_descriptor(args.descriptor)
+        assembly = load_descriptor(args.descriptor)
     if args.epsilon_mm is not None:
         assembly = AssemblyModel(assembly.parts, contact_epsilon=args.epsilon_mm)
-    if args.steps is not None:
-        params = SweepParams(step_count=args.steps)
-    return assembly, params
+    return assembly
 
 
 def _cmd_plan(args) -> int:
-    assembly, params = _load_assembly(args)
+    assembly = _load_assembly(args)
     sequence = AssemblySequence.parse(args.sequence)
-    plan = configure_fixing_parts(assembly, sequence, params)
+    plan = configure_fixing_parts(assembly, sequence)
 
     print(f"{'step':>4}  {'posture':>7}  fixed part")
     for step in plan.steps:
@@ -108,8 +119,7 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_matrices(args) -> int:
-    assembly, params = _load_assembly(args)
-    matrices = compute_relation_matrices(assembly, params)
+    matrices = compute_relation_matrices(_load_assembly(args))
     if args.out:
         write_json_atomic(matrices.to_json_dict(), args.out)
     else:
@@ -183,6 +193,8 @@ def main(argv=None) -> int:
         # argparse exits 0 for --help; everything else is a usage error
         return 0 if exc.code == 0 else _INPUT_ERROR
     try:
+        if getattr(args, "out", None) is not None:
+            _check_out(args.out)
         return _HANDLERS[args.command](args)
     except (_CliError, DescriptorError, MeshError, PartError, PlannerError, RelationError,
             OSError) as exc:

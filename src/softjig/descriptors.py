@@ -1,8 +1,8 @@
 """Assembly descriptor files: JSON serialization of an assembled product.
 
 A descriptor lists each part's mesh file, mass, and rigid pose that places
-the mesh in assembled-frame coordinates, plus optional contact tolerance
-and the sweep step count::
+the mesh in assembled-frame coordinates, plus an optional contact
+tolerance::
 
     {
       "parts": [
@@ -10,13 +10,13 @@ and the sweep step count::
          "pose": {"rotation": [[..3x3..]], "translation_mm": [0, 0, 0]},
          "group": null}
       ],
-      "contact_epsilon_mm": null,
-      "sweep": {"step_count": 64}
+      "contact_epsilon_mm": null
     }
 
-Mesh paths are resolved relative to the descriptor's directory. A number
-in ``sweep.max_distance_mm`` is refused: every sweep runs twice the
-assembly diagonal. Posed parts may not interpenetrate.
+Mesh paths are resolved relative to the descriptor's directory. The
+fields ``sweep.max_distance_mm`` and ``sweep.step_count`` may only be null
+or absent: sweeps sample at a fixed resolution over twice the assembly
+diagonal. Posed parts may not interpenetrate.
 """
 
 from __future__ import annotations
@@ -28,33 +28,13 @@ from pathlib import Path
 from .mesh import MeshError, load_mesh
 from .parts import AssemblyModel, PartError, PartModel, RigidOrientation
 from .queries import intersects
-from .relations import RelationError, SweepParams
 
 
 class DescriptorError(ValueError):
     """Malformed assembly descriptor."""
 
 
-def _optional_float(value) -> float | None:
-    return None if value is None else float(value)
-
-
-def _integer(value) -> int:
-    number = float(value)
-    if not number.is_integer():
-        raise ValueError(f"must be an integer, got {value!r}")
-    return int(number)
-
-
-def _setting(path: Path, name: str, value, convert):
-    """``convert(value)``, or a :class:`DescriptorError` naming the field."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DescriptorError(f"{path}: {name}: {exc}") from None
-
-
-def load_descriptor(path) -> tuple[AssemblyModel, SweepParams]:
+def load_descriptor(path) -> AssemblyModel:
     """Parse a descriptor and load its meshes into an assembly. A part
     whose posed mesh is open is refused by :class:`PartModel`, and a pair of
     parts that interpenetrate (:func:`softjig.queries.intersects`) by name."""
@@ -110,22 +90,24 @@ def load_descriptor(path) -> tuple[AssemblyModel, SweepParams]:
     sweep_cfg = data.get("sweep") or {}
     if not isinstance(sweep_cfg, dict):
         raise DescriptorError(f"{path}: 'sweep' must be an object")
-    if sweep_cfg.get("max_distance_mm") is not None:
-        raise DescriptorError(f"{path}: sweep.max_distance_mm: must be null; the sweep "
-                              f"distance is twice the assembly diagonal")
-    epsilon = _setting(path, "contact_epsilon_mm", data.get("contact_epsilon_mm"), _optional_float)
-    step_count = _setting(path, "sweep.step_count",
-                          sweep_cfg.get("step_count", SweepParams.step_count), _integer)
+    for name in ("max_distance_mm", "step_count"):
+        if sweep_cfg.get(name) is not None:
+            raise DescriptorError(f"{path}: sweep.{name}: must be null; sweeps sample at a "
+                                  f"fixed resolution over twice the assembly diagonal")
+    epsilon = data.get("contact_epsilon_mm")
+    try:
+        epsilon = None if epsilon is None else float(epsilon)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DescriptorError(f"{path}: contact_epsilon_mm: {exc}") from None
     try:
         assembly = AssemblyModel(tuple(parts), contact_epsilon=epsilon)
-        params = SweepParams(step_count=step_count)
-    except (PartError, RelationError) as exc:
+    except PartError as exc:
         raise DescriptorError(f"{path}: {exc}") from exc
     for a, b in itertools.combinations(assembly.parts, 2):
         if intersects(a.mesh, b.mesh):
             raise DescriptorError(f"{path}: parts {a.id!r} and {b.id!r} interpenetrate in "
                                   f"the assembled pose")
-    return assembly, params
+    return assembly
 
 
 def descriptor_dict(parts: tuple[PartModel, ...]) -> dict:

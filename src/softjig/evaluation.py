@@ -169,7 +169,7 @@ def load_observation(path) -> JigFrameObservation:
     """Read a marker observation: {"image_tag": str, "points": [[x, y] x 4]}."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:   # UnicodeDecodeError is a ValueError
         raise EvaluationError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict) or "points" not in data:
         raise EvaluationError(f"{path}: expected an object with a 'points' field")
@@ -182,30 +182,34 @@ def load_observation(path) -> JigFrameObservation:
 
 def load_force_series(path) -> list[ForceSample]:
     """Read a force series CSV with header fx,fy,fz[,t]."""
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as exc:
+        raise EvaluationError(f"{path}: not UTF-8 text: {exc}") from None
+    reader = csv.reader(lines)
+    try:
+        header = [h.strip().lower() for h in next(reader)]
+    except StopIteration:
+        raise EvaluationError(f"{path}: empty force CSV") from None
+    if header[:3] != ["fx", "fy", "fz"] or len(header) > 4 or \
+            (len(header) == 4 and header[3] != "t"):
+        raise EvaluationError(f"{path}: expected header fx,fy,fz[,t], got {header}")
+    with_time = len(header) == 4
+    samples = []
+    for lineno, row in enumerate(reader, 2):
+        if not row:
+            continue
         try:
-            header = [h.strip().lower() for h in next(reader)]
-        except StopIteration:
-            raise EvaluationError(f"{path}: empty force CSV") from None
-        if header[:3] != ["fx", "fy", "fz"] or len(header) > 4 or \
-                (len(header) == 4 and header[3] != "t"):
-            raise EvaluationError(f"{path}: expected header fx,fy,fz[,t], got {header}")
-        with_time = len(header) == 4
-        samples = []
-        for lineno, row in enumerate(reader, 2):
-            if not row:
-                continue
-            try:
-                values = [float(v) for v in row]
-            except ValueError as exc:
-                raise EvaluationError(f"{path}:{lineno}: bad number in {row}") from exc
-            if len(values) != len(header):
-                raise EvaluationError(f"{path}:{lineno}: expected {len(header)} columns")
-            samples.append(ForceSample(
-                fx=values[0], fy=values[1], fz=values[2],
-                timestamp=values[3] if with_time else None,
-            ))
+            values = [float(v) for v in row]
+        except ValueError as exc:
+            raise EvaluationError(f"{path}:{lineno}: bad number in {row}") from exc
+        if len(values) != len(header):
+            raise EvaluationError(f"{path}:{lineno}: expected {len(header)} columns")
+        samples.append(ForceSample(
+            fx=values[0], fy=values[1], fz=values[2],
+            timestamp=values[3] if with_time else None,
+        ))
     if not samples:
         raise EvaluationError(f"{path}: no samples in force CSV")
     return samples

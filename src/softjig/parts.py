@@ -89,6 +89,8 @@ class RigidOrientation:
         r = np.ascontiguousarray(np.asarray(self.rotation, dtype=np.float64))
         if r.shape != (3, 3):
             raise PartError(f"rotation must be 3x3, got {r.shape}")
+        if not np.isfinite(r).all():
+            raise PartError("rotation entries must be finite")
         if np.abs(r @ r.T - np.eye(3)).max() > ORTHONORMALITY_TOL:
             raise PartError("rotation is not orthonormal within 1e-9")
         if abs(np.linalg.det(r) - 1.0) > ORTHONORMALITY_TOL:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .parts import AssemblyModel, PartModel, RigidOrientation, mass_properties
-from .relations import Direction, ReachableDirectionList, SweepParams, compute_relation_matrices
+from .relations import Direction, ReachableDirectionList, compute_relation_matrices
 
 BOTTOM_TIE_TOL_MM = 1e-6
 
@@ -191,8 +191,7 @@ def _merge_id(existing: set[str], left: str, right: str) -> str:
     return candidate
 
 
-def configure_fixing_parts(assembly: AssemblyModel, sequence: AssemblySequence,
-                           params: SweepParams | None = None) -> FixingPlan:
+def configure_fixing_parts(assembly: AssemblyModel, sequence: AssemblySequence) -> FixingPlan:
     """Run the fixing-configuration walk over an assembly order.
 
     Returns a complete plan of ``len(sequence) - 1`` steps, or a partial
@@ -200,7 +199,7 @@ def configure_fixing_parts(assembly: AssemblyModel, sequence: AssemblySequence,
     along any axis direction.
     """
     members = _entity_members(assembly, sequence)
-    matrices = compute_relation_matrices(assembly, params)
+    matrices = compute_relation_matrices(assembly)
     live_ids = set(members)
 
     target = sequence.steps[0]

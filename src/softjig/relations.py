@@ -6,7 +6,8 @@ For parts i, k of an assembled product:
 * ``interference_free[j][i, k]`` — part k can translate along axis
   direction j from its assembled pose all the way out of the assembly
   without ever penetrating part i, checked at uniform samples by the
-  penetration kernel ``queries.penetrates_along``.
+  penetration kernel ``queries.penetrates_along``. The resolution is
+  fixed: ``STEP_COUNT`` samples per sweep, more for thin parts.
 * ``reachable[j]`` — elementwise gate of contact with interference
   freedom: ``(C | C^T) & M_j``. A pair's six reachable flags, in the fixed
   order +x, -x, +y, -y, +z, -z, form its reachable-direction list.
@@ -31,6 +32,9 @@ from .mesh import TriangleMesh
 from .parts import AssemblyModel
 from .queries import penetrates_along, within_distance
 
+# samples of every sweep, which runs twice the assembly AABB diagonal: beyond
+# that an axis translation cannot re-enter the assembly bounds
+STEP_COUNT = 64
 # most samples one pair's sweep may take; above it the sweep is refused
 # before its offsets are allocated
 MAX_SWEEP_STEPS = 1 << 20
@@ -101,28 +105,13 @@ class ReachableDirectionList:
         return tuple(d for d, f in zip(DIRECTION_ORDER, self.flags) if f)
 
 
-@dataclass(frozen=True)
-class SweepParams:
-    """Discretization of the translational sweeps.
-
-    Every sweep runs twice the assembly AABB diagonal: beyond that an axis
-    translation cannot re-enter the assembly bounds. The effective step
-    never exceeds half the thinnest AABB extent of the swept pair;
-    ``step_count`` is raised as needed, and a pair that would need more
-    than ``MAX_SWEEP_STEPS`` is refused.
-    """
-
-    step_count: int = 64
-
-    def __post_init__(self) -> None:
-        if self.step_count < 16:
-            raise RelationError(f"step_count must be >= 16, got {self.step_count}")
-
-    def steps_for(self, max_distance: float, thinnest_extent: float) -> int:
-        n = self.step_count
-        if thinnest_extent > 0:
-            n = max(n, math.ceil(max_distance / (0.5 * thinnest_extent)))
-        return n
+def sweep_steps(max_distance: float, thinnest_extent: float) -> int:
+    """Samples one pair's sweep takes: ``STEP_COUNT``, raised so that the
+    step never exceeds half the thinnest AABB extent of the swept pair."""
+    n = STEP_COUNT
+    if thinnest_extent > 0:
+        n = max(n, math.ceil(max_distance / (0.5 * thinnest_extent)))
+    return n
 
 
 def sweep_sample_distances(max_distance: float, n_steps: int) -> np.ndarray:
@@ -279,20 +268,17 @@ def compute_contact_matrix(assembly: AssemblyModel) -> np.ndarray:
     return contact
 
 
-def compute_all_interference_free(assembly: AssemblyModel,
-                                  params: SweepParams | None = None
-                                  ) -> dict[Direction, np.ndarray]:
+def compute_all_interference_free(assembly: AssemblyModel) -> dict[Direction, np.ndarray]:
     """All six interference-free matrices. Entry (i, k) of matrix j is true
     when part k sweeps out along j without penetrating part i.
 
-    Each unordered pair i < k resolves its step count once and is swept once
-    per direction with the higher index moving; the result fills (i, k) of
-    matrix j and (k, i) of matrix -j, so the mirror identity between
-    (i, k, j) and (k, i, -j) is bit-exact. A pair that needs more than
+    Each unordered pair i < k resolves its step count once
+    (:func:`sweep_steps`) and is swept once per direction with the higher
+    index moving; the result fills (i, k) of matrix j and (k, i) of matrix
+    -j, so the mirror identity between (i, k, j) and (k, i, -j) is bit-exact. A pair that needs more than
     ``MAX_SWEEP_STEPS`` steps is refused before any offsets are allocated,
     and running out of memory raises :class:`RelationError` naming both parts.
     """
-    params = params or SweepParams()
     max_distance = 2.0 * assembly.aabb_diagonal
     n = len(assembly.parts)
     free = {d: np.zeros((n, n), dtype=bool) for d in DIRECTION_ORDER}
@@ -300,7 +286,7 @@ def compute_all_interference_free(assembly: AssemblyModel,
         for k in range(i + 1, n):
             static, moving = assembly.parts[i], assembly.parts[k]
             thin = min(float(np.min(p.mesh.aabb[1] - p.mesh.aabb[0])) for p in (static, moving))
-            n_steps = params.steps_for(max_distance, thin)
+            n_steps = sweep_steps(max_distance, thin)
             if n_steps > MAX_SWEEP_STEPS:
                 raise RelationError(
                     f"sweeping {moving.id!r} past {static.id!r} needs "
@@ -327,11 +313,10 @@ def compute_reachable_matrix(contact: np.ndarray, interference_free: np.ndarray)
     return (c | c.T) & m
 
 
-def compute_relation_matrices(assembly: AssemblyModel,
-                              params: SweepParams | None = None) -> RelationMatrices:
+def compute_relation_matrices(assembly: AssemblyModel) -> RelationMatrices:
     """Contact, interference-free, and reachable matrices over the parts."""
     contact = compute_contact_matrix(assembly)
-    free = compute_all_interference_free(assembly, params)
+    free = compute_all_interference_free(assembly)
     return RelationMatrices(tuple(assembly.part_ids), contact, free)
 
 

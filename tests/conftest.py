@@ -30,10 +30,10 @@ from softjig.queries import (
 )
 from softjig.relations import (
     DIRECTION_ORDER,
-    SweepParams,
     compute_relation_matrices,
     merge_entity,
     sweep_sample_distances,
+    sweep_steps,
     sweep_translation_is_free,
 )
 
@@ -108,10 +108,9 @@ def naive_sweep_is_free(static_mesh, moving_mesh, direction, max_distance, n_ste
 
 def oracle_interference_free(assembly: AssemblyModel) -> dict:
     """The 10x sampled oracle for ``compute_all_interference_free``: each
-    pair i < k swept at 10 x the step count ``SweepParams().steps_for``
-    resolves for it, so its grid nests the default grid exactly, with the
-    higher-index part moving and the result mirrored into (k, i) of -j."""
-    params = SweepParams()
+    pair i < k swept at 10 x the step count ``sweep_steps`` resolves for
+    it, so its grid nests the default grid exactly, with the higher-index
+    part moving and the result mirrored into (k, i) of -j."""
     max_distance = 2.0 * assembly.aabb_diagonal
     n = len(assembly.parts)
     free = {d: np.zeros((n, n), dtype=bool) for d in DIRECTION_ORDER}
@@ -119,14 +118,14 @@ def oracle_interference_free(assembly: AssemblyModel) -> dict:
         for k in range(i + 1, n):
             static, moving = assembly.parts[i].mesh, assembly.parts[k].mesh
             thin = min(float(np.min(m.aabb[1] - m.aabb[0])) for m in (static, moving))
-            n_steps = 10 * params.steps_for(max_distance, thin)
+            n_steps = 10 * sweep_steps(max_distance, thin)
             for d in DIRECTION_ORDER:
                 free[d][i, k] = free[d.opposite][k, i] = sweep_translation_is_free(
                     static, moving, d, max_distance, n_steps)
     return free
 
 
-def merge_walk_plan(assembly: AssemblyModel, sequence, params=None) -> FixingPlan:
+def merge_walk_plan(assembly: AssemblyModel, sequence) -> FixingPlan:
     """Reference for ``configure_fixing_parts``: the walk over merged
     matrices. Every group is collapsed with ``merge_entity`` first, and the
     target and the next entity are merged after every step, so each step's
@@ -138,7 +137,7 @@ def merge_walk_plan(assembly: AssemblyModel, sequence, params=None) -> FixingPla
             raise PlannerError(f"entity {ref!r} belongs to a group and cannot be sequenced alone")
         if part is None and ref not in groups:
             raise PlannerError(f"unknown sequence entity {ref!r}")
-    matrices = compute_relation_matrices(assembly, params)
+    matrices = compute_relation_matrices(assembly)
     for group in groups:
         matrices = merge_entity(matrices, {p.id for p in assembly.parts if p.group == group},
                                 group)

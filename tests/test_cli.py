@@ -52,7 +52,7 @@ def test_fixtures_writes_meshes_and_descriptor(fixture_dir):
     descriptor = json.loads((fixture_dir / "assembly.json").read_text())
     assert [p["id"] for p in descriptor["parts"]] == ["motor", "plate", "bolt_a", "bolt_b"]
     assert descriptor["parts"][2]["group"] == "bolts"
-    loaded, _ = load_descriptor(fixture_dir / "assembly.json")
+    loaded = load_descriptor(fixture_dir / "assembly.json")
     expected = proxy_assembly()
     assert [(p.id, p.mass, p.group) for p in loaded.parts] == \
         [(p.id, p.mass, p.group) for p in expected.parts]
@@ -140,6 +140,23 @@ def test_plan_non_finite_translation_exits_1_naming_the_part(fixture_dir, tmp_pa
     assert not out.exists()
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "(plate)" in err and "non-finite" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_plan_non_finite_rotation_exits_1_as_a_bad_pose(fixture_dir, tmp_path, capsys, bad):
+    """A NaN or infinite rotation entry is one bad-pose line naming the
+    part, with no numpy warning before it."""
+    doc = json.loads((fixture_dir / "assembly.json").read_text())
+    for part in doc["parts"]:
+        part["mesh_path"] = str(fixture_dir / part["mesh_path"])
+    doc["parts"][1]["pose"]["rotation"] = [[bad, 0, 0], [0, 1, 0], [0, 0, 1]]
+    descriptor = tmp_path / "assembly.json"
+    descriptor.write_text(json.dumps(doc))
+    code = main(["plan", str(descriptor), "--sequence", "motor,plate,bolts"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "parts[1]" in err and "bad pose" in err
 
 
 def test_plan_open_mesh_exits_1_naming_the_part(fixture_dir, tmp_path, capsys):
@@ -245,6 +262,7 @@ def test_plan_infinite_max_distance_in_descriptor_exits_1(tmp_path, capsys):
     ({"sweep": {"step_count": 16.9}}, "sweep.step_count"),
     ({"contact_epsilon_mm": "tiny"}, "contact_epsilon_mm"),
     ({"sweep": [1]}, "'sweep'"),
+    ({"sweep": {"step_count": 64}}, "sweep.step_count"),
 ])
 def test_matrices_malformed_descriptor_setting_exits_1(tmp_path, capsys, setting, field):
     descriptor = write_two_cube_descriptor(tmp_path, gap_x=0.0)
@@ -260,13 +278,20 @@ def test_matrices_malformed_descriptor_setting_exits_1(tmp_path, capsys, setting
 
 
 def test_matrices_over_step_cap_exits_1(tmp_path, capsys, monkeypatch):
+    """A 1e-5 mm plate beside a 100 mm cube needs about 1e8 sweep steps:
+    refused with one line naming the pair, before any offsets exist."""
     def forbidden(*args):
         raise AssertionError("sweep offsets were allocated")
     monkeypatch.setattr(relations, "sweep_sample_distances", forbidden)
-    descriptor = write_two_cube_descriptor(tmp_path, gap_x=0.0)
+    save_stl_binary(box_mesh((0, 0, 0), (100, 100, 100)), tmp_path / "a.stl")
+    save_stl_binary(box_mesh((100, 0, 0), (200, 100, 1e-5)), tmp_path / "b.stl")
+    descriptor = tmp_path / "plate.json"
+    descriptor.write_text(json.dumps({"parts": [
+        {"id": "a", "mesh_path": "a.stl", "mass_g": 10.0},
+        {"id": "b", "mesh_path": "b.stl", "mass_g": 1.0},
+    ]}))
     out = tmp_path / "matrices.json"
-    code = main(["matrices", str(descriptor), "--steps", str(relations.MAX_SWEEP_STEPS + 1),
-                 "--out", str(out)])
+    code = main(["matrices", str(descriptor), "--out", str(out)])
     assert code == 1
     assert not out.exists()
     err = capsys.readouterr().err
@@ -344,6 +369,41 @@ def test_retired_oracle_flag_exits_1(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["plan", "--sequence", "a,b"], ["matrices"]],
+                         ids=["plan", "matrices"])
+def test_retired_steps_flag_exits_1_with_one_line(tmp_path, capsys, command):
+    """Sweeps sample at a fixed resolution: ``--steps`` is a usage error,
+    reported in one stderr line, even at the old default."""
+    descriptor = write_two_cube_descriptor(tmp_path, gap_x=0.0)
+    out = tmp_path / "out.json"
+    assert main([command[0], str(descriptor), *command[1:], "--steps", "64",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "unrecognized arguments: --steps 64" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["plan", "--fixtures", "proxy", "--sequence", "a,b"],
+                                     ["matrices", "--fixtures", "proxy"],
+                                     ["evaluate", "before.json", "after.json",
+                                      "--jig-width-px", "320"]],
+                         ids=["plan", "matrices", "evaluate"])
+def test_out_directory_refused_before_any_work(tmp_path, capsys, monkeypatch, command):
+    """An ``--out`` that is a directory, or whose directory is missing, is
+    refused in one line naming the given path before anything is loaded."""
+    def forbidden(*args):
+        raise AssertionError("work started before --out was checked")
+    for module, name in (("cli", "_load_assembly"), ("cli", "compute_relation_matrices"),
+                         ("evaluation", "load_observation")):
+        monkeypatch.setattr(f"softjig.{module}.{name}", forbidden)
+    (tmp_path / "taken").mkdir()
+    for out in (tmp_path / "taken", tmp_path / "missing" / "out.json"):
+        assert main([*command, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and f"--out {out}:" in err and ".tmp" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
 # -- evaluate command --------------------------------------------------------------
 
 def test_evaluate_success_exit_0(tmp_path):
@@ -405,6 +465,29 @@ def test_evaluate_bad_number_exits_1(tmp_path, capsys, flag, value, name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", ["observation_not_utf8", "observation_nested",
+                                 "force_csv_not_utf8"])
+def test_evaluate_unreadable_input_exits_1_naming_the_file(tmp_path, capsys, bad):
+    before = write_observation(tmp_path / "before.json", 500.0)
+    after = write_observation(tmp_path / "after.json", 656.4)
+    forces = tmp_path / "forces.csv"
+    forces.write_text("fx,fy,fz\n1,2,3\n")
+    path = forces if bad.startswith("force_csv") else after
+    if bad == "observation_not_utf8":
+        after.write_bytes(after.read_bytes().replace(b'"after"', b'"aft\xe9r"'))
+    elif bad == "observation_nested":
+        after.write_text("[" * 100_000)   # nested past the recursion limit
+    else:
+        forces.write_bytes(b"fx,fy,fz\n1,2,\xe9")
+    out = tmp_path / "report.json"
+    code = main(["evaluate", str(before), str(after), "--jig-width-px", "320",
+                 "--force-csv", str(forces), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and str(path) in err
+    assert not out.exists()
+
+
 def test_evaluate_determinism(tmp_path):
     before = write_observation(tmp_path / "before.json", 0.0)
     after = write_observation(tmp_path / "after.json", 100.0)
@@ -447,6 +530,17 @@ def test_readme_commands_parse():
             parser.parse_args(shlex.split(command)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {command}")
+
+
+# -- package -----------------------------------------------------------------------
+
+def test_every_exported_name_resolves():
+    """``softjig`` imports its exports lazily: each name in ``__all__``
+    must still exist in the module it is taken from."""
+    import softjig
+    assert "SweepParams" not in softjig.__all__
+    for name in softjig.__all__:
+        assert getattr(softjig, name) is not None, name
 
 
 # -- benchmark tooling -------------------------------------------------------------

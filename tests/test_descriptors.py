@@ -10,7 +10,6 @@ from softjig.cli import main
 from softjig.descriptors import DescriptorError, load_descriptor
 from softjig.fixtures import box_mesh
 from softjig.mesh import save_stl_binary
-from softjig.relations import SweepParams
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -34,7 +33,7 @@ def test_pose_places_mesh_in_assembled_frame(tmp_path):
         {"id": "b", "mesh_path": mesh_name, "mass_g": 5.0,
          "pose": {"rotation": quarter_turn, "translation_mm": [30.0, 0.0, 0.0]}},
     ]})
-    assembly, _ = load_descriptor(path)
+    assembly = load_descriptor(path)
     lo, hi = assembly.part("b").mesh.aabb
     assert np.allclose(lo, [20.0, 0.0, 0.0])
     assert np.allclose(hi, [30.0, 10.0, 10.0])
@@ -51,12 +50,11 @@ def test_groups_and_overrides_parsed(tmp_path):
              "pose": {"rotation": np.eye(3).tolist(), "translation_mm": [0, 0, 20]}},
         ],
         "contact_epsilon_mm": 0.05,
-        "sweep": {"step_count": 33, "max_distance_mm": None},
+        "sweep": {"step_count": None, "max_distance_mm": None},
     })
-    assembly, params = load_descriptor(path)
+    assembly = load_descriptor(path)
     assert [p.id for p in assembly.parts if p.group == "pair"] == ["b", "c"]
     assert assembly.contact_epsilon == 0.05
-    assert params == SweepParams(step_count=33)
 
 
 def test_missing_mesh_file(tmp_path):
@@ -140,7 +138,7 @@ def test_interpenetrating_parts_refused_naming_both(tmp_path):
             with pytest.raises(DescriptorError, match="'a' and 'b' interpenetrate"):
                 load_descriptor(path)
         else:
-            assert load_descriptor(path)[0].part_ids == ["a", "b"]
+            assert load_descriptor(path).part_ids == ["a", "b"]
 
 
 def test_fixture_and_benchmark_inputs_load(tmp_path):

@@ -136,12 +136,17 @@ def test_empty_part_list_rejected():
         mass_properties([])
 
 
+@pytest.mark.filterwarnings("error")
 def test_rigid_orientation_validation():
     RigidOrientation(np.eye(3))
     with pytest.raises(PartError):
         RigidOrientation(np.eye(3) * 2.0)
     with pytest.raises(PartError):
         RigidOrientation(np.diag([1.0, 1.0, -1.0]))  # det -1
+    # NaN compares False in both tests above; inf warns in them
+    for bad in (np.nan, np.inf):
+        with pytest.raises(PartError, match="finite"):
+            RigidOrientation(np.diag([bad, 1.0, 1.0]))
 
 
 def test_assembly_unique_ids():

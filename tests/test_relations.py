@@ -26,13 +26,13 @@ from softjig.relations import (
     ReachableDirectionList,
     RelationError,
     RelationMatrices,
-    SweepParams,
     compute_all_interference_free,
     compute_contact_matrix,
     compute_reachable_matrix,
     compute_relation_matrices,
     merge_entity,
     sweep_sample_distances,
+    sweep_steps,
     sweep_translation_is_free,
 )
 
@@ -143,10 +143,9 @@ def lateral_sweep_offsets(assembly: AssemblyModel, direction: Direction) -> np.n
     axis: what the penetration kernel would be given if the touching-box
     cull did not decide the sweep first."""
     static, moving = (p.mesh for p in assembly.parts)
-    params = SweepParams()
     max_distance = 2.0 * assembly.aabb_diagonal
     thin = min(float(np.min(m.aabb[1] - m.aabb[0])) for m in (static, moving))
-    samples = sweep_sample_distances(max_distance, params.steps_for(max_distance, thin))
+    samples = sweep_sample_distances(max_distance, sweep_steps(max_distance, thin))
     ax = direction.axis
     if direction.sign > 0:
         t_lo, t_hi = static.aabb[0][ax] - moving.aabb[1][ax], static.aabb[1][ax] - moving.aabb[0][ax]
@@ -505,12 +504,15 @@ def test_duality_on_fixtures(proxy, peg, cube_stacks):
 
 
 def test_refining_steps_never_flips_free_to_blocked_to_free(peg):
-    base = compute_all_interference_free(peg, SweepParams(step_count=16))
-    for factor in (2, 3, 10):
-        finer = compute_all_interference_free(peg, SweepParams(step_count=16 * factor))
+    max_distance = 2.0 * peg.aabb_diagonal
+    for static, moving in itertools.combinations(peg.parts, 2):
         for d in DIRECTION_ORDER:
-            # refinement may only remove claimed freedom, never invent it
-            assert not (finer[d] & ~base[d]).any()
+            base = sweep_translation_is_free(static.mesh, moving.mesh, d, max_distance, 16)
+            for factor in (2, 3, 10):
+                finer = sweep_translation_is_free(static.mesh, moving.mesh, d, max_distance,
+                                                  16 * factor)
+                # refinement may only remove claimed freedom, never invent it
+                assert base or not finer, (static.id, moving.id, d.value, factor)
 
 
 def test_default_sweeps_equal_the_10x_oracle_on_fixtures(proxy, peg):
@@ -535,8 +537,9 @@ def thin_shelf_pair() -> AssemblyModel:
 def test_thin_shelf_blocks_plus_z_under_finer_sampling():
     pair = thin_shelf_pair()
     assert not oracle_interference_free(pair)[Direction.PLUS_Z][0, 1]
-    finer = compute_all_interference_free(pair, SweepParams(step_count=640))
-    assert not finer[Direction.PLUS_Z][0, 1]
+    shelf, sheet = (p.mesh for p in pair.parts)
+    assert not sweep_translation_is_free(shelf, sheet, Direction.PLUS_Z,
+                                         2.0 * pair.aabb_diagonal, 640)
 
 
 def test_rotation_permutes_interference_matrices(proxy):
@@ -549,18 +552,16 @@ def test_rotation_permutes_interference_matrices(proxy):
         assert np.array_equal(m_rot[d], m_orig[d_orig]), (d.value, d_orig.value)
 
 
-def test_sweep_params_validation(monkeypatch):
-    """The step count has a floor, and every sweep runs twice the assembly
-    diagonal: there is no other setting of the distance."""
-    with pytest.raises(RelationError):
-        SweepParams(step_count=8)
+def test_sweeps_run_twice_the_diagonal_at_the_fixed_resolution(monkeypatch):
+    """Every sweep runs twice the assembly diagonal at ``STEP_COUNT``
+    samples unless a thin part raises it: neither has a setting."""
     asm = two_cubes(gap=0.0)
-    distances = set()
+    sweeps = set()
     monkeypatch.setattr(relations, "sweep_translation_is_free",
                         lambda static, moving, direction, distance, n_steps:
-                        distances.add(distance))
-    compute_all_interference_free(asm, SweepParams(step_count=16))
-    assert distances == {2 * asm.aabb_diagonal}
+                        sweeps.add((distance, n_steps)))
+    compute_all_interference_free(asm)
+    assert sweeps == {(2 * asm.aabb_diagonal, relations.STEP_COUNT)}
 
 
 def _forbid_sample_allocation(monkeypatch):
@@ -577,37 +578,47 @@ def thin_plate_beside_cube() -> AssemblyModel:
     return AssemblyModel((a, b))
 
 
-@pytest.mark.parametrize("assembly, params", [
-    (two_cubes(gap=0.0), SweepParams(step_count=relations.MAX_SWEEP_STEPS + 1)),
-    (thin_plate_beside_cube(), SweepParams()),
-], ids=["step_count", "thin_plate"])
-def test_oversized_sweep_refused_before_allocation(monkeypatch, assembly, params):
+def cube_on_thin_base() -> AssemblyModel:
+    """The thin plate of :func:`thin_plate_beside_cube` as the static part,
+    with the cube resting on it: the cap holds whichever part is thin."""
+    a = PartModel("a", box_mesh((0, 0, 0), (100, 100, 1e-5)), 1.0)
+    b = PartModel("b", box_mesh((0, 0, 1e-5), (100, 100, 100)), 1.0)
+    return AssemblyModel((a, b))
+
+
+@pytest.mark.parametrize("assembly", [cube_on_thin_base(), thin_plate_beside_cube()],
+                         ids=["thin_base", "thin_plate"])
+def test_oversized_sweep_refused_before_allocation(monkeypatch, assembly):
     _forbid_sample_allocation(monkeypatch)
     with pytest.raises(RelationError, match=r"'b' past 'a' needs \d+ steps"):
-        compute_all_interference_free(assembly, params)
+        compute_all_interference_free(assembly)
 
 
 def test_sweep_at_step_cap_goes_ahead(monkeypatch):
+    """A pair whose resolved count equals ``MAX_SWEEP_STEPS`` is swept;
+    one step more is refused."""
     _forbid_sample_allocation(monkeypatch)
     seen = []
     monkeypatch.setattr(relations, "sweep_translation_is_free",
                         lambda static, moving, direction, distance, n_steps: seen.append(n_steps))
-    compute_all_interference_free(two_cubes(gap=0.0),
-                                  SweepParams(step_count=relations.MAX_SWEEP_STEPS))
-    assert seen == [relations.MAX_SWEEP_STEPS] * len(DIRECTION_ORDER)
+    monkeypatch.setattr(relations, "MAX_SWEEP_STEPS", relations.STEP_COUNT)
+    compute_all_interference_free(two_cubes(gap=0.0))
+    assert seen == [relations.STEP_COUNT] * len(DIRECTION_ORDER)
+    monkeypatch.setattr(relations, "MAX_SWEEP_STEPS", relations.STEP_COUNT - 1)
+    with pytest.raises(RelationError, match=r"'b' past 'a' needs 64 steps"):
+        compute_all_interference_free(two_cubes(gap=0.0))
 
 
 def test_steps_raised_for_thin_movers():
-    params = SweepParams(step_count=16)
-    assert params.steps_for(max_distance=100.0, thinnest_extent=4.0) == 50
-    assert params.steps_for(max_distance=100.0, thinnest_extent=50.0) == 16
+    assert sweep_steps(max_distance=1000.0, thinnest_extent=4.0) == 500
+    assert sweep_steps(max_distance=100.0, thinnest_extent=50.0) == relations.STEP_COUNT == 64
+    assert sweep_steps(max_distance=100.0, thinnest_extent=0.0) == relations.STEP_COUNT
 
 
 def test_step_count_resolved_once_per_pair(monkeypatch, proxy):
     calls = []
-    steps_for = SweepParams.steps_for
-    monkeypatch.setattr(SweepParams, "steps_for",
-                        lambda self, *args: calls.append(args) or steps_for(self, *args))
+    monkeypatch.setattr(relations, "sweep_steps",
+                        lambda *args, steps=sweep_steps: calls.append(args) or steps(*args))
     compute_all_interference_free(proxy)
     assert len(proxy.parts) == 4 and len(calls) == 6
 
