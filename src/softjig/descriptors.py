@@ -15,8 +15,10 @@ tolerance::
 
 Mesh paths are resolved relative to the descriptor's directory. The
 fields ``sweep.max_distance_mm`` and ``sweep.step_count`` may only be null
-or absent: sweeps sample at a fixed resolution over twice the assembly
-diagonal. Posed parts may not interpenetrate.
+or absent: sweeps run over twice the assembly diagonal at a fixed
+resolution. Posed parts may not interpenetrate. Any other field, at the top
+level or in a part, its pose or ``sweep``, is refused by name, so a misspelt
+setting cannot pass unnoticed.
 """
 
 from __future__ import annotations
@@ -34,6 +36,22 @@ class DescriptorError(ValueError):
     """Malformed assembly descriptor."""
 
 
+# the fields each object of a descriptor may carry
+_FIELDS = {
+    "descriptor": ("parts", "contact_epsilon_mm", "sweep"),
+    "part": ("id", "mesh_path", "mass_g", "pose", "group"),
+    "pose": ("rotation", "translation_mm"),
+    "sweep": ("max_distance_mm", "step_count"),
+}
+
+
+def _check_fields(path: Path, where: str, obj: dict, kind: str) -> None:
+    """Refuse the first field of ``obj`` that a ``kind`` object may not carry."""
+    for key in obj:
+        if key not in _FIELDS[kind]:
+            raise DescriptorError(f"{path}: {where}unknown field {key!r}")
+
+
 def load_descriptor(path) -> AssemblyModel:
     """Parse a descriptor and load its meshes into an assembly. A part
     whose posed mesh is open is refused by :class:`PartModel`, and a pair of
@@ -47,6 +65,7 @@ def load_descriptor(path) -> AssemblyModel:
         raise DescriptorError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DescriptorError(f"{path}: descriptor must be a JSON object")
+    _check_fields(path, "", data, "descriptor")
 
     raw_parts = data.get("parts")
     if not isinstance(raw_parts, list) or not raw_parts:
@@ -56,6 +75,7 @@ def load_descriptor(path) -> AssemblyModel:
     for i, entry in enumerate(raw_parts):
         if not isinstance(entry, dict):
             raise DescriptorError(f"{path}: parts[{i}] must be an object")
+        _check_fields(path, f"parts[{i}]: ", entry, "part")
         try:
             part_id = str(entry["id"])
             mesh_path = (path.parent / str(entry["mesh_path"])).resolve()
@@ -70,6 +90,8 @@ def load_descriptor(path) -> AssemblyModel:
             raise DescriptorError(f"{path}: parts[{i}] ({part_id}): {exc}") from exc
         pose = entry.get("pose")
         if pose is not None:
+            if isinstance(pose, dict):
+                _check_fields(path, f"parts[{i}]: pose: ", pose, "pose")
             try:
                 rotation = RigidOrientation(pose["rotation"])
                 translation = [float(v) for v in pose["translation_mm"]]
@@ -87,9 +109,10 @@ def load_descriptor(path) -> AssemblyModel:
         except (PartError, MeshError) as exc:
             raise DescriptorError(f"{path}: parts[{i}] ({part_id}): {exc}") from exc
 
-    sweep_cfg = data.get("sweep") or {}
+    sweep_cfg = {} if data.get("sweep") is None else data["sweep"]
     if not isinstance(sweep_cfg, dict):
         raise DescriptorError(f"{path}: 'sweep' must be an object")
+    _check_fields(path, "sweep: ", sweep_cfg, "sweep")
     for name in ("max_distance_mm", "step_count"):
         if sweep_cfg.get(name) is not None:
             raise DescriptorError(f"{path}: sweep.{name}: must be null; sweeps sample at a "

@@ -215,6 +215,21 @@ def _finish_mesh(vertices: np.ndarray, triangles: np.ndarray) -> TriangleMesh:
 
 # -- STL -------------------------------------------------------------------
 
+# one binary STL facet: unit normal, three corners, attribute byte count
+_STL_FACET = np.dtype([("normal", "<f4", (3,)), ("verts", "<f4", (3, 3)), ("attr", "<u2")])
+
+
+def _facet_normals(corners: np.ndarray) -> np.ndarray:
+    """Unit normals of ``corners`` (t, 3, 3), in their own precision; 0
+    for a zero-area facet."""
+    normals = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+    lengths = np.linalg.norm(normals, axis=1)
+    safe = lengths > 0
+    normals[safe] /= lengths[safe, None]
+    normals[~safe] = 0.0
+    return normals
+
+
 def _parse_stl_ascii(text: str) -> tuple[np.ndarray, np.ndarray]:
     coords: list[float] = []
     for line in text.splitlines():
@@ -244,12 +259,7 @@ def _parse_stl_binary(data: bytes) -> tuple[np.ndarray, np.ndarray]:
         )
     if count == 0:
         raise DegenerateMeshError("binary STL declares 0 triangles")
-    record = np.dtype([
-        ("normal", "<f4", (3,)),
-        ("verts", "<f4", (3, 3)),
-        ("attr", "<u2"),
-    ])
-    body = np.frombuffer(data, dtype=record, count=count, offset=84)
+    body = np.frombuffer(data, dtype=_STL_FACET, count=count, offset=84)
     vertices = body["verts"].astype(np.float64).reshape(-1, 3)
     triangles = np.arange(len(vertices), dtype=np.int64).reshape(-1, 3)
     return vertices, triangles
@@ -303,19 +313,8 @@ def save_stl_binary(mesh: TriangleMesh, path) -> None:
     identical.
     """
     corners = mesh.corners.astype(np.float32)
-    e1 = corners[:, 1] - corners[:, 0]
-    e2 = corners[:, 2] - corners[:, 0]
-    normals = np.cross(e1, e2)
-    lengths = np.linalg.norm(normals, axis=1)
-    safe = lengths > 0
-    normals[safe] /= lengths[safe, None]
-    normals[~safe] = 0.0
-    record = np.zeros(len(corners), dtype=np.dtype([
-        ("normal", "<f4", (3,)),
-        ("verts", "<f4", (3, 3)),
-        ("attr", "<u2"),
-    ]))
-    record["normal"] = normals
+    record = np.zeros(len(corners), dtype=_STL_FACET)
+    record["normal"] = _facet_normals(corners)
     record["verts"] = corners
     header = b"softjig mesh" + b" " * 68
     with open(path, "wb") as f:
@@ -327,14 +326,7 @@ def save_stl_binary(mesh: TriangleMesh, path) -> None:
 def save_stl_ascii(mesh: TriangleMesh, path) -> None:
     lines = ["solid softjig"]
     corners = mesh.corners
-    e1 = corners[:, 1] - corners[:, 0]
-    e2 = corners[:, 2] - corners[:, 0]
-    normals = np.cross(e1, e2)
-    lengths = np.linalg.norm(normals, axis=1)
-    safe = lengths > 0
-    normals[safe] /= lengths[safe, None]
-    normals[~safe] = 0.0
-    for tri, n in zip(corners.tolist(), normals.tolist()):
+    for tri, n in zip(corners.tolist(), _facet_normals(corners).tolist()):
         lines.append(f"  facet normal {n[0]!r} {n[1]!r} {n[2]!r}")
         lines.append("    outer loop")
         for v in tri:

@@ -5,10 +5,12 @@ Conventions that everything downstream relies on:
 * Surface contact is not an intersection. Penetration means a transversal
   surface crossing or containment, so parts resting or sliding on each
   other stay legal.
-* One kernel, ``penetrates_along``, decides penetration of a mesh shifted by
-  a set of offsets along an axis. ``intersects`` is its zero-offset case and
-  the translational sweeps in ``relations`` are its sampled case. It
-  refuses an open mesh (``mesh.unbalanced_edges``); a part's never is.
+* One kernel, ``penetrates_along``, decides penetration of a mesh shifted
+  along an axis: crossings over a whole range of offsets, containment at
+  sampled offsets in it. ``intersects`` is its case of the single offset
+  0, and the translational sweeps in ``relations`` run it over each
+  sweep's range. It refuses an open mesh (``mesh.unbalanced_edges``); a
+  part's never is.
 * Boxes that only touch count as disjoint wherever the question is
   penetration (``broad.interiors_overlap``): a closed solid lies in its
   box, so solids whose boxes meet in a slab of zero width have disjoint
@@ -32,28 +34,28 @@ Conventions that everything downstream relies on:
   containment share one broad phase, ``broad.box_pairs``, a stream of
   candidate pairs in blocks; the early-exit scans consume it batch by
   batch, so a scan that stops early never generates the rest.
-* ``penetrates_along`` checks a triangle pair only at offsets where both
-  triangles can straddle each other's planes. A shift leaves the normals
-  unchanged, so every vertex-to-plane distance is affine in the offset with
-  one slope, and each straddle holds on one interval per pair, computed in
-  closed form (``straddle.row_windows``). It is tested at the touch
-  tolerance less a slack of half that tolerance, which exceeds a bound on
-  the rounding gap derived there; pairs whose bound does not fit, such as
-  zero or sliver normals, keep every offset at which their boxes overlap.
-  Only rows on which ``proper_crossings`` is False are skipped. The pairs
-  are generated and windowed batch by batch inside the early-exit crossing
-  scan, so a blocked sweep generates and windows only the pairs up to its
-  first crossing.
+* Crossings are decided in closed form, once per candidate triangle pair
+  (``crossing_intervals``): a shifted pair crosses on one open interval of
+  offsets, where the two triangles' projections overlap on each of the 11
+  separating axes, and ``penetrates_along`` asks whether that interval
+  meets its range. The face axes are tested at half the touch tolerance,
+  so contact and sliding never cross, and the interval holds every offset
+  at which ``proper_crossings``, the per-offset definition, finds the
+  shifted pair crossing. The rounding bounds and the fallback for sliver
+  triangles are derived there. The pairs are generated and their intervals
+  computed batch by batch inside the early-exit scan, so a blocked sweep
+  generates only the pairs up to its first crossing.
 * Containment probes are computed once per mesh and kept read-only.
 * All offsets of one probe lie on one line along the sweep axis, so
   containment is decided per probe by signed ray crossings
   (``rays.ray_containment``): the winding number at each offset is the
   signed count of the target's crossings above it. Rows whose probe line
   passes within ``tol`` of a projected triangle edge or vertex, and rows
-  within a margin of a crossing, go to the dense ``winding_fraction``
-  instead. ``tol`` is 1e-9 of (1 + the target's largest coordinate
-  magnitude), far enough from the surface that ``winding_fraction``'s
-  rounding cannot cross ``INSIDE_WINDING``.
+  within a margin of a crossing, are cast again as their own probes along
+  each of the two other axes, and a row undecided on all three goes to
+  the dense ``winding_fraction``. ``tol`` is 1e-9 of (1 + the target's
+  largest coordinate magnitude), far enough from the surface that
+  ``winding_fraction``'s rounding cannot cross ``INSIDE_WINDING``.
 
 All tolerances are absolute millimetres.
 """
@@ -62,7 +64,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import broad, straddle
+from . import broad
 from .mesh import DegenerateMeshError, PerMesh, TriangleMesh, unbalanced_edges
 from .rays import ray_containment
 
@@ -84,6 +86,11 @@ _LAST_BATCH_ROWS = 1 << 13
 # first batch of the contact scan: a touching pair's first few candidates
 # are usually within epsilon already
 _FIRST_CONTACT_ROWS = 1 << 6
+
+# first batch of the crossing scan: small enough that a blocked sweep, whose
+# first crossing is usually early, computes few intervals, large enough
+# that a free one makes few kernel calls
+_FIRST_CROSSING_ROWS = 1 << 9
 
 
 # -- low-level kernels -------------------------------------------------------
@@ -230,7 +237,7 @@ def triangle_pair_distance_sq(tri_a: np.ndarray, tri_b: np.ndarray) -> np.ndarra
     each of the 9 edge-edge pairs in both argument orders) is identical for
     both argument orders, so the float minimum is too. For properly
     crossing pairs the value is a positive overestimate; callers combine
-    with :func:`proper_crossings`.
+    with :func:`intersects`.
 
     The candidates of up to ``_STACK_PAIRS`` pairs are stacked into one
     :func:`point_triangle_distance_sq` call, 6 rows per pair, and one
@@ -319,6 +326,142 @@ def proper_crossings(tri_a: np.ndarray, tri_b: np.ndarray,
     return mask & (overlap > tol)
 
 
+def _triangle_terms(mesh: TriangleMesh) -> tuple[np.ndarray, ...]:
+    """Per triangle, coordinate-major (triangle index last): the corners
+    ``c[p, j]``, the normal ``(c1 - c0) x (c2 - c0)``, the edges
+    ``c[p + 1] - c[p]``, their lengths and the longest."""
+    c = np.ascontiguousarray(mesh.corners.transpose(1, 2, 0))
+    edges = c[[1, 2, 0]] - c
+    edge_len = np.sqrt(np.einsum("pjk,pjk->pk", edges, edges))
+    return c, np.cross(c[1] - c[0], c[2] - c[0], axis=0), edges, edge_len, edge_len.max(axis=0)
+
+
+# _triangle_terms of a mesh, computed once per mesh
+_terms = PerMesh(_triangle_terms)
+
+
+def _narrow(lo: np.ndarray, hi: np.ndarray, rel: np.ndarray, axes: np.ndarray, axis: int,
+            base: np.ndarray, bend: np.ndarray, margin: float | None,
+            tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)`` narrowed, per pair k, to the offsets t at which the
+    projections on each of ``axes[:, :, k]`` of the static corners
+    ``(0, rel[0], rel[1])`` and of the moving ones ``rel[2:]`` shifted by t
+    along ``axis``, divided by the axis length |n|, overlap by more than
+    ``margin``, or by more than the axis's rounding gap
+    ``base (1 + bend / |n|)`` when ``margin`` is None. An axis whose gap
+    exceeds ``tol / 2`` is left out. An empty interval may come back with
+    a NaN end."""
+    length = np.sqrt(np.einsum("ajk,ajk->ak", axes, axes))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = base * (1 + bend / length)
+    margin = gap if margin is None else margin
+    proj = np.einsum("pjk,ajk->pak", rel, axes)
+    s_lo = np.minimum(np.minimum(proj[0], proj[1]), 0)
+    s_hi = np.maximum(np.maximum(proj[0], proj[1]), 0)
+    m_lo = np.minimum(np.minimum(proj[2], proj[3]), proj[4])
+    m_hi = np.maximum(np.maximum(proj[2], proj[3]), proj[4])
+    keep = gap <= 0.5 * tol
+    div = np.where(keep, length, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        low = np.where(keep, (s_lo - m_hi) / div + margin, -np.inf)
+        high = np.where(keep, (s_hi - m_lo) / div - margin, np.inf)
+        t1, t2 = low / (axes[:, axis] / div), high / (axes[:, axis] / div)
+    t_lo = np.where(low < high, np.minimum(t1, t2), np.nan)
+    return np.maximum(lo, t_lo.max(axis=0)), np.minimum(hi, np.maximum(t1, t2).min(axis=0))
+
+
+def crossing_intervals(static: TriangleMesh, moving: TriangleMesh, si: np.ndarray,
+                       mi: np.ndarray, axis: int,
+                       tol: float = TOUCH_TOLERANCE_MM) -> tuple[np.ndarray, np.ndarray]:
+    """Per candidate pair p, the open interval ``(lo[p], hi[p])`` of offsets
+    t over which triangle ``mi[p]`` of ``moving``, shifted by t along
+    ``axis``, crosses triangle ``si[p]`` of ``static``; it is empty
+    (``lo[p] < hi[p]`` is False) when they never cross.
+
+    Two triangles cross when every small enough translation keeps them
+    meeting, which is what :func:`proper_crossings` tests at one offset.
+    ``M + t e`` meets ``S`` iff ``t e`` lies in ``K = S - M``, the hull of
+    the 9 differences ``s_i - m_j``, and crosses it iff ``t e`` lies in
+    K's interior: strictly inside every facet of K. K's facet normals are
+    among 11 axes, the two face normals and the 9 cross products of an edge
+    of S with an edge of M (the separating-axis theorem; Ericson,
+    *Real-Time Collision Detection*, ch. 5). Along an axis n the shift
+    moves M's projection by ``t n[axis]`` and leaves S's, so the two
+    projections overlap by more than a margin w on one open interval of t,
+    with ends in closed form; the pair's interval is the intersection over
+    the axes and over the window in which the triangles' boxes overlap
+    along ``axis``. A zero axis, from parallel edges, bounds no facet and is
+    skipped. When K is flat (coplanar triangles) its normal is a face axis,
+    on which no t gives both sides a positive overlap, so coplanar contact
+    and sliding never cross. The face axes run on every pair and the edge
+    axes only on the pairs whose interval is still open, from terms kept
+    per mesh (``_triangle_terms``).
+
+    Margins, with u = 2**-53, L the diagonal of the box of the pair's six
+    unshifted corners (it bounds every corner difference, and |t| in the
+    box window), C their largest coordinate magnitude, P the longest edge
+    of a face axis's triangle, and |a|, |b| the edges of an edge axis:
+
+    * The face axes are tested at ``w = tol / 2``: each triangle straddles
+      the other's plane by more than ``tol / 2``, the straddle tests of
+      :func:`proper_crossings` at half its tolerance. That function
+      computes the same distances from corners shifted by t, up to C + L
+      in magnitude, and takes the moving normal from them: each shifted
+      edge is off by at most 3u(C + L), the normal by about 8u(C + L)P and
+      its unit vector by 16u(C + L)P/|n|. Over a lever of 2L, with the
+      differences, dot products and the window's division, the two
+      computations, and each and exact arithmetic, differ by at most
+      ``gap = 64u(C + L)(1 + LP/|n|)``. Where ``gap <= tol / 2``, every
+      offset at which both of its straddle tests hold is in the window, and
+      the window is inside the exact one.
+    * The edge axes are tested at ``w = gap = 32uL(1 + |a||b|/|n|)``. The
+      computed cross product is within 11u|a||b| of the exact one, its
+      unit vector within 22u|a||b|/|n|, which moves a projection over a
+      lever of L by 22uL|a||b|/|n|; differences, dot products, the
+      normalisation, the shift and the division add at most 10uL. So the
+      window is inside the exact open one and holds every offset at which
+      the exact projections overlap by more than ``2 gap``.
+    * An axis whose gap exceeds ``tol / 2``, from a sliver or zero-area
+      triangle or from nearly parallel edges, is dropped. The interval can
+      only grow, so it keeps every offset at which the kept axes hold, and
+      may reach offsets at which the exact pair only touches. The box
+      window is padded by 4uL, which covers its subtractions, and bounds
+      the interval when every axis is dropped.
+
+    So the interval lies inside the exact crossing interval, unless an axis
+    was dropped, and holds every offset at which both triangles straddle
+    each other's planes beyond ``tol`` (as computed by
+    :func:`proper_crossings`) and the exact projections overlap along each
+    edge axis by more than twice its gap.
+    """
+    u = 2.0 ** -53
+    terms_s, terms_m = _terms(static), _terms(moving)
+    c_s, n_s, longest_s = (np.take(x, si, axis=-1) for x in terms_s[:2] + terms_s[4:])
+    c_m, n_m, longest_m = (np.take(x, mi, axis=-1) for x in terms_m[:2] + terms_m[4:])
+    low = np.minimum(np.minimum.reduce(c_s), np.minimum.reduce(c_m))
+    high = np.maximum(np.maximum.reduce(c_s), np.maximum.reduce(c_m))
+    lever = np.sqrt(np.einsum("jk,jk->k", high - low, high - low))
+    coord = np.maximum(-low, high).max(axis=0)
+    pad = 4 * u * lever
+    lo = c_s[:, axis].min(axis=0) - c_m[:, axis].max(axis=0) - pad
+    hi = c_s[:, axis].max(axis=0) - c_m[:, axis].min(axis=0) + pad
+
+    # the face axes of every pair, corners relative to the first static one
+    rel = np.concatenate([c_s[1:] - c_s[0], c_m - c_s[0]])
+    lo, hi = _narrow(lo, hi, rel, np.stack([n_s, n_m]), axis, 64 * u * (coord + lever),
+                     lever * np.stack([longest_s, longest_m]), 0.5 * tol, tol)
+
+    # the edge axes of the pairs that still cross somewhere
+    live = np.flatnonzero(lo < hi)
+    e_s, edge_s = (np.take(x, si[live], axis=-1) for x in terms_s[2:4])
+    e_m, edge_m = (np.take(x, mi[live], axis=-1) for x in terms_m[2:4])
+    axes = np.cross(e_s[:, None], e_m[None], axis=-2).reshape(9, 3, -1)
+    bend = (edge_s[:, None] * edge_m[None]).reshape(9, -1)
+    lo[live], hi[live] = _narrow(lo[live], hi[live], rel[..., live], axes, axis,
+                                 32 * u * lever[live], bend, None, tol)
+    return lo, hi
+
+
 def winding_fraction(points: np.ndarray, corners: np.ndarray) -> np.ndarray:
     """Generalized winding number of each point w.r.t. a closed surface.
 
@@ -398,84 +541,58 @@ _probe_points = PerMesh(_read_only_probes)
 # -- penetration kernel ------------------------------------------------------
 
 def penetrates_along(static: TriangleMesh, moving: TriangleMesh, axis: int,
-                     offsets: np.ndarray) -> bool:
-    """True iff ``moving``, shifted along ``axis`` by some signed offset in
-    ``offsets`` (mm, any order), penetrates ``static``.
+                     span: tuple[float, float], offsets: np.ndarray) -> bool:
+    """True iff ``moving``, shifted along ``axis``, penetrates ``static``:
+    crossing it at some signed offset in the closed range ``span`` (mm), or
+    containing it, or contained by it, at some offset in ``offsets`` (mm,
+    any order, inside ``span``). A range whose first end exceeds its
+    second, with no offsets, penetrates nothing.
 
-    Penetration is a transversal triangle crossing (:func:`proper_crossings`)
-    or a surface/interior probe of either mesh strictly inside the other
-    solid; probes also catch overlaps whose boundaries meet only along
-    tangent planes. Surface contact is not penetration. No offsets, no
-    penetration. Both meshes must be closed 2-cycles, as parts are: the
-    callers' box culls and ray containment hold only for those, so an open
-    one (:data:`softjig.mesh.unbalanced_edges`) raises
-    :class:`~softjig.mesh.DegenerateMeshError`. Each triangle pair whose
-    boxes overlap somewhere on the offset range is checked only at the
-    offsets where they do, padded by
-    1e-9 of the largest offset magnitude (:func:`softjig.straddle.box_ranges`),
-    and, when a batch's ranges hold more than ``straddle.MIN_ROWS`` rows,
-    where both triangles can straddle each other's planes.
-    The latter is one interval per pair in closed form, tested at the touch
-    tolerance less a slack of half of it; the slack exceeds a bound on the
-    rounding gap to the per-row test, derived in
-    :func:`softjig.straddle.row_windows`, and pairs whose bound exceeds it
-    keep every box-overlap offset. Skipping the rest is exact, not
-    approximate. The candidate pairs stream from
-    :func:`softjig.broad.box_pairs` in batches that start at
-    ``_FIRST_BATCH_ROWS`` and double up to ``_LAST_BATCH_ROWS``: each batch
-    gets its box ranges, is windowed, expanded to its (pair, offset) rows
-    and crossing-tested, and the scan stops at the first crossing, so a
-    blocked sweep generates and windows only the pairs before it.
+    A crossing is a transversal triangle crossing. Each candidate pair, the
+    static and moving triangles whose boxes overlap somewhere on the range
+    (:func:`softjig.broad.box_pairs`, moving boxes stretched over it), gets
+    its interval of crossing offsets once (:func:`crossing_intervals`),
+    and the pair blocks when that open interval meets the range. The pairs
+    stream in batches that start at ``_FIRST_CROSSING_ROWS`` and double up
+    to ``_FIRST_BATCH_ROWS``, which bounds the kernel's temporaries to a
+    few MB, and the scan stops at the first batch that blocks, so a blocked
+    sweep generates only the pairs up to its first crossing.
+    Both meshes must be closed 2-cycles, as parts are: the callers' box
+    culls and ray containment hold only for those, so an open one
+    (:data:`softjig.mesh.unbalanced_edges`) raises
+    :class:`~softjig.mesh.DegenerateMeshError`.
 
-    Containment rows, the (probe, offset) points strictly inside the
-    target's box, are decided by the signed count of the target's
-    crossings of each probe's line above them
-    (:func:`softjig.rays.ray_containment`), and by :func:`winding_fraction`
-    where that is unsafe: for a probe line within ``tol`` of a projected
-    triangle edge or vertex, and within a margin of at least
-    ``tol |n| / |n[axis]|`` of a crossing, ``tol`` being 1e-9 (1 + the
-    target's largest coordinate magnitude).
+    Containment is sampled: a surface or interior probe of either mesh
+    strictly inside the other solid at one of ``offsets``; probes also
+    catch overlaps whose boundaries meet only along tangent planes. The
+    rows are the (probe, offset) points strictly inside the target's box.
+    Each is decided by the signed count of the target's crossings of the
+    probe's line along ``axis`` above it (:func:`softjig.rays.ray_containment`);
+    a row undecided there, its line within ``tol`` of a projected triangle
+    edge or vertex or its point within a margin of a crossing, is cast as
+    its own probe along each of the two other axes in turn, and only a row
+    undecided on all three goes to :func:`winding_fraction`. ``tol`` is
+    1e-9 (1 + the target's largest coordinate magnitude).
     """
     for mesh in (static, moving):
         if unbalanced_edges(mesh):
             raise DegenerateMeshError(f"{mesh!r} is not closed: {unbalanced_edges(mesh)} "
                                       f"directed edges do not match their reverses")
-    offsets = np.sort(np.asarray(offsets, dtype=np.float64))
-    if not len(offsets):
-        return False
-    st_lo, st_hi = static.triangle_bounds
-    mv_lo, mv_hi = moving.triangle_bounds
-
-    # broad phase: static boxes against moving boxes stretched over the range
-    ext_lo = mv_lo.copy()
-    ext_hi = mv_hi.copy()
-    ext_lo[:, axis] += offsets[0]
-    ext_hi[:, axis] += offsets[-1]
-    pairs = broad.box_pairs(st_lo, st_hi, ext_lo, ext_hi)
-
-    # per pair, the offsets at which its boxes overlap along the axis; past
-    # MIN_ROWS rows in the batch, narrowed to the offsets at which both
-    # triangles can straddle each other's planes
-    sc, mc = static.corners, moving.corners
-    for i, j in broad.batches(pairs, _FIRST_BATCH_ROWS, _LAST_BATCH_ROWS):
-        lo, hi = straddle.box_ranges(static, moving, i, j, axis, offsets)
-        if np.maximum(hi - lo, 0).sum() > straddle.MIN_ROWS:
-            lo, hi = straddle.row_windows(static, moving, i, j, axis, offsets, lo, hi,
-                                          TOUCH_TOLERANCE_MM)
-        counts = np.maximum(hi - lo, 0)
-        row_pair = np.repeat(np.arange(len(i)), counts)
-        starts = np.cumsum(counts) - counts
-        row_offset = offsets[np.arange(len(row_pair)) - starts[row_pair] + lo[row_pair]]
-        for start in range(0, len(row_pair), _CHUNK_ROWS):
-            rows = row_pair[start:start + _CHUNK_ROWS]
-            shifted = mc[j[rows]]
-            shifted[:, :, axis] += row_offset[start:start + _CHUNK_ROWS][:, None]
-            if proper_crossings(sc[i[rows]], shifted).any():
+    first, last = span
+    if first <= last:
+        ext_lo, ext_hi = (b.copy() for b in moving.triangle_bounds)
+        ext_lo[:, axis] += first
+        ext_hi[:, axis] += last
+        pairs = broad.box_pairs(*static.triangle_bounds, ext_lo, ext_hi)
+        for i, j in broad.batches(pairs, _FIRST_CROSSING_ROWS, _FIRST_BATCH_ROWS):
+            lo, hi = crossing_intervals(static, moving, i, j, axis)
+            if ((lo < hi) & (lo < last) & (hi > first)).any():
                 return True
 
     # containment: moving probes in the static solid, static probes in the
     # shifted moving solid, on the (probe, offset) grid inside the target
-    # box; rays decide most rows, the winding number the rest
+    # box; rays along each axis decide most rows, the winding number the rest
+    offsets = np.asarray(offsets, dtype=np.float64)
     other = [ax for ax in range(3) if ax != axis]
     for probes, target, sign in ((_probe_points(moving), static, 1.0),
                                  (_probe_points(static), moving, -1.0)):
@@ -485,13 +602,18 @@ def penetrates_along(static: TriangleMesh, moving: TriangleMesh, axis: int,
         inside &= np.all((probes[:, other] > lo[other]) & (probes[:, other] < hi[other]),
                          axis=1)[:, None]
         pi, oi = np.nonzero(inside)
-        by_ray, undecided = ray_containment(target, probes, axis, pi, coord[pi, oi],
-                                            _LAST_BATCH_ROWS)
-        if by_ray.any():
-            return True
-        pi, oi = pi[undecided], oi[undecided]
         points = probes[pi]
         points[:, axis] = coord[pi, oi]
+        lines, probe_of_row = probes, pi
+        for ax in (axis, *other):
+            if not len(points):
+                break
+            by_ray, undecided = ray_containment(target, lines, ax, probe_of_row, points[:, ax],
+                                                _LAST_BATCH_ROWS)
+            if by_ray.any():
+                return True
+            points = points[undecided]
+            lines, probe_of_row = points, np.arange(len(points))
         for start in range(0, len(points), _CHUNK_ROWS):
             w = winding_fraction(points[start:start + _CHUNK_ROWS], target.corners)
             if (w > INSIDE_WINDING).any():
@@ -510,7 +632,7 @@ def intersects(mesh_a: TriangleMesh, mesh_b: TriangleMesh) -> bool:
     """
     if not broad.interiors_overlap(*mesh_a.aabb, *mesh_b.aabb):
         return False
-    return penetrates_along(mesh_a, mesh_b, 0, np.zeros(1))
+    return penetrates_along(mesh_a, mesh_b, 0, (0.0, 0.0), np.zeros(1))
 
 
 def _padded(mesh_a: TriangleMesh, mesh_b: TriangleMesh, distance: float) -> float:

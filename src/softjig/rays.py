@@ -5,7 +5,9 @@ set of offsets along one axis, lie strictly inside a target solid. All
 shifts of one probe lie on one line parallel to the axis, so
 :func:`ray_containment` intersects the target with that line once per probe
 and decides every shift on it by counting the signed crossings above it.
-Rows it cannot decide safely are left to ``queries.winding_fraction``.
+Rows it cannot decide safely are cast again by ``queries.penetrates_along``
+along the two other axes, each point its own probe, and left to
+``queries.winding_fraction`` only when no axis decides them.
 The target must be a closed 2-cycle, as every part's mesh is
 (``parts.PartModel``); ``queries.penetrates_along`` enforces it.
 """

@@ -5,9 +5,11 @@ For parts i, k of an assembled product:
 * ``contact[i, k]`` — the surfaces are within the contact tolerance.
 * ``interference_free[j][i, k]`` — part k can translate along axis
   direction j from its assembled pose all the way out of the assembly
-  without ever penetrating part i, checked at uniform samples by the
-  penetration kernel ``queries.penetrates_along``. The resolution is
-  fixed: ``STEP_COUNT`` samples per sweep, more for thin parts.
+  without ever penetrating part i, decided by the penetration kernel
+  ``queries.penetrates_along``. Triangle crossings are decided over the
+  whole translation in closed form; containment (a probe of one part
+  strictly inside the other) at uniform samples, ``STEP_COUNT`` per sweep,
+  more for thin parts.
 * ``reachable[j]`` — elementwise gate of contact with interference
   freedom: ``(C | C^T) & M_j``. A pair's six reachable flags, in the fixed
   order +x, -x, +y, -y, +z, -z, form its reachable-direction list.
@@ -32,8 +34,9 @@ from .mesh import TriangleMesh
 from .parts import AssemblyModel
 from .queries import penetrates_along, within_distance
 
-# samples of every sweep, which runs twice the assembly AABB diagonal: beyond
-# that an axis translation cannot re-enter the assembly bounds
+# containment samples of every sweep, which runs twice the assembly AABB
+# diagonal: beyond that an axis translation cannot re-enter the assembly
+# bounds
 STEP_COUNT = 64
 # most samples one pair's sweep may take; above it the sweep is refused
 # before its offsets are allocated
@@ -129,7 +132,9 @@ def sweep_sample_distances(max_distance: float, n_steps: int) -> np.ndarray:
 def sweep_translation_is_free(static: TriangleMesh, moving: TriangleMesh,
                               direction: Direction, max_distance: float,
                               n_steps: int) -> bool:
-    """True iff ``moving`` never penetrates ``static`` at any sampled offset.
+    """True iff ``moving``, translated along ``direction`` by up to
+    ``max_distance``, never crosses ``static`` and no probe of either lies
+    inside the other at a sampled offset.
 
     A pair whose whole boxes share no interior on one of the two axes
     across the sweep is free outright, touching boxes included: a closed
@@ -138,11 +143,11 @@ def sweep_translation_is_free(static: TriangleMesh, moving: TriangleMesh,
     on such an axis keep the solids' interiors disjoint at every offset.
     No proper crossing (its segment would lie in the slab, in the relative
     interior of both triangles, making them coplanar) and no probe strictly
-    inside the other solid can occur, so "free" holds exactly, not only at
-    the samples. Otherwise, samples where the two boxes cannot overlap are
-    cropped; the rest go to :func:`softjig.queries.penetrates_along`, the
-    same kernel that :func:`softjig.queries.intersects` runs at offset zero
-    on boxes that share interior.
+    inside the other solid can occur. Otherwise the range is the offsets in
+    (0, ``max_distance``] at which the two boxes overlap along the axis:
+    :func:`softjig.queries.penetrates_along` decides crossings over all of
+    it, the kernel that :func:`softjig.queries.intersects` runs at offset
+    zero, and containment at the samples that fall in it.
     """
     axis, sign = direction.axis, direction.sign
     s_lo, s_hi = static.aabb
@@ -153,14 +158,16 @@ def sweep_translation_is_free(static: TriangleMesh, moving: TriangleMesh,
         t_lo, t_hi = s_lo[axis] - m_hi[axis], s_hi[axis] - m_lo[axis]
     else:
         t_lo, t_hi = m_lo[axis] - s_hi[axis], m_hi[axis] - s_lo[axis]
+    first, last = max(float(t_lo), 0.0), min(float(t_hi), max_distance)
+    if first >= last:
+        return True
 
     scale = n_steps / max_distance
     k_lo = max(1, math.ceil(t_lo * scale - 1e-9))
     k_hi = min(n_steps, math.floor(t_hi * scale + 1e-9))
-    if k_lo > k_hi:
-        return True
     samples = sweep_sample_distances(max_distance, n_steps)[k_lo - 1:k_hi]
-    return not penetrates_along(static, moving, axis, sign * samples)
+    span = (first, last) if sign > 0 else (-last, -first)
+    return not penetrates_along(static, moving, axis, span, sign * samples)
 
 
 # -- relation matrices -------------------------------------------------------

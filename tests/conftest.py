@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -108,9 +109,11 @@ def naive_sweep_is_free(static_mesh, moving_mesh, direction, max_distance, n_ste
 
 def oracle_interference_free(assembly: AssemblyModel) -> dict:
     """The 10x sampled oracle for ``compute_all_interference_free``: each
-    pair i < k swept at 10 x the step count ``sweep_steps`` resolves for
-    it, so its grid nests the default grid exactly, with the higher-index
-    part moving and the result mirrored into (k, i) of -j."""
+    pair i < k swept with containment sampled at 10 x the step count
+    ``sweep_steps`` resolves for it, so its grid nests the default grid
+    exactly, with the higher-index part moving and the result mirrored
+    into (k, i) of -j. Crossings are decided over the whole range either
+    way."""
     max_distance = 2.0 * assembly.aabb_diagonal
     n = len(assembly.parts)
     free = {d: np.zeros((n, n), dtype=bool) for d in DIRECTION_ORDER}
@@ -258,10 +261,12 @@ def min_distance_brute_force(mesh_a, mesh_b) -> float:
 
 
 def naive_penetrates_along(static_mesh, moving_mesh, axis, offsets) -> bool:
-    """Reference for ``penetrates_along`` with no broad phase and no offset
-    windows: every (triangle pair, offset) row through ``proper_crossings``
-    and every probe of either mesh at every offset through the winding
-    number, with the moving mesh shifted the way the kernel shifts it."""
+    """Per-sample reference for ``penetrates_along``, with no broad phase:
+    every (triangle pair, offset) row through ``proper_crossings`` and every
+    probe of either mesh at every offset through the winding number, with
+    the moving mesh shifted the way the kernel shifts it. The kernel, which
+    decides crossings over a whole range, blocks wherever this does at the
+    range's samples."""
     sc, mc = static_mesh.corners, moving_mesh.corners
     offsets = np.asarray(offsets, dtype=np.float64)
     i, j, k = (g.ravel() for g in np.meshgrid(np.arange(len(sc)), np.arange(len(mc)),
@@ -353,3 +358,38 @@ def exact_triangles_meet(tri_a, tri_b) -> bool:
     return any(_segment_meets_triangle(p, q, other)
                for tri, other in ((a, b), (b, a))
                for p, q in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])))
+
+
+def exact_crossing_interval(tri_s, tri_m, axis):
+    """The open interval of offsets t over which ``tri_m`` shifted by t
+    along ``axis`` crosses ``tri_s``, in exact rational arithmetic on their
+    float corners, or None when it never does. The shifted triangle meets
+    the static one iff ``t e`` lies in K, the hull of the 9 differences
+    ``s - m``, and crosses it iff ``t e`` lies in K's interior. Every plane
+    through three of the differences with all nine on one side supports a
+    face of K, and the interior is strictly inside all of them; it is empty
+    when the nine are coplanar."""
+    s, m = ([tuple(Fraction(float(x)) for x in corner) for corner in tri]
+            for tri in (tri_s, tri_m))
+    points = [_sub(p, q) for p in s for q in m]
+    lo, hi, solid = None, None, False
+    for a, b, c in itertools.combinations(points, 3):
+        n = _cross(_sub(b, a), _sub(c, a))
+        if not any(n):
+            continue
+        side = [_dot(n, _sub(p, a)) for p in points]
+        if all(d >= 0 for d in side):
+            n = tuple(-x for x in n)
+        elif not all(d <= 0 for d in side):
+            continue
+        solid |= any(side)
+        bound, slope = _dot(n, a), n[axis]        # n . (t e) < n . a
+        if slope > 0:
+            hi = bound / slope if hi is None else min(hi, bound / slope)
+        elif slope < 0:
+            lo = bound / slope if lo is None else max(lo, bound / slope)
+        elif bound <= 0:
+            return None
+    if not solid or lo is None or hi is None or lo >= hi:
+        return None
+    return lo, hi

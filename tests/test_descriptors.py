@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -159,3 +160,35 @@ def test_fixture_and_benchmark_inputs_load(tmp_path):
                                                      workloads.cylinder_layout(seed)))
     for descriptor in descriptors:
         load_descriptor(descriptor)
+
+
+@pytest.mark.parametrize("change, named", [
+    (lambda doc: doc.update(contact_epsilon=0.05), "unknown field 'contact_epsilon'"),
+    (lambda doc: doc["parts"][0].update(colour="red"), "parts[0]: unknown field 'colour'"),
+    (lambda doc: doc["parts"][1]["pose"].update(scale=2), "parts[1]: pose: unknown field 'scale'"),
+    (lambda doc: doc.update(sweep={"other": 5}), "sweep: unknown field 'other'"),
+    (lambda doc: doc.update(sweep=[]), "'sweep' must be an object"),
+    (lambda doc: doc.update(sweep=False), "'sweep' must be an object"),
+    (lambda doc: doc.update(sweep=0), "'sweep' must be an object"),
+    (lambda doc: doc.update(sweep=""), "'sweep' must be an object"),
+], ids=["top", "part", "pose", "sweep", "sweep_empty_list", "sweep_false", "sweep_zero",
+        "sweep_empty_string"])
+def test_unknown_fields_and_falsy_sweep_exit_1_naming_them(tmp_path, capsys, change, named):
+    """A field the descriptor format does not know, at the top level or in
+    a part, its pose or ``sweep``, is refused by name rather than ignored,
+    and so is a ``sweep`` that is not an object, falsy ones included: each
+    exits 1 with one line. The same descriptor without it loads."""
+    mesh_name = write_cube_stl(tmp_path)
+    doc = {"parts": [
+        {"id": "a", "mesh_path": mesh_name, "mass_g": 1.0},
+        {"id": "b", "mesh_path": mesh_name, "mass_g": 1.0,
+         "pose": {"rotation": np.eye(3).tolist(), "translation_mm": [10.0, 0, 0]}},
+    ], "sweep": None}
+    assert load_descriptor(write_descriptor(tmp_path, doc)).part_ids == ["a", "b"]
+    change(doc)
+    path = write_descriptor(tmp_path, doc)
+    with pytest.raises(DescriptorError, match=re.escape(named)):
+        load_descriptor(path)
+    assert main(["matrices", str(path), "--out", str(tmp_path / "m.json")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and named in err

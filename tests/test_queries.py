@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     dense_box_pairs,
+    exact_crossing_interval,
     exact_triangles_meet,
     min_distance_brute_force,
     naive_penetrates_along,
@@ -23,14 +24,16 @@ from softjig import (
     configure_fixing_parts,
     proxy_assembly,
     queries,
-    straddle,
 )
 from softjig.fixtures import box_mesh, compound_mesh, generate_proxy_fixture, revolve_mesh
 from softjig.cli import main
+from softjig.parts import AssemblyModel, PartModel
+from softjig.relations import compute_relation_matrices
 from softjig.mesh import (DegenerateMeshError, TriangleMesh, load_mesh, save_stl_binary,
                           unbalanced_edges)
 from softjig.queries import (
     TOUCH_TOLERANCE_MM,
+    crossing_intervals,
     intersects,
     min_distance,
     penetrates_along,
@@ -41,7 +44,6 @@ from softjig.queries import (
     within_distance,
 )
 from softjig.rays import ray_containment
-from softjig.straddle import box_ranges, row_windows
 
 unit_cube = lambda: box_mesh((0, 0, 0), (1, 1, 1))
 
@@ -405,7 +407,7 @@ def test_box_pair_stream_equals_dense_oracle(seed, n_a, n_b, gap, stretch, unbou
     assert max(tested, default=0) <= cells
 
 
-# -- swept crossing windows -----------------------------------------------------
+# -- swept crossing intervals ---------------------------------------------------
 
 def triangle_pair(kind: str, rng) -> tuple[np.ndarray, np.ndarray]:
     """A static triangle and one near it: random, exactly coplanar (both in
@@ -506,17 +508,36 @@ def test_proper_crossings_only_where_triangles_meet(seed, kind):
         assert exact_triangles_meet(a, tri), (a.tolist(), tri.tolist())
 
 
+def is_sliver(tri: np.ndarray) -> bool:
+    """Whether a triangle's normal is below 1e-6 of its longest edge
+    squared: its own face axis is one that :func:`crossing_intervals` may
+    drop for rounding."""
+    edge = np.linalg.norm(tri - np.roll(tri, -1, axis=0), axis=1).max()
+    return bool(np.linalg.norm(np.cross(tri[1] - tri[0], tri[2] - tri[0])) < 1e-6 * edge ** 2)
+
+
+def pair_interval(a: np.ndarray, b: np.ndarray, axis: int) -> tuple[float, float]:
+    """``crossing_intervals`` of one static and one moving triangle."""
+    first = np.zeros(1, dtype=np.intp)
+    lo, hi = crossing_intervals(tetra_on(a), tetra_on(b), first, first, axis)
+    return float(lo[0]), float(hi[0])
+
+
 @given(seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(["random", "coplanar", "tilted", "sliver", "needle"]),
        swap=st.booleans())
 @example(seed=880919, kind="tilted", swap=False)
 @settings(max_examples=200, deadline=None)
-def test_row_windows_keep_every_crossing_offset(seed, kind, swap):
-    """Every (triangle pair, offset) at which ``proper_crossings`` of the
-    shifted pair is True lies in the pair's kept range, probed a few ulps
-    around each straddle flip and at random offsets of both signs; and
-    ``penetrates_along``, made to narrow however few its rows, equals a scan
-    of every row."""
+def test_crossing_intervals_hold_every_crossing_offset(seed, kind, swap):
+    """Every offset at which ``proper_crossings`` of the shifted pair is
+    True lies in the pair's interval, probed a few ulps around each
+    straddle flip and at random offsets of both signs. Unless a triangle is
+    a sliver, whose own face axis the kernel may drop, the interval lies in
+    the exact rational one and is empty where that finds the pair disjoint
+    or only touching (coplanar pairs included). And ``penetrates_along``
+    over a range blocks wherever a scan of every row at the range's samples
+    does, and otherwise only where the exact interval of one of its pairs
+    meets the range."""
     rng = np.random.default_rng(seed)
     a, b = triangle_pair(kind, rng)
     if swap:
@@ -531,47 +552,79 @@ def test_row_windows_keep_every_crossing_offset(seed, kind, swap):
             offsets.append(t + np.arange(-8, 9) * np.spacing(t))
     offsets = np.unique(np.concatenate(offsets))
 
-    static, moving = tetra_on(a), tetra_on(b)
-    si, mi = (g.ravel() for g in np.meshgrid(np.arange(4), np.arange(4), indexing="ij"))
-    p, k = (g.ravel() for g in np.meshgrid(np.arange(len(si)), np.arange(len(offsets)),
-                                          indexing="ij"))
-    shifted = moving.corners[mi[p]]
-    shifted[:, :, axis] += offsets[k][:, None]
-    hit = proper_crossings(static.corners[si[p]], shifted)
-    first, last = row_windows(static, moving, si, mi, axis, offsets,
-                              *box_ranges(static, moving, si, mi, axis, offsets),
-                              TOUCH_TOLERANCE_MM)
-    missed = hit & ((k < first[p]) | (k >= last[p]))
-    assert not missed.any(), offsets[k[missed]]
+    lo, hi = pair_interval(a, b, axis)
+    shifted = np.repeat(b[None], len(offsets), axis=0)
+    shifted[:, :, axis] += offsets[:, None]
+    hit = proper_crossings(np.broadcast_to(a, shifted.shape), shifted)
+    assert ((offsets[hit] > lo) & (offsets[hit] < hi)).all(), offsets[hit & ((offsets <= lo)
+                                                                           | (offsets >= hi))]
+    exact = exact_crossing_interval(a, b, axis)
+    if not (is_sliver(a) or is_sliver(b)):
+        if exact is None:
+            assert lo >= hi or np.isnan(lo) or np.isnan(hi), (lo, hi)
+        elif lo < hi:
+            assert exact[0] <= lo and hi <= exact[1], ((lo, hi), exact)
 
-    windowed = []
+    if not (is_sliver(a) or is_sliver(b)):
+        span = tuple(np.sort(rng.choice(offsets, 2)))
+        assert_blocks_as_the_scan(tetra_on(a), tetra_on(b), axis, span,
+                                  offsets[(offsets >= span[0]) & (offsets <= span[1])])
 
-    def counted(*args):
-        windowed.append(len(args[2]))
-        return row_windows(*args)
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(straddle, "MIN_ROWS", 0)    # narrow however few the rows
-        patch.setattr(straddle, "row_windows", counted)
-        assert (penetrates_along(static, moving, axis, offsets)
-                == naive_penetrates_along(static, moving, axis, offsets))
-    # a crossing pair has rows in its box range, so the sweep narrowed them
-    assert windowed or not hit.any()
+def assert_blocks_as_the_scan(static, moving, axis, span, samples) -> None:
+    """``penetrates_along`` over ``span`` blocks wherever
+    ``naive_penetrates_along`` at ``samples`` (offsets inside ``span``)
+    does. Where it alone blocks, the first triangle pair whose interval
+    meets the range crosses in range by the exact reference."""
+    blocked = penetrates_along(static, moving, axis, span, samples)
+    if naive_penetrates_along(static, moving, axis, samples):
+        assert blocked
+    elif blocked:
+        si, mi = (g.ravel() for g in np.meshgrid(np.arange(len(static.corners)),
+                                                 np.arange(len(moving.corners)), indexing="ij"))
+        lo, hi = crossing_intervals(static, moving, si, mi, axis)
+        p = np.flatnonzero((lo < hi) & (lo < span[1]) & (hi > span[0]))[0]
+        exact = exact_crossing_interval(static.corners[si[p]], moving.corners[mi[p]], axis)
+        assert exact is not None and exact[0] < span[1] and exact[1] > span[0], (span, exact)
+
+
+def test_face_to_face_and_edge_to_edge_boxes_never_cross_apart():
+    """Boxes touching face to face (on top, on a side) or edge to edge, and
+    every triangle pair of them along every axis: the pairs cross only
+    where the moving box is pushed into the other one, so no interval
+    meets the offsets that slide or lift it, and none holds 0, where the
+    boxes only touch. The exact reference agrees on a sample of the
+    pairs."""
+    lower = box_mesh((0, 0, 0), (4, 4, 4))
+    si, mi = (g.ravel() for g in np.meshgrid(np.arange(12), np.arange(12), indexing="ij"))
+    for upper, into in ((box_mesh((1, 1, 4), (3, 5, 6)), 2), (box_mesh((4, 1, 1), (6, 3, 3)), 0),
+                        (box_mesh((4, 4, 0), (6, 6, 4)), None)):
+        for axis in range(3):
+            lo, hi = crossing_intervals(lower, upper, si, mi, axis)
+            crossing = lo < hi
+            if axis == into:
+                assert crossing.any() and (hi[crossing] <= 0).all()
+            else:
+                assert not crossing.any()
+            for p in range(0, len(si), 11):
+                exact = exact_crossing_interval(lower.corners[si[p]], upper.corners[mi[p]], axis)
+                assert (exact is None) == (not crossing[p])
+                assert exact is None or exact[1] <= 0
 
 
 def test_penetrates_along_without_offsets_is_false():
-    """No offsets, nothing to penetrate: the kernel and the windows take an
-    empty offset list, even for solids that overlap."""
+    """An empty range and no offsets, nothing to penetrate, even for solids
+    that overlap; the kernel takes an empty candidate list, and a range of
+    one offset is the intersection test."""
     static = box_mesh((0, 0, 0), (2, 2, 2))
     moving = box_mesh((1, 1, 1), (3, 3, 3))
     assert intersects(static, moving)
     for axis in range(3):
-        assert not penetrates_along(static, moving, axis, [])
-    si, mi = (g.ravel() for g in np.meshgrid(np.arange(12), np.arange(12), indexing="ij"))
-    none = np.zeros(0)
-    first, last = row_windows(static, moving, si, mi, 0, none,
-                              *box_ranges(static, moving, si, mi, 0, none), TOUCH_TOLERANCE_MM)
-    assert not (last > first).any()
+        assert not penetrates_along(static, moving, axis, (1.0, 0.0), [])
+        assert penetrates_along(static, moving, axis, (0.0, 0.0), [])
+    none = np.zeros(0, dtype=np.intp)
+    lo, hi = crossing_intervals(static, moving, none, none, 0)
+    assert lo.shape == hi.shape == (0,)
 
 
 def tiled_floor_with_blocker(tiles: int) -> tuple[TriangleMesh, TriangleMesh, TriangleMesh]:
@@ -590,57 +643,60 @@ def test_blocked_sweep_finds_a_crossing_past_the_first_batch():
     """The crossing candidate pairs of a blocked sweep all come after more
     than ``_FIRST_BATCH_ROWS`` non-crossing ones in row-major order: a slab
     slides along a tiled floor it rests on into a post past the floor's
-    end. The windowed scan still reports it blocked, equal to a scan of
-    every row; the same sweep without the post is free, and without the
-    crossing test nothing blocks it."""
+    end. The scan still reports it blocked, as a scan of every row does;
+    the same sweep without the post is free, and without crossings nothing
+    blocks it."""
     floor, blocked_floor, slab = tiled_floor_with_blocker(20)
     offsets = np.linspace(0.5, 5.0, 10)
+    span = (0.5, 5.0)
     for static, expected in ((floor, False), (blocked_floor, True)):
-        assert penetrates_along(static, slab, 0, offsets) is expected
+        assert penetrates_along(static, slab, 0, span, offsets) is expected
         assert naive_penetrates_along(static, slab, 0, offsets) is expected
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(queries, "proper_crossings", lambda a, b: np.zeros(len(a), dtype=bool))
-        assert not penetrates_along(blocked_floor, slab, 0, offsets)
+        patch.setattr(queries, "crossing_intervals",
+                      lambda static, moving, si, mi, axis: (np.ones(len(si)), np.zeros(len(si))))
+        assert not penetrates_along(blocked_floor, slab, 0, span, offsets)
 
     st_lo, st_hi = blocked_floor.triangle_bounds
     ext_lo, ext_hi = (b.copy() for b in slab.triangle_bounds)
-    ext_lo[:, 0] += offsets[0]
-    ext_hi[:, 0] += offsets[-1]
+    ext_lo[:, 0] += span[0]
+    ext_hi[:, 0] += span[1]
     si, mi = dense_box_pairs(st_lo, st_hi, ext_lo, ext_hi)
-    p, k = (g.ravel() for g in np.meshgrid(np.arange(len(si)), np.arange(len(offsets)),
-                                          indexing="ij"))
-    shifted = slab.corners[mi[p]]
-    shifted[:, :, 0] += offsets[k][:, None]
-    crossing = p[proper_crossings(blocked_floor.corners[si[p]], shifted)]
+    lo, hi = crossing_intervals(blocked_floor, slab, si, mi, 0)
+    crossing = np.flatnonzero((lo < hi) & (lo < span[1]) & (hi > span[0]))
     assert len(crossing) and crossing.min() > queries._FIRST_BATCH_ROWS
-    # the second batch holds the first crossing, and it is narrowed
-    second = slice(queries._FIRST_BATCH_ROWS, 3 * queries._FIRST_BATCH_ROWS)
-    assert crossing.min() < second.stop
-    first, last = box_ranges(blocked_floor, slab, si[second], mi[second], 0, offsets)
-    assert np.maximum(last - first, 0).sum() > straddle.MIN_ROWS
 
 
-def test_sliver_pair_keeps_its_whole_box_range():
-    """A moving sliver whose corners all lie 1 mm or more off the static
-    plane never straddles it, so that pair's static-plane window is empty.
-    Yet the rounding bound of its near-zero normal does not fit under the
-    slack, so the pair is windowed on neither side and keeps every offset
-    of its box range; the same pair with a fat moving triangle is dropped."""
-    a = np.array([[0.0, -3.0, -3.0], [0.0, 3.0, -3.0], [0.0, 0.0, 3.0]])
-    offsets = np.linspace(-4.0, 4.0, 33)
-    ranges = {}
-    for name, apex in (("sliver", [1.5, 1e-12, 0.5]), ("fat", [1.5, 2.0, 0.5])):
-        b = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 1.0], apex])
-        static, moving = tetra_on(a), tetra_on(b)
-        si, mi = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
-        box = box_ranges(static, moving, si, mi, 2, offsets)
-        assert box[1][0] - box[0][0] > 20
-        ranges[name] = box, row_windows(static, moving, si, mi, 2, offsets, *box,
-                                        TOUCH_TOLERANCE_MM)
-    box, kept = ranges["sliver"]
-    assert (kept[0][0], kept[1][0]) == (box[0][0], box[1][0])
-    _, kept = ranges["fat"]
-    assert kept[1][0] <= kept[0][0]
+def test_sliver_pair_drops_its_own_face_axis(monkeypatch):
+    """A moving sliver, its apex 1e-12 mm off the line of its other two
+    corners, has a normal whose rounding bound exceeds half the tolerance,
+    so its own face axis is dropped, and the same pair with a fat moving
+    triangle keeps it. Either interval holds every offset at which
+    ``proper_crossings`` of the pair is True and stays inside the window in
+    which the moving corners straddle the static plane, which is kept."""
+    face_gaps = []
+    narrow = queries._narrow
+
+    def recorded(lo, hi, rel, axes, axis, base, bend, margin, tol):
+        if len(axes) == 2:
+            face_gaps.append(base * (1 + bend / np.linalg.norm(axes, axis=1)))
+        return narrow(lo, hi, rel, axes, axis, base, bend, margin, tol)
+
+    monkeypatch.setattr(queries, "_narrow", recorded)
+    a = np.array([[-3.0, -3.0, 0.0], [3.0, -3.0, 0.0], [0.0, 3.0, 0.0]])
+    offsets = np.linspace(-4.0, 4.0, 801)
+    for apex, dropped in (([1.0, 1e-12, 0.25], True), ([1.0, 2.0, 0.25], False)):
+        b = np.array([[0.0, 0.0, -1.0], [2.0, 0.0, 1.5], apex])
+        lo, hi = pair_interval(a, b, 2)
+        static_gap, moving_gap = face_gaps.pop()[:, 0]
+        assert static_gap <= TOUCH_TOLERANCE_MM / 2
+        assert (moving_gap > TOUCH_TOLERANCE_MM / 2) == dropped == is_sliver(b)
+        shifted = np.repeat(b[None], len(offsets), axis=0)
+        shifted[:, :, 2] += offsets[:, None]
+        hit = offsets[proper_crossings(np.broadcast_to(a, shifted.shape), shifted)]
+        assert (dropped or len(hit)) and ((hit > lo) & (hit < hi)).all()
+        # the moving corners straddle the static plane for offsets in (-1.5, 1)
+        assert -1.5 <= lo < hi <= 1.0
 
 
 def test_probe_points_computed_once_per_mesh(monkeypatch):
@@ -733,11 +789,14 @@ def nudged(x: np.ndarray, rng) -> np.ndarray:
 @settings(max_examples=150, deadline=None)
 def test_ray_containment_matches_winding_number(seed, kind, axis):
     """On every row that the ray test decides, its answer is
-    ``winding_fraction > INSIDE_WINDING``. The kernel refuses an open
-    target, whose unbalanced edges are counted as edge by edge. Probes sit
-    at random, exactly on vertices, edges and faces of the target, and a
-    few ulps off them; rows sit at random, at every vertex height and a few
-    ulps off those. And ``penetrates_along`` equals a scan of every row."""
+    ``winding_fraction > INSIDE_WINDING``, on the probe's own axis and, for
+    the rows left undecided there, cast as their own probes along each of
+    the two other axes in turn. The kernel refuses an open target, whose
+    unbalanced edges are counted as edge by edge. Probes sit at random,
+    exactly on vertices, edges and faces of the target, and a few ulps off
+    them; rows sit at random, at every vertex height and a few ulps off
+    those. And ``penetrates_along`` blocks wherever a scan of every row
+    does, and otherwise only on an exact crossing."""
     rng = np.random.default_rng(seed)
     target = ray_target(kind, rng)
     corners = target.corners
@@ -767,19 +826,28 @@ def test_ray_containment_matches_winding_number(seed, kind, axis):
     offsets = rng.uniform(-12, 12, 6)
     if kind == "open":
         with pytest.raises(DegenerateMeshError, match="not match their reverses"):
-            penetrates_along(target, moving, axis, offsets)
+            penetrates_along(target, moving, axis, (-12.0, 12.0), offsets)
         return
     inside, undecided = ray_containment(target, probes, axis, pi, points[:, axis], 1 << 10)
     decided = ~undecided
     expected = winding_fraction(points[decided], corners) > queries.INSIDE_WINDING
     assert np.array_equal(inside[decided], expected)
     assert not inside[undecided].any()
+    # the rows left undecided, each its own probe along the other two axes
+    for other in (ax for ax in range(3) if ax != axis):
+        points = points[undecided]
+        inside, undecided = ray_containment(target, points, other, np.arange(len(points)),
+                                            points[:, other], 1 << 10)
+        decided = ~undecided
+        expected = winding_fraction(points[decided], corners) > queries.INSIDE_WINDING
+        assert np.array_equal(inside[decided], expected)
+        assert not inside[undecided].any()
 
     # the moving target is off the integer grid: a probe exactly on the
     # other surface has a degenerate winding number, which the oracle counts
     # and the kernel's strict box crop drops
-    assert (penetrates_along(target, moving, axis, offsets)
-            == naive_penetrates_along(target, moving, axis, offsets))
+    offsets.sort()
+    assert_blocks_as_the_scan(target, moving, axis, (offsets[0], offsets[-1]), offsets)
 
 
 def test_rays_decide_rows_beside_walls_parallel_to_the_axis():
@@ -836,6 +904,34 @@ def test_rays_decide_most_proxy_containment_rows(monkeypatch):
     assert sum(rows.values()) == 4359
 
 
+def side_by_side_cylinders(segments: int, bands: int) -> tuple[TriangleMesh, TriangleMesh]:
+    """Two cylinders side by side: r 25, z 0-40 at the origin, and r 12,
+    z 0-30 with its axis 39 mm away along the (+x, +y) diagonal, each side
+    wall cut into ``bands`` rings. The small one's probe heights coincide
+    with the large one's ring heights, so probe lines along z pass through
+    projected ring edges."""
+    def cylinder(radius, height):
+        wall = [(radius, height * k / bands) for k in range(bands + 1)]
+        return revolve_mesh([(0, 0), *wall, (0, height)], segments)
+    offset = 39 / np.sqrt(2)
+    return cylinder(25, 40), cylinder(12, 30).translated((offset, offset, 0))
+
+
+def test_rays_on_three_axes_decide_side_by_side_cylinder_rows(monkeypatch):
+    """Counter: the matrices of two side-by-side cylinders, whose probe
+    lines along the sweep axis graze the other's ring edges, send no row
+    to the winding number once undecided rows are cast along the two other
+    axes (82 rows when only the sweep axis was cast)."""
+    rows = count_winding_rows(monkeypatch)
+    big, small = side_by_side_cylinders(64, 3)
+    assembly = AssemblyModel((PartModel("big", big, 1.0), PartModel("small", small, 1.0)))
+    free = compute_relation_matrices(assembly).interference_free
+    assert sum(rows.values()) == 0
+    for d in free:
+        assert free[d][0, 1] == (d.value not in ("-x", "-y"))     # the small one moving
+        assert free[d][1, 0] == (d.value not in ("+x", "+y"))
+
+
 def test_rays_decide_every_cli_proxy_containment_row(monkeypatch, tmp_path):
     """Counter: a proxy plan from the STL files that ``softjig fixtures``
     writes, whose welded plate repeats directed edges, sends no row to the
@@ -868,7 +964,8 @@ def test_kernel_refuses_an_open_mesh_on_either_side():
             intersects(static, moving)
         for offsets in ([0.0, 5.0], []):
             with pytest.raises(DegenerateMeshError, match="4 directed edges"):
-                penetrates_along(static, moving, 2, offsets)
+                penetrates_along(static, moving, 2, (0.0, 5.0) if offsets else (1.0, 0.0),
+                                 offsets)
 
 
 def test_winding_classifies_inside_outside():

@@ -16,7 +16,7 @@ from conftest import (
     rotated_assembly,
 )
 
-from softjig import broad, cube_stack_assembly, queries, relations, straddle
+from softjig import broad, cube_stack_assembly, queries, relations
 from softjig.fixtures import box_mesh, compound_mesh, generate_proxy_fixture, revolve_mesh
 from softjig.parts import AssemblyModel, PartModel
 from softjig.queries import intersects, min_distance, triangle_pair_distance_sq, within_distance
@@ -137,11 +137,12 @@ def stacked_cylinders() -> AssemblyModel:
 LATERAL = (Direction.PLUS_X, Direction.MINUS_X, Direction.PLUS_Y, Direction.MINUS_Y)
 
 
-def lateral_sweep_offsets(assembly: AssemblyModel, direction: Direction) -> np.ndarray:
-    """The signed offsets of the default sweep of the second part past the
-    first along ``direction`` at which the whole boxes overlap along the
-    axis: what the penetration kernel would be given if the touching-box
-    cull did not decide the sweep first."""
+def lateral_sweep(assembly: AssemblyModel, direction: Direction) -> tuple[tuple, np.ndarray]:
+    """The signed range and samples of the default sweep of the second
+    part past the first along ``direction``: the offsets in (0, D] at which
+    the whole boxes overlap along the axis, and the samples among them.
+    What the penetration kernel would be given if the touching-box cull did
+    not decide the sweep first."""
     static, moving = (p.mesh for p in assembly.parts)
     max_distance = 2.0 * assembly.aabb_diagonal
     thin = min(float(np.min(m.aabb[1] - m.aabb[0])) for m in (static, moving))
@@ -151,111 +152,59 @@ def lateral_sweep_offsets(assembly: AssemblyModel, direction: Direction) -> np.n
         t_lo, t_hi = static.aabb[0][ax] - moving.aabb[1][ax], static.aabb[1][ax] - moving.aabb[0][ax]
     else:
         t_lo, t_hi = moving.aabb[0][ax] - static.aabb[1][ax], moving.aabb[1][ax] - static.aabb[0][ax]
-    return direction.sign * samples[(samples >= t_lo) & (samples <= t_hi)]
+    first, last = max(t_lo, 0.0), min(t_hi, max_distance)
+    span = (first, last) if direction.sign > 0 else (-last, -first)
+    return span, direction.sign * samples[(samples >= t_lo) & (samples <= t_hi)]
 
 
-def test_crossing_rows_pruned_on_stacked_cylinders(monkeypatch):
-    """Work-count guard, not a timing: on two stacked 1,024-triangle
-    cylinders in face contact, the straddle windows leave at most a fifth
-    of the rows that the triangle-box windows alone give, and the six
-    matrices do not change. The lateral sweeps are decided by the box cull,
-    so the kernel is driven with their offsets directly."""
-    assembly = stacked_cylinders()
-    lower, upper = (p.mesh for p in assembly.parts)
-    rows = [0]
-    original = queries.proper_crossings
-
-    def counted(a, b, *args):
-        rows[-1] += len(a)
-        return original(a, b, *args)
-
-    def lateral_blocked():
-        return [queries.penetrates_along(lower, upper, d.axis, lateral_sweep_offsets(assembly, d))
-                for d in LATERAL]
-
-    monkeypatch.setattr(queries, "proper_crossings", counted)
-    pruned = compute_all_interference_free(assembly)
-    pruned_lateral = lateral_blocked()
-    # a zero slack leaves no pair's rounding bound under it, so every pair
-    # keeps its whole box window
-    monkeypatch.setattr(straddle, "SLACK_SHARE", 0.0)
-    rows.append(0)
-    box_only = compute_all_interference_free(assembly)
-    box_only_lateral = lateral_blocked()
-    assert 0 < 5 * rows[0] <= rows[1]
-    assert pruned_lateral == box_only_lateral == [False] * 4
-    for d in DIRECTION_ORDER:
-        assert np.array_equal(pruned[d], box_only[d])
-        assert pruned[d][0, 1] == (d is not Direction.MINUS_Z)
-        assert pruned[d][1, 0] == (d is not Direction.PLUS_Z)
-
-
-def test_sweeps_window_only_the_pairs_they_need(monkeypatch):
+def test_sweeps_send_each_candidate_pair_to_the_kernel_once(monkeypatch):
     """Counter, not timing, on two stacked 1,024-triangle cylinders in face
-    contact. The blocked -z sweep windows at most one first batch of
-    candidate pairs before its first crossing. A free lateral sweep streams
-    and windows each candidate pair of the dense oracle exactly once, and
-    its static-side straddle windows see only the pairs that the
-    static-plane windows leave in range. The lateral sweeps are decided by
-    the box cull, so the kernel is driven with their offsets directly."""
+    contact. Each candidate pair of a sweep reaches the crossing kernel at
+    most once. A free lateral sweep sends it every candidate pair of the
+    dense oracle, in row-major order; the blocked -z sweep sends at most
+    one first batch before its first crossing. The lateral sweeps are
+    decided by the box cull, so the kernel is driven with their ranges
+    directly."""
     assembly = stacked_cylinders()
     lower, upper = (p.mesh for p in assembly.parts)
     sweeps = []
-    penetrates, box_pairs = relations.penetrates_along, broad.box_pairs
-    row_windows, straddle_window = straddle.row_windows, straddle._straddle_window
+    penetrates, box_pairs, intervals = (relations.penetrates_along, broad.box_pairs,
+                                        queries.crossing_intervals)
 
-    def sweep(static, moving, axis, offsets):
-        sweeps.append({"direction": direction_of(np.sign(offsets[0]) * np.eye(3)[axis]), "windows": []})
-        sweeps[-1]["blocked"] = penetrates(static, moving, axis, offsets)
+    def sweep(static, moving, axis, span, offsets):
+        sweeps.append({"direction": direction_of(np.sign(span[0] + span[1]) * np.eye(3)[axis]),
+                       "sent": []})
+        sweeps[-1]["blocked"] = penetrates(static, moving, axis, span, offsets)
         return sweeps[-1]["blocked"]
 
     def candidates(*args):
         sweeps[-1]["pairs"] = dense_box_pairs(*args)
-        sweeps[-1]["streamed"] = []
-        for block in box_pairs(*args):
-            sweeps[-1]["streamed"].append(block)
-            yield block
+        return box_pairs(*args)
 
-    def windows(static, moving, si, mi, axis, offsets, first, last, tol):
-        sweeps[-1]["windows"].append({"si": si, "mi": mi, "first": first, "last": last,
-                                      "offsets": offsets, "sides": []})
-        return row_windows(static, moving, si, mi, axis, offsets, first, last, tol)
-
-    def side(mesh, i, *args):
-        window = straddle_window(mesh, i, *args)
-        sweeps[-1]["windows"][-1]["sides"].append((mesh, len(i), window))
-        return window
+    def kernel(static, moving, si, mi, axis):
+        sweeps[-1]["sent"].append(si * len(moving.corners) + mi)
+        return intervals(static, moving, si, mi, axis)
 
     monkeypatch.setattr(relations, "penetrates_along", sweep)
     monkeypatch.setattr(broad, "box_pairs", candidates)
-    monkeypatch.setattr(straddle, "row_windows", windows)
-    monkeypatch.setattr(straddle, "_straddle_window", side)
-    compute_all_interference_free(assembly)
+    monkeypatch.setattr(queries, "crossing_intervals", kernel)
+    free = compute_all_interference_free(assembly)
     for d in LATERAL:
-        sweep(lower, upper, d.axis, lateral_sweep_offsets(assembly, d))
+        sweep(lower, upper, d.axis, *lateral_sweep(assembly, d))
 
     by_direction = {s["direction"]: s for s in sweeps}
+    assert set(by_direction) == {Direction.MINUS_Z, *LATERAL}
+    for s in sweeps:
+        sent = np.concatenate(s["sent"])
+        assert len(np.unique(sent)) == len(sent)
     blocked = by_direction[Direction.MINUS_Z]
-    assert blocked["blocked"]
-    assert 0 < sum(len(w["si"]) for w in blocked["windows"]) <= queries._FIRST_BATCH_ROWS
-    lateral = [by_direction[d] for d in LATERAL]
-    for s in lateral:
-        assert not s["blocked"]
-        windowed = np.concatenate([w["si"] * len(upper.corners) + w["mi"] for w in s["windows"]])
+    assert blocked["blocked"] and not free[Direction.MINUS_Z][0, 1]
+    assert 0 < sum(map(len, blocked["sent"])) <= queries._FIRST_BATCH_ROWS
+    for d in LATERAL:
+        s = by_direction[d]
         si, mi = s["pairs"]
-        assert np.array_equal(windowed, si * len(upper.corners) + mi)
-        streamed = broad.gather(iter(s["streamed"]))
-        assert np.array_equal(streamed[0], si) and np.array_equal(streamed[1], mi)
-        survivors = 0
-        for w in s["windows"]:
-            (moved, plane_rows, (t_lo, t_hi)), (plane, static_rows, _) = w["sides"]
-            assert (moved, plane) == (upper, lower)
-            assert plane_rows == len(w["si"])     # every pair's rounding bound fits
-            first = np.maximum(w["first"], np.searchsorted(w["offsets"], t_lo, side="right"))
-            last = np.minimum(w["last"], np.searchsorted(w["offsets"], t_hi, side="left"))
-            assert static_rows == np.count_nonzero(first < last)
-            survivors += static_rows
-        assert 0 < 4 * survivors < len(si)
+        assert not s["blocked"] and len(si) > queries._FIRST_BATCH_ROWS
+        assert np.array_equal(np.concatenate(s["sent"]), si * len(upper.corners) + mi)
 
 
 def test_face_contact_sweeps_skip_the_kernel(monkeypatch):
@@ -267,9 +216,9 @@ def test_face_contact_sweeps_skip_the_kernel(monkeypatch):
     axes = []
     penetrates = relations.penetrates_along
 
-    def counted(static, moving, axis, offsets):
-        axes.append((axis, float(np.sign(offsets[0]))))
-        return penetrates(static, moving, axis, offsets)
+    def counted(static, moving, axis, span, offsets):
+        axes.append((axis, float(np.sign(span[0] + span[1]))))
+        return penetrates(static, moving, axis, span, offsets)
 
     monkeypatch.setattr(relations, "penetrates_along", counted)
     free = compute_all_interference_free(assembly)
@@ -375,10 +324,10 @@ def test_blocked_sweep_stops_generating_candidates(monkeypatch):
     sweeps = []
     penetrates, box_pairs, overlap = relations.penetrates_along, broad.box_pairs, broad._overlap
 
-    def sweep(static, moving, axis, offsets):
-        sweeps.append({"direction": direction_of(np.sign(offsets[0]) * np.eye(3)[axis]),
+    def sweep(static, moving, axis, span, offsets):
+        sweeps.append({"direction": direction_of(np.sign(span[0] + span[1]) * np.eye(3)[axis]),
                        "tests": []})
-        sweeps[-1]["blocked"] = penetrates(static, moving, axis, offsets)
+        sweeps[-1]["blocked"] = penetrates(static, moving, axis, span, offsets)
         return sweeps[-1]["blocked"]
 
     def candidates(*args):
@@ -447,13 +396,22 @@ def test_sweep_engine_matches_naive_loop():
 @given(seed=st.integers(0, 100_000))
 @settings(max_examples=20, deadline=None)
 def test_sweep_engine_matches_naive_on_random_boxes(seed):
+    """Random boxes: a sweep is blocked wherever the per-sample loop finds
+    an intersection, and exactly when the boxes' interiors meet at some
+    offset in (0, 40], which it may miss between its 16 samples."""
     rng = np.random.default_rng(seed)
-    static = box_mesh(rng.uniform(-6, 0, 3), rng.uniform(1, 6, 3))
+    lo_s, hi_s = rng.uniform(-6, 0, 3), rng.uniform(1, 6, 3)
     off = rng.uniform(-10, 10, 3)
-    moving = box_mesh(rng.uniform(-6, 0, 3) + off, rng.uniform(1, 6, 3) + off)
+    lo_m, hi_m = rng.uniform(-6, 0, 3) + off, rng.uniform(1, 6, 3) + off
+    static, moving = box_mesh(lo_s, hi_s), box_mesh(lo_m, hi_m)
     for d in DIRECTION_ORDER:
-        assert sweep_translation_is_free(static, moving, d, 40.0, 16) == \
-            naive_sweep_is_free(static, moving, d, 40.0, 16), d.value
+        ax, others = d.axis, [o for o in range(3) if o != d.axis]
+        t_lo, t_hi = sorted(d.sign * np.array([lo_s[ax] - hi_m[ax], hi_s[ax] - lo_m[ax]]))
+        overlap = (all(lo_s[o] < hi_m[o] and lo_m[o] < hi_s[o] for o in others)
+                   and max(t_lo, 0.0) < min(t_hi, 40.0))
+        free = sweep_translation_is_free(static, moving, d, 40.0, 16)
+        assert free == (not overlap), d.value
+        assert naive_sweep_is_free(static, moving, d, 40.0, 16) or not free, d.value
 
 
 grid_box = st.tuples(st.tuples(*[st.integers(0, 4)] * 3), st.tuples(*[st.integers(1, 3)] * 3))
@@ -540,6 +498,27 @@ def test_thin_shelf_blocks_plus_z_under_finer_sampling():
     shelf, sheet = (p.mesh for p in pair.parts)
     assert not sweep_translation_is_free(shelf, sheet, Direction.PLUS_Z,
                                          2.0 * pair.aabb_diagonal, 640)
+
+
+def crossed_bars() -> AssemblyModel:
+    """A bar along x at z 20-22 over a bar along y at z 0-2: sweeping the
+    lower bar along +z, every crossing pair has a triangle parallel to z,
+    and no probe of either lies strictly inside the other."""
+    static = box_mesh((-50, -1, 20), (50, 1, 22))
+    moving = box_mesh((-1, -50, 0), (1, 50, 2))
+    return AssemblyModel((PartModel("upper", static, 1.0), PartModel("lower", moving, 1.0)))
+
+
+@pytest.mark.parametrize("assembly", [thin_shelf_pair(), crossed_bars()],
+                         ids=["thin_shelf", "crossed_bars"])
+def test_narrow_blocking_windows_block_on_the_default_path(assembly):
+    """The sheet passing the shelf for 2 mm of a 4.4 mm sample step, and
+    the crossed bars, are blocked along +z by the default matrices: their
+    crossings are decided over the whole range, not at samples. Moving
+    away, along -z, is free."""
+    free = compute_relation_matrices(assembly).interference_free
+    assert not free[Direction.PLUS_Z][0, 1] and not free[Direction.MINUS_Z][1, 0]
+    assert free[Direction.MINUS_Z][0, 1] and free[Direction.PLUS_Z][1, 0]
 
 
 def test_rotation_permutes_interference_matrices(proxy):
