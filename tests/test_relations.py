@@ -157,7 +157,48 @@ def lateral_sweep(assembly: AssemblyModel, direction: Direction) -> tuple[tuple,
     return span, direction.sign * samples[(samples >= t_lo) & (samples <= t_hi)]
 
 
-def test_sweeps_send_each_candidate_pair_to_the_kernel_once(monkeypatch):
+def test_crossing_rows_pruned_on_stacked_cylinders(monkeypatch):
+    """Work-count guard, not a timing: on two stacked 1,024-triangle
+    cylinders in face contact, the crossing kernel gets at most one row per
+    candidate pair of a sweep, its nine edge axes run on at most a fifth of
+    the rows that its two face axes see, and the six matrices are the
+    expected ones. The lateral sweeps are decided by the box cull, so the
+    kernel is driven with their ranges directly."""
+    assembly = stacked_cylinders()
+    lower, upper = (p.mesh for p in assembly.parts)
+    sweeps = []
+    penetrates, box_pairs, narrow = relations.penetrates_along, broad.box_pairs, queries._narrow
+
+    def sweep(static, moving, axis, span, offsets):
+        sweeps.append({"rows": {2: 0, 9: 0}})
+        return penetrates(static, moving, axis, span, offsets)
+
+    def candidates(*args):
+        sweeps[-1]["pairs"] = len(dense_box_pairs(*args)[0])
+        return box_pairs(*args)
+
+    def counted(lo, hi, rel, axes, *args):
+        sweeps[-1]["rows"][len(axes)] += len(lo)
+        return narrow(lo, hi, rel, axes, *args)
+
+    monkeypatch.setattr(relations, "penetrates_along", sweep)
+    monkeypatch.setattr(broad, "box_pairs", candidates)
+    monkeypatch.setattr(queries, "_narrow", counted)
+    free = compute_all_interference_free(assembly)
+    lateral_blocked = [sweep(lower, upper, d.axis, *lateral_sweep(assembly, d)) for d in LATERAL]
+
+    assert len(sweeps) == 5
+    for s in sweeps:
+        assert 0 < s["rows"][2] <= s["pairs"]
+    face_rows, edge_rows = (sum(s["rows"][n] for s in sweeps) for n in (2, 9))
+    assert 0 < 5 * edge_rows <= face_rows
+    assert lateral_blocked == [False] * 4
+    for d in DIRECTION_ORDER:
+        assert free[d][0, 1] == (d is not Direction.MINUS_Z)
+        assert free[d][1, 0] == (d is not Direction.PLUS_Z)
+
+
+def test_sweeps_window_only_the_pairs_they_need(monkeypatch):
     """Counter, not timing, on two stacked 1,024-triangle cylinders in face
     contact. Each candidate pair of a sweep reaches the crossing kernel at
     most once. A free lateral sweep sends it every candidate pair of the
