@@ -34,17 +34,16 @@ Conventions that everything downstream relies on:
   containment share one broad phase, ``broad.box_pairs``, a stream of
   candidate pairs in blocks; the early-exit scans consume it batch by
   batch, so a scan that stops early never generates the rest.
-* Crossings are decided in closed form, once per candidate triangle pair
-  (``crossing_intervals``): a shifted pair crosses on one open interval of
-  offsets, where the two triangles' projections overlap on each of the 11
-  separating axes, and ``penetrates_along`` asks whether that interval
-  meets its range. The face axes are tested at half the touch tolerance,
-  so contact and sliding never cross, and the interval holds every offset
-  at which ``proper_crossings``, the per-offset definition, finds the
-  shifted pair crossing. The rounding bounds and the fallback for sliver
-  triangles are derived there. The pairs are generated and their intervals
-  computed batch by batch inside the early-exit scan, so a blocked sweep
-  generates only the pairs up to its first crossing.
+* ``intersects`` and the sweeps share one crossing test,
+  ``proper_crossings``, and find where to try it in closed form, once per
+  candidate triangle pair (``crossing_intervals``): a shifted pair crosses
+  on one open interval of offsets, where the two triangles' projections
+  overlap on each of the 11 separating axes. ``penetrates_along`` tries a
+  pair whose interval meets its range at the midpoint of the two, which
+  catches a crossing narrower than any sample step, then at the samples
+  inside it. Pairs are generated and their intervals computed batch by
+  batch inside the early-exit scan, so a blocked sweep generates only the
+  pairs up to its first crossing.
 * Containment probes are computed once per mesh and kept read-only.
 * All offsets of one probe lie on one line along the sweep axis, so
   containment is decided per probe by signed ray crossings
@@ -262,23 +261,23 @@ def _interval_on_line(signed: np.ndarray, proj: np.ndarray) -> tuple[np.ndarray,
     whose ends have strictly opposite signs, interpolated at 0. A vertex
     merely near a nearly parallel plane can lie far from the line.
     """
-    n = len(signed)
-    lo = np.full(n, np.inf)
-    hi = np.full(n, -np.inf)
-    on_plane = signed == 0
-    for i in range(3):
-        x = proj[:, i]
-        lo = np.where(on_plane[:, i], np.minimum(lo, x), lo)
-        hi = np.where(on_plane[:, i], np.maximum(hi, x), hi)
-    for i, j in _EDGES:
-        si, sj = signed[:, i], signed[:, j]
-        crossing = ((si > 0) & (sj < 0)) | ((si < 0) & (sj > 0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            frac = si / np.where(crossing, si - sj, 1.0)
-            x = proj[:, i] + (proj[:, j] - proj[:, i]) * frac
-        lo = np.where(crossing, np.minimum(lo, x), lo)
-        hi = np.where(crossing, np.maximum(hi, x), hi)
-    return lo, hi
+    # edge (i, i + 1) of each row, as columns i
+    sj, pj = signed[:, [1, 2, 0]], proj[:, [1, 2, 0]]
+    crossing = np.sign(signed) * np.sign(sj) < 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = signed / np.where(crossing, signed - sj, 1.0)
+        x = proj + (pj - proj) * frac
+    points = np.hstack([proj, x])
+    cut = np.hstack([signed == 0, crossing])
+    return (np.where(cut, points, np.inf).min(axis=1),
+            np.where(cut, points, -np.inf).max(axis=1))
+
+
+def _cross(u: np.ndarray, v: np.ndarray, axis: int = -1) -> np.ndarray:
+    """``np.cross(u, v, axis=axis)``, to the bit, without its call overhead."""
+    tail = (slice(None),) * (-1 - axis)   # axis counts from the end
+    u0, u1, u2, v0, v1, v2 = (x[(..., k, *tail)] for x in (u, v) for k in range(3))
+    return np.stack([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0], axis=axis)
 
 
 def proper_crossings(tri_a: np.ndarray, tri_b: np.ndarray,
@@ -291,38 +290,28 @@ def proper_crossings(tri_a: np.ndarray, tri_b: np.ndarray,
     overlap, edge touches, and vertex touches are all false: those are
     contacts, not penetrations.
     """
-    a = np.asarray(tri_a, dtype=np.float64)
-    b = np.asarray(tri_b, dtype=np.float64)
-
-    na = np.cross(a[:, 1] - a[:, 0], a[:, 2] - a[:, 0])
-    nb = np.cross(b[:, 1] - b[:, 0], b[:, 2] - b[:, 0])
-    len_a = np.linalg.norm(na, axis=1)
-    len_b = np.linalg.norm(nb, axis=1)
-    valid = (len_a > 0) & (len_b > 0)
-    div_a = np.where(len_a > 0, len_a, 1.0)
-    div_b = np.where(len_b > 0, len_b, 1.0)
-
-    # vertex distances to the opposite plane, in mm
-    sa = np.einsum("ikj,ij->ik", a - b[:, 0][:, None, :], nb) / div_b[:, None]
-    sb = np.einsum("ikj,ij->ik", b - a[:, 0][:, None, :], na) / div_a[:, None]
-
-    straddle_a = (sa.min(axis=1) < -tol) & (sa.max(axis=1) > tol)
-    straddle_b = (sb.min(axis=1) < -tol) & (sb.max(axis=1) > tol)
-    mask = valid & straddle_a & straddle_b
+    # both triangles of each row on a leading axis, the other's terms at [::-1]
+    ab = np.stack([np.asarray(tri_a, dtype=np.float64), np.asarray(tri_b, dtype=np.float64)])
+    normal = _cross(ab[:, :, 1] - ab[:, :, 0], ab[:, :, 2] - ab[:, :, 0])
+    length = np.linalg.norm(normal, axis=2)
+    valid = (length > 0).all(axis=0)
+    # vertex distances to the other triangle's plane, in mm
+    signed = (np.einsum("sikj,sij->sik", ab - ab[::-1, :, :1], normal[::-1])
+              / np.where(length > 0, length, 1.0)[::-1, :, None])
+    mask = valid & ((signed.min(axis=2) < -tol) & (signed.max(axis=2) > tol)).all(axis=0)
     if not mask.any():
         return mask
 
-    d = np.cross(na, nb)
+    d = _cross(normal[0], normal[1])
     len_d = np.linalg.norm(d, axis=1)
     ok = len_d > 0
     d_hat = d / np.where(ok, len_d, 1.0)[:, None]
     mask &= ok
 
-    pa = np.einsum("ikj,ij->ik", a, d_hat)
-    pb = np.einsum("ikj,ij->ik", b, d_hat)
-    lo_a, hi_a = _interval_on_line(sa, pa)
-    lo_b, hi_b = _interval_on_line(sb, pb)
-    overlap = np.minimum(hi_a, hi_b) - np.maximum(lo_a, lo_b)
+    lo, hi = _interval_on_line(signed.reshape(-1, 3),
+                               np.einsum("sikj,ij->sik", ab, d_hat).reshape(-1, 3))
+    n = len(mask)
+    overlap = np.minimum(hi[:n], hi[n:]) - np.maximum(lo[:n], lo[n:])
     return mask & (overlap > tol)
 
 
@@ -342,15 +331,15 @@ _terms = PerMesh(_triangle_terms)
 
 def _narrow(lo: np.ndarray, hi: np.ndarray, rel: np.ndarray, axes: np.ndarray, axis: int,
             base: np.ndarray, bend: np.ndarray, margin: float | None,
-            tol: float) -> tuple[np.ndarray, np.ndarray]:
+            tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(lo, hi)`` narrowed, per pair k, to the offsets t at which the
     projections on each of ``axes[:, :, k]`` of the static corners
     ``(0, rel[0], rel[1])`` and of the moving ones ``rel[2:]`` shifted by t
     along ``axis``, divided by the axis length |n|, overlap by more than
     ``margin``, or by more than the axis's rounding gap
     ``base (1 + bend / |n|)`` when ``margin`` is None. An axis whose gap
-    exceeds ``tol / 2`` is left out. An empty interval may come back with
-    a NaN end."""
+    exceeds ``tol / 2`` is left out; the third array says per pair whether
+    every axis was kept. An empty interval may come back with a NaN end."""
     length = np.sqrt(np.einsum("ajk,ajk->ak", axes, axes))
     with np.errstate(divide="ignore", invalid="ignore"):
         gap = base * (1 + bend / length)
@@ -367,7 +356,8 @@ def _narrow(lo: np.ndarray, hi: np.ndarray, rel: np.ndarray, axes: np.ndarray, a
         high = np.where(keep, (s_hi - m_lo) / div - margin, np.inf)
         t1, t2 = low / (axes[:, axis] / div), high / (axes[:, axis] / div)
     t_lo = np.where(low < high, np.minimum(t1, t2), np.nan)
-    return np.maximum(lo, t_lo.max(axis=0)), np.minimum(hi, np.maximum(t1, t2).min(axis=0))
+    return (np.maximum(lo, t_lo.max(axis=0)), np.minimum(hi, np.maximum(t1, t2).min(axis=0)),
+            keep.all(axis=0))
 
 
 def crossing_intervals(static: TriangleMesh, moving: TriangleMesh, si: np.ndarray,
@@ -375,8 +365,9 @@ def crossing_intervals(static: TriangleMesh, moving: TriangleMesh, si: np.ndarra
                        tol: float = TOUCH_TOLERANCE_MM) -> tuple[np.ndarray, np.ndarray]:
     """Per candidate pair p, the open interval ``(lo[p], hi[p])`` of offsets
     t over which triangle ``mi[p]`` of ``moving``, shifted by t along
-    ``axis``, crosses triangle ``si[p]`` of ``static``; it is empty
-    (``lo[p] < hi[p]`` is False) when they never cross.
+    ``axis``, crosses triangle ``si[p]`` of ``static``, up to rounding; it
+    is empty (``lo[p] < hi[p]`` is False) when they never cross. A pair
+    with a sliver or zero-area face gets its whole box window instead.
 
     Two triangles cross when every small enough translation keeps them
     meeting, which is what :func:`proper_crossings` tests at one offset.
@@ -421,18 +412,20 @@ def crossing_intervals(static: TriangleMesh, moving: TriangleMesh, si: np.ndarra
       normalisation, the shift and the division add at most 10uL. So the
       window is inside the exact open one and holds every offset at which
       the exact projections overlap by more than ``2 gap``.
-    * An axis whose gap exceeds ``tol / 2``, from a sliver or zero-area
-      triangle or from nearly parallel edges, is dropped. The interval can
-      only grow, so it keeps every offset at which the kept axes hold, and
-      may reach offsets at which the exact pair only touches. The box
-      window is padded by 4uL, which covers its subtractions, and bounds
-      the interval when every axis is dropped.
+    * An edge axis whose gap exceeds ``tol / 2``, from nearly parallel
+      edges, is dropped. The interval can only grow, so it keeps every
+      offset at which the kept axes hold, and may reach offsets at which
+      the exact pair only touches.
+    * A face axis whose gap exceeds ``tol / 2``, from a sliver or zero-area
+      triangle, leaves the pair its whole box window, padded by 4uL, which
+      covers its subtractions: :func:`proper_crossings` can find such a
+      pair crossing a few tolerances past the exact interval.
 
-    So the interval lies inside the exact crossing interval, unless an axis
-    was dropped, and holds every offset at which both triangles straddle
-    each other's planes beyond ``tol`` (as computed by
-    :func:`proper_crossings`) and the exact projections overlap along each
-    edge axis by more than twice its gap.
+    So the interval lies inside the exact crossing interval, unless an edge
+    axis was dropped or a face is a sliver, and holds every offset at which
+    both triangles straddle each other's planes beyond ``tol`` (as
+    computed by :func:`proper_crossings`) and the exact projections overlap
+    along each edge axis by more than twice its gap.
     """
     u = 2.0 ** -53
     terms_s, terms_m = _terms(static), _terms(moving)
@@ -448,17 +441,20 @@ def crossing_intervals(static: TriangleMesh, moving: TriangleMesh, si: np.ndarra
 
     # the face axes of every pair, corners relative to the first static one
     rel = np.concatenate([c_s[1:] - c_s[0], c_m - c_s[0]])
-    lo, hi = _narrow(lo, hi, rel, np.stack([n_s, n_m]), axis, 64 * u * (coord + lever),
-                     lever * np.stack([longest_s, longest_m]), 0.5 * tol, tol)
+    face_lo, face_hi, kept = _narrow(lo, hi, rel, np.stack([n_s, n_m]), axis,
+                                     64 * u * (coord + lever),
+                                     lever * np.stack([longest_s, longest_m]), 0.5 * tol, tol)
+    # a pair with a sliver or zero-area face keeps its whole box window
+    lo, hi = np.where(kept, face_lo, lo), np.where(kept, face_hi, hi)
 
-    # the edge axes of the pairs that still cross somewhere
-    live = np.flatnonzero(lo < hi)
+    # the edge axes of the other pairs that still cross somewhere
+    live = np.flatnonzero(kept & (lo < hi))
     e_s, edge_s = (np.take(x, si[live], axis=-1) for x in terms_s[2:4])
     e_m, edge_m = (np.take(x, mi[live], axis=-1) for x in terms_m[2:4])
-    axes = np.cross(e_s[:, None], e_m[None], axis=-2).reshape(9, 3, -1)
+    axes = _cross(e_s[:, None], e_m[None], axis=-2).reshape(9, 3, -1)
     bend = (edge_s[:, None] * edge_m[None]).reshape(9, -1)
-    lo[live], hi[live] = _narrow(lo[live], hi[live], rel[..., live], axes, axis,
-                                 32 * u * lever[live], bend, None, tol)
+    lo[live], hi[live], _ = _narrow(lo[live], hi[live], rel[..., live], axes, axis,
+                                    32 * u * lever[live], bend, None, tol)
     return lo, hi
 
 
@@ -540,6 +536,14 @@ _probe_points = PerMesh(_read_only_probes)
 
 # -- penetration kernel ------------------------------------------------------
 
+def _crosses_at(static: TriangleMesh, moving: TriangleMesh, si: np.ndarray, mi: np.ndarray,
+                axis: int, t: np.ndarray) -> bool:
+    """Whether :func:`proper_crossings` holds for some pair p, ``moving`` shifted by ``t[p]``."""
+    shifted = moving.corners[mi]
+    shifted[:, :, axis] += t[:, None]
+    return bool(proper_crossings(static.corners[si], shifted).any())
+
+
 def penetrates_along(static: TriangleMesh, moving: TriangleMesh, axis: int,
                      span: tuple[float, float], offsets: np.ndarray) -> bool:
     """True iff ``moving``, shifted along ``axis``, penetrates ``static``:
@@ -548,15 +552,19 @@ def penetrates_along(static: TriangleMesh, moving: TriangleMesh, axis: int,
     any order, inside ``span``). A range whose first end exceeds its
     second, with no offsets, penetrates nothing.
 
-    A crossing is a transversal triangle crossing. Each candidate pair, the
-    static and moving triangles whose boxes overlap somewhere on the range
-    (:func:`softjig.broad.box_pairs`, moving boxes stretched over it), gets
-    its interval of crossing offsets once (:func:`crossing_intervals`),
-    and the pair blocks when that open interval meets the range. The pairs
-    stream in batches that start at ``_FIRST_CROSSING_ROWS`` and double up
-    to ``_FIRST_BATCH_ROWS``, which bounds the kernel's temporaries to a
-    few MB, and the scan stops at the first batch that blocks, so a blocked
-    sweep generates only the pairs up to its first crossing.
+    A crossing is one where :func:`proper_crossings` holds. Each candidate
+    pair, the static and moving triangles whose boxes overlap somewhere on
+    the range (:func:`softjig.broad.box_pairs`, moving boxes stretched over
+    it), gets its interval of crossing offsets once
+    (:func:`crossing_intervals`); one that meets the range is tried at the
+    midpoint of the two, then at the ``offsets`` inside the interval. The
+    least of the margins that :func:`proper_crossings` compares with its
+    tolerance is concave in the offset, so on an interval inside the exact
+    one the midpoint has at least half its largest value in range. A batch
+    of fewer than ``_FIRST_CROSSING_ROWS`` pairs, as small meshes give, is
+    first tried at the middles of its pairs' box windows. Batches start at
+    ``_FIRST_CROSSING_ROWS`` pairs and double up to ``_FIRST_BATCH_ROWS``;
+    the scan stops at the first batch that blocks.
     Both meshes must be closed 2-cycles, as parts are: the callers' box
     culls and ray containment hold only for those, so an open one
     (:data:`softjig.mesh.unbalanced_edges`) raises
@@ -578,21 +586,37 @@ def penetrates_along(static: TriangleMesh, moving: TriangleMesh, axis: int,
         if unbalanced_edges(mesh):
             raise DegenerateMeshError(f"{mesh!r} is not closed: {unbalanced_edges(mesh)} "
                                       f"directed edges do not match their reverses")
+    offsets = np.asarray(offsets, dtype=np.float64)
     first, last = span
     if first <= last:
         ext_lo, ext_hi = (b.copy() for b in moving.triangle_bounds)
         ext_lo[:, axis] += first
         ext_hi[:, axis] += last
         pairs = broad.box_pairs(*static.triangle_bounds, ext_lo, ext_hi)
+        s_lo, s_hi, m_lo, m_hi = (b[:, axis] for m in (static, moving) for b in m.triangle_bounds)
         for i, j in broad.batches(pairs, _FIRST_CROSSING_ROWS, _FIRST_BATCH_ROWS):
-            lo, hi = crossing_intervals(static, moving, i, j, axis)
-            if ((lo < hi) & (lo < last) & (hi > first)).any():
+            # blocked sweeps mostly cross deep in a pair's box window: try its middle
+            if len(i) < _FIRST_CROSSING_ROWS and _crosses_at(static, moving, i, j, axis, np.clip(
+                    [s_lo[i] - m_hi[j], s_hi[i] - m_lo[j]], first, last).mean(0)):
                 return True
+            lo, hi = crossing_intervals(static, moving, i, j, axis)
+            meet = np.flatnonzero((lo < hi) & (lo < last) & (hi > first))
+            i, j, lo, hi = i[meet], j[meet], lo[meet], hi[meet]
+            mid = 0.5 * (np.maximum(lo, first) + np.minimum(hi, last))
+            # one pair first: a crossing interval is mostly a deep crossing
+            if len(meet) and (_crosses_at(static, moving, i[:1], j[:1], axis, mid[:1])
+                              or _crosses_at(static, moving, i, j, axis, mid)):
+                return True
+            p, k = np.nonzero((offsets > lo[:, None]) & (offsets < hi[:, None])
+                              & (offsets != mid[:, None]))
+            for s in range(0, len(p), _FIRST_BATCH_ROWS):
+                rows = slice(s, s + _FIRST_BATCH_ROWS)
+                if _crosses_at(static, moving, i[p[rows]], j[p[rows]], axis, offsets[k[rows]]):
+                    return True
 
     # containment: moving probes in the static solid, static probes in the
     # shifted moving solid, on the (probe, offset) grid inside the target
     # box; rays along each axis decide most rows, the winding number the rest
-    offsets = np.asarray(offsets, dtype=np.float64)
     other = [ax for ax in range(3) if ax != axis]
     for probes, target, sign in ((_probe_points(moving), static, 1.0),
                                  (_probe_points(static), moving, -1.0)):

@@ -6,8 +6,9 @@ For parts i, k of an assembled product:
 * ``interference_free[j][i, k]`` — part k can translate along axis
   direction j from its assembled pose all the way out of the assembly
   without ever penetrating part i, decided by the penetration kernel
-  ``queries.penetrates_along``. Triangle crossings are decided over the
-  whole translation in closed form; containment (a probe of one part
+  ``queries.penetrates_along``. Triangle crossings are looked for over
+  the whole translation in closed form, each pair tried where its interval
+  of crossing offsets meets the sweep; containment (a probe of one part
   strictly inside the other) at uniform samples, ``STEP_COUNT`` per sweep,
   more for thin parts.
 * ``reachable[j]`` — elementwise gate of contact with interference
@@ -145,8 +146,8 @@ def sweep_translation_is_free(static: TriangleMesh, moving: TriangleMesh,
     interior of both triangles, making them coplanar) and no probe strictly
     inside the other solid can occur. Otherwise the range is the offsets in
     (0, ``max_distance``] at which the two boxes overlap along the axis:
-    :func:`softjig.queries.penetrates_along` decides crossings over all of
-    it, the kernel that :func:`softjig.queries.intersects` runs at offset
+    :func:`softjig.queries.penetrates_along` looks for crossings over all
+    of it, the kernel that :func:`softjig.queries.intersects` runs at offset
     zero, and containment at the samples that fall in it.
     """
     axis, sign = direction.axis, direction.sign

@@ -508,19 +508,22 @@ def test_proper_crossings_only_where_triangles_meet(seed, kind):
         assert exact_triangles_meet(a, tri), (a.tolist(), tri.tolist())
 
 
-def is_sliver(tri: np.ndarray) -> bool:
-    """Whether a triangle's normal is below 1e-6 of its longest edge
-    squared: its own face axis is one that :func:`crossing_intervals` may
-    drop for rounding."""
-    edge = np.linalg.norm(tri - np.roll(tri, -1, axis=0), axis=1).max()
-    return bool(np.linalg.norm(np.cross(tri[1] - tri[0], tri[2] - tri[0])) < 1e-6 * edge ** 2)
-
-
-def pair_interval(a: np.ndarray, b: np.ndarray, axis: int) -> tuple[float, float]:
-    """``crossing_intervals`` of one static and one moving triangle."""
+def pair_interval(a: np.ndarray, b: np.ndarray, axis: int) -> tuple[float, float, bool]:
+    """``crossing_intervals`` of one static and one moving triangle, and
+    whether both face axes fit their rounding bound (otherwise the pair
+    keeps its whole box window)."""
     first = np.zeros(1, dtype=np.intp)
-    lo, hi = crossing_intervals(tetra_on(a), tetra_on(b), first, first, axis)
-    return float(lo[0]), float(hi[0])
+    kept, narrow = [], queries._narrow
+
+    def recorded(*args):
+        out = narrow(*args)
+        kept.extend(out[2])
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(queries, "_narrow", recorded)
+        lo, hi = crossing_intervals(tetra_on(a), tetra_on(b), first, first, axis)
+    return float(lo[0]), float(hi[0]), kept[0]
 
 
 @given(seed=st.integers(0, 2**32 - 1),
@@ -531,13 +534,13 @@ def pair_interval(a: np.ndarray, b: np.ndarray, axis: int) -> tuple[float, float
 def test_crossing_intervals_hold_every_crossing_offset(seed, kind, swap):
     """Every offset at which ``proper_crossings`` of the shifted pair is
     True lies in the pair's interval, probed a few ulps around each
-    straddle flip and at random offsets of both signs. Unless a triangle is
-    a sliver, whose own face axis the kernel may drop, the interval lies in
-    the exact rational one and is empty where that finds the pair disjoint
-    or only touching (coplanar pairs included). And ``penetrates_along``
-    over a range blocks wherever a scan of every row at the range's samples
-    does, and otherwise only where the exact interval of one of its pairs
-    meets the range."""
+    straddle flip and at random offsets of both signs. Unless the pair
+    keeps its whole box window (a sliver or thin face), the interval lies
+    in the exact rational one and is empty where that finds the pair
+    disjoint or only touching (coplanar pairs included). And, on every
+    kind, ``penetrates_along`` over a range blocks wherever a scan of every
+    row at the range's samples does, and otherwise only where the exact
+    interval of one of its pairs meets the range."""
     rng = np.random.default_rng(seed)
     a, b = triangle_pair(kind, rng)
     if swap:
@@ -552,30 +555,29 @@ def test_crossing_intervals_hold_every_crossing_offset(seed, kind, swap):
             offsets.append(t + np.arange(-8, 9) * np.spacing(t))
     offsets = np.unique(np.concatenate(offsets))
 
-    lo, hi = pair_interval(a, b, axis)
+    lo, hi, faces_kept = pair_interval(a, b, axis)
     shifted = np.repeat(b[None], len(offsets), axis=0)
     shifted[:, :, axis] += offsets[:, None]
     hit = proper_crossings(np.broadcast_to(a, shifted.shape), shifted)
     assert ((offsets[hit] > lo) & (offsets[hit] < hi)).all(), offsets[hit & ((offsets <= lo)
                                                                            | (offsets >= hi))]
-    exact = exact_crossing_interval(a, b, axis)
-    if not (is_sliver(a) or is_sliver(b)):
+    if faces_kept:
+        exact = exact_crossing_interval(a, b, axis)
         if exact is None:
             assert lo >= hi or np.isnan(lo) or np.isnan(hi), (lo, hi)
         elif lo < hi:
             assert exact[0] <= lo and hi <= exact[1], ((lo, hi), exact)
 
-    if not (is_sliver(a) or is_sliver(b)):
-        span = tuple(np.sort(rng.choice(offsets, 2)))
-        assert_blocks_as_the_scan(tetra_on(a), tetra_on(b), axis, span,
-                                  offsets[(offsets >= span[0]) & (offsets <= span[1])])
+    span = tuple(np.sort(rng.choice(offsets, 2)))
+    assert_blocks_as_the_scan(tetra_on(a), tetra_on(b), axis, span,
+                              offsets[(offsets >= span[0]) & (offsets <= span[1])])
 
 
 def assert_blocks_as_the_scan(static, moving, axis, span, samples) -> None:
     """``penetrates_along`` over ``span`` blocks wherever
     ``naive_penetrates_along`` at ``samples`` (offsets inside ``span``)
-    does. Where it alone blocks, the first triangle pair whose interval
-    meets the range crosses in range by the exact reference."""
+    does. Where it alone blocks, some triangle pair whose interval meets
+    the range crosses in range by the exact reference."""
     blocked = penetrates_along(static, moving, axis, span, samples)
     if naive_penetrates_along(static, moving, axis, samples):
         assert blocked
@@ -583,9 +585,9 @@ def assert_blocks_as_the_scan(static, moving, axis, span, samples) -> None:
         si, mi = (g.ravel() for g in np.meshgrid(np.arange(len(static.corners)),
                                                  np.arange(len(moving.corners)), indexing="ij"))
         lo, hi = crossing_intervals(static, moving, si, mi, axis)
-        p = np.flatnonzero((lo < hi) & (lo < span[1]) & (hi > span[0]))[0]
-        exact = exact_crossing_interval(static.corners[si[p]], moving.corners[mi[p]], axis)
-        assert exact is not None and exact[0] < span[1] and exact[1] > span[0], (span, exact)
+        exact = [exact_crossing_interval(static.corners[si[p]], moving.corners[mi[p]], axis)
+                 for p in np.flatnonzero((lo < hi) & (lo < span[1]) & (hi > span[0]))]
+        assert any(e is not None and e[0] < span[1] and e[1] > span[0] for e in exact), span
 
 
 def test_face_to_face_and_edge_to_edge_boxes_never_cross_apart():
@@ -667,36 +669,44 @@ def test_blocked_sweep_finds_a_crossing_past_the_first_batch():
     assert len(crossing) and crossing.min() > queries._FIRST_BATCH_ROWS
 
 
-def test_sliver_pair_drops_its_own_face_axis(monkeypatch):
+def test_small_blocked_sweep_is_decided_at_box_window_middles(monkeypatch):
+    """Counter: a box pushed down through another, 144 candidate pairs,
+    fewer than one first batch, crosses at the middles of the pairs' box
+    windows, so the interval kernel is never called; a box sliding on top
+    of the other has candidates but no crossing, and reaches the kernel."""
+    static = box_mesh((0, 0, 0), (4, 4, 4))
+    sent, intervals = [], queries.crossing_intervals
+    monkeypatch.setattr(queries, "crossing_intervals",
+                        lambda *args: sent.append(len(args[2])) or intervals(*args))
+    above = box_mesh((1, 1, 6), (3, 3, 8))
+    assert penetrates_along(static, above, 2, (-10.0, -0.5), np.linspace(-10.0, -0.5, 20))
+    assert sent == []
+    resting = box_mesh((1, 1, 4), (3, 3, 6))
+    assert not penetrates_along(static, resting, 0, (0.5, 10.0), np.linspace(0.5, 10.0, 20))
+    assert sent and sum(sent) < queries._FIRST_CROSSING_ROWS
+
+
+def test_sliver_pair_keeps_its_whole_box_range():
     """A moving sliver, its apex 1e-12 mm off the line of its other two
-    corners, has a normal whose rounding bound exceeds half the tolerance,
-    so its own face axis is dropped, and the same pair with a fat moving
-    triangle keeps it. Either interval holds every offset at which
-    ``proper_crossings`` of the pair is True and stays inside the window in
-    which the moving corners straddle the static plane, which is kept."""
-    face_gaps = []
-    narrow = queries._narrow
-
-    def recorded(lo, hi, rel, axes, axis, base, bend, margin, tol):
-        if len(axes) == 2:
-            face_gaps.append(base * (1 + bend / np.linalg.norm(axes, axis=1)))
-        return narrow(lo, hi, rel, axes, axis, base, bend, margin, tol)
-
-    monkeypatch.setattr(queries, "_narrow", recorded)
-    a = np.array([[-3.0, -3.0, 0.0], [3.0, -3.0, 0.0], [0.0, 3.0, 0.0]])
-    offsets = np.linspace(-4.0, 4.0, 801)
-    for apex, dropped in (([1.0, 1e-12, 0.25], True), ([1.0, 2.0, 0.25], False)):
-        b = np.array([[0.0, 0.0, -1.0], [2.0, 0.0, 1.5], apex])
-        lo, hi = pair_interval(a, b, 2)
-        static_gap, moving_gap = face_gaps.pop()[:, 0]
-        assert static_gap <= TOUCH_TOLERANCE_MM / 2
-        assert (moving_gap > TOUCH_TOLERANCE_MM / 2) == dropped == is_sliver(b)
+    corners, all 1 mm or more off the static plane, never straddles it.
+    Yet the rounding bound of its near-zero normal exceeds half the
+    tolerance, so the pair keeps its whole box window along z, where
+    ``proper_crossings`` decides it; the same pair with a fat moving
+    triangle gets an empty interval."""
+    a = np.array([[0.0, -3.0, -3.0], [0.0, 3.0, -3.0], [0.0, 0.0, 3.0]])
+    offsets = np.linspace(-4.0, 4.0, 33)
+    for apex, sliver in (([1.5, 1e-12, 0.5], True), ([1.5, 2.0, 0.5], False)):
+        b = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 1.0], apex])
+        lo, hi, faces_kept = pair_interval(a, b, 2)
+        assert faces_kept != sliver
+        if sliver:
+            assert lo == pytest.approx(-4.0, abs=1e-12) and hi == pytest.approx(3.0, abs=1e-12)
+        else:
+            assert not lo < hi
         shifted = np.repeat(b[None], len(offsets), axis=0)
         shifted[:, :, 2] += offsets[:, None]
-        hit = offsets[proper_crossings(np.broadcast_to(a, shifted.shape), shifted)]
-        assert (dropped or len(hit)) and ((hit > lo) & (hit < hi)).all()
-        # the moving corners straddle the static plane for offsets in (-1.5, 1)
-        assert -1.5 <= lo < hi <= 1.0
+        assert not proper_crossings(np.broadcast_to(a, shifted.shape), shifted).any()
+        assert not penetrates_along(tetra_on(a), tetra_on(b), 2, (-4.0, 4.0), offsets[[0, -1]])
 
 
 def test_probe_points_computed_once_per_mesh(monkeypatch):

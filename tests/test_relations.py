@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from conftest import (
 )
 
 from softjig import broad, cube_stack_assembly, queries, relations
+from softjig.descriptors import load_descriptor
 from softjig.fixtures import box_mesh, compound_mesh, generate_proxy_fixture, revolve_mesh
+from softjig.mesh import save_stl_binary
 from softjig.parts import AssemblyModel, PartModel
 from softjig.queries import intersects, min_distance, triangle_pair_distance_sq, within_distance
 from softjig.relations import (
@@ -560,6 +563,44 @@ def test_narrow_blocking_windows_block_on_the_default_path(assembly):
     free = compute_relation_matrices(assembly).interference_free
     assert not free[Direction.PLUS_Z][0, 1] and not free[Direction.MINUS_Z][1, 0]
     assert free[Direction.MINUS_Z][0, 1] and free[Direction.PLUS_Z][1, 0]
+
+
+def sliver_footed_block(depth: float) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices and triangles of a 6 x 6 x 5 mm block whose bottom face
+    lies ``depth`` below z = 0 and is fanned from a vertex 1e-12 mm off
+    its front edge, so its first triangle is a sliver along that edge."""
+    box = box_mesh((2, 2, 0), (8, 8, 5))
+    vertices = np.vstack([box.vertices, [5.0, 2.0 + 1e-12, 0.0]])
+    vertices[vertices[:, 2] == 0, 2] = -depth
+    bottom = [[0, 8, 1], [1, 8, 2], [2, 8, 3], [3, 8, 0]]
+    return vertices, np.vstack([bottom, box.triangles[2:]])
+
+
+def test_sliver_footed_part_resting_within_the_tolerance_slides_off(tmp_path):
+    """A block resting on a plate, its bottom 0.8 nm into the plate's top,
+    within the touch tolerance, with a sliver in that bottom along its
+    front edge: contact, not penetration. The descriptor loads, the pair
+    touches, and the block is free to slide off along x and y and to lift,
+    and blocked only downward, into the plate."""
+    vertices, triangles = sliver_footed_block(0.8e-9)
+    lines = [f"v {x!r} {y!r} {z!r}" for x, y, z in vertices.tolist()]
+    lines += [f"f {i + 1} {j + 1} {k + 1}" for i, j, k in triangles.tolist()]
+    (tmp_path / "block.obj").write_text("\n".join(lines) + "\n")
+    save_stl_binary(box_mesh((0, 0, -10), (10, 10, 0)), tmp_path / "plate.stl")
+    descriptor = tmp_path / "assembly.json"
+    descriptor.write_text(json.dumps({"parts": [
+        {"id": "plate", "mesh_path": "plate.stl", "mass_g": 1.0},
+        {"id": "block", "mesh_path": "block.obj", "mass_g": 1.0}]}))
+    assembly = load_descriptor(descriptor)
+    plate, block = (p.mesh for p in assembly.parts)
+    assert block.vertices[:, 2].min() == -0.8e-9
+    assert not intersects(plate, block) and within_distance(plate, block, 1e-6)
+    matrices = compute_relation_matrices(assembly)
+    assert matrices.contact[0, 1]
+    free = matrices.interference_free
+    for d in DIRECTION_ORDER:
+        assert free[d][0, 1] == (d != Direction.MINUS_Z), d
+        assert free[d][1, 0] == (d != Direction.PLUS_Z), d
 
 
 def test_rotation_permutes_interference_matrices(proxy):
