@@ -19,8 +19,9 @@ each side's median and quartiles of every end-to-end metric of
 ``change`` and ``notes`` are left empty, to be written in by hand.
 
 ``--claim WORKLOAD:METRIC`` records whether that metric improved: the
-change must win at least 9 of every 10 pairs, and the medians must differ
-by more than the parent's quartile spread.
+change must win at least 9 of every 10 pairs, the medians must differ by
+more than the parent's quartile spread, every change run must be correct,
+and the change must fail no larger share of its ops than the parent.
 """
 
 from __future__ import annotations
@@ -133,6 +134,9 @@ def claim_block(claim: str, workloads: dict, seeds: list[int]) -> dict | str:
     workload, metric = claim.split(":")
     entry = workloads[workload]
     parent, change = entry["parent"][metric], entry["change"][metric]
+    sound = (entry["change"]["correct"]
+             and entry["change"]["failed_ops"] * entry["parent"]["attempted_ops"]
+             <= entry["parent"]["failed_ops"] * entry["change"]["attempted_ops"])
     wins, pairs = entry["pairs_won_by_change"][metric], entry["pairs"]
     spread = round(parent["q3"] - parent["q1"], 4)
     unit, better = next((m["unit"], m["better"]) for m in BENCHMARK["end_to_end"]
@@ -141,7 +145,8 @@ def claim_block(claim: str, workloads: dict, seeds: list[int]) -> dict | str:
             "pairs_won": f"{wins} of {pairs}",
             "median_parent": parent["median"], "median_change": change["median"],
             "parent_iqr": spread,
-            "met": (10 * wins >= 9 * pairs and won(change["median"], parent["median"], better)
+            "met": (sound and 10 * wins >= 9 * pairs
+                    and won(change["median"], parent["median"], better)
                     and abs(change["median"] - parent["median"]) > spread),
             "fresh_seeds": seeds}
 

@@ -16,6 +16,9 @@ Conventions that everything downstream relies on:
   box, so solids whose boxes meet in a slab of zero width have disjoint
   interiors. ``intersects`` answers False for them, and a sweep whose boxes
   touch on an axis across it is free at every offset, without the kernel.
+  The same holds for triangles: the crossing scan of ``penetrates_along``
+  takes only triangle pairs whose boxes share interior across the sweep,
+  and along it at an end of the range that is offset 0.
 * ``min_distance`` is exactly symmetric in its arguments and returns the
   same float as the all-pairs scan: it runs the distance kernel over the
   triangle pairs whose boxes come within a point-to-surface upper bound, in
@@ -552,10 +555,27 @@ def penetrates_along(static: TriangleMesh, moving: TriangleMesh, axis: int,
     any order, inside ``span``). A range whose first end exceeds its
     second, with no offsets, penetrates nothing.
 
-    A crossing is one where :func:`proper_crossings` holds. Each candidate
-    pair, the static and moving triangles whose boxes overlap somewhere on
-    the range (:func:`softjig.broad.box_pairs`, moving boxes stretched over
-    it), gets its interval of crossing offsets once
+    A crossing is one where :func:`proper_crossings` holds. The candidate
+    pairs are the static and moving triangles whose boxes overlap somewhere
+    on the range (:func:`softjig.broad.box_pairs`, moving boxes stretched
+    over it) and share interior on the two axes across ``axis``, and along
+    it at an end of the range that is 0. Those moving bounds are the ones
+    the shift leaves exact, and each is moved one ulp inward
+    (``np.nextafter``): a closed test against the moved bound is a strict
+    one against the bound. A shifted, rounded far end is not moved.
+
+    Boxes that only touch on an axis, in a slab of zero width, hold no
+    crossing. The offsets at which :func:`proper_crossings` holds form an
+    open set (strict inequalities of continuous functions), so there ``t e``
+    is interior to K = S - M (:func:`crossing_intervals`). Touching boxes
+    put every point of K on one side of 0 along that axis: across ``axis``,
+    ``t e`` is 0 on it at every offset, and along it the range runs from 0
+    away from K. Either way ``t e`` is never interior, and the shifted
+    corners, rounded monotonically, stay on their side. :func:`intersects`,
+    the range [0, 0], so tests only pairs whose boxes share interior on all
+    three axes.
+
+    Each candidate pair gets its interval of crossing offsets once
     (:func:`crossing_intervals`); one that meets the range is tried at the
     midpoint of the two, then at the ``offsets`` inside the interval. The
     least of the margins that :func:`proper_crossings` compares with its
@@ -589,9 +609,14 @@ def penetrates_along(static: TriangleMesh, moving: TriangleMesh, axis: int,
     offsets = np.asarray(offsets, dtype=np.float64)
     first, last = span
     if first <= last:
-        ext_lo, ext_hi = (b.copy() for b in moving.triangle_bounds)
-        ext_lo[:, axis] += first
-        ext_hi[:, axis] += last
+        # moving boxes stretched over the range, each bound that the shift
+        # leaves exact one ulp inward, so that touching boxes are apart there
+        lo, hi = moving.triangle_bounds
+        ext_lo, ext_hi = np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf)
+        if first:
+            ext_lo[:, axis] = lo[:, axis] + first
+        if last:
+            ext_hi[:, axis] = hi[:, axis] + last
         pairs = broad.box_pairs(*static.triangle_bounds, ext_lo, ext_hi)
         s_lo, s_hi, m_lo, m_hi = (b[:, axis] for m in (static, moving) for b in m.triangle_bounds)
         for i, j in broad.batches(pairs, _FIRST_CROSSING_ROWS, _FIRST_BATCH_ROWS):
@@ -653,6 +678,8 @@ def intersects(mesh_a: TriangleMesh, mesh_b: TriangleMesh) -> bool:
     returns False, and so do solids whose boxes share no interior, touching
     boxes included: a closed solid lies in its box, so their interiors are
     disjoint (see :func:`softjig.relations.sweep_translation_is_free`).
+    Likewise only the triangle pairs whose boxes share interior on all
+    three axes are crossing-tested; pairs whose boxes touch never cross.
     """
     if not broad.interiors_overlap(*mesh_a.aabb, *mesh_b.aabb):
         return False

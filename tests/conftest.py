@@ -80,6 +80,11 @@ def rotated_assembly(assembly: AssemblyModel, rotation: np.ndarray) -> AssemblyM
 
 ROT_Z_QUARTER = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
+# shears z by y: parts resting on each other along a plane z = c rest along
+# z = c + y instead (exactly, for integer corners) and still slide along x,
+# and the boxes of their resting triangles share interior across x
+SHEAR_Z_BY_Y = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+
 
 def direction_of(vector):
     """The direction label of an exact axis-aligned unit vector."""

@@ -2,7 +2,8 @@
 random and mutated STL and OBJ bytes, and ``load_descriptor`` on random
 JSON values and raw bytes. A parser may refuse its input only with
 ``MeshError``, ``DescriptorError`` or ``FileNotFoundError``, and the CLI
-turns every refusal into exit 1 with one line on stderr."""
+turns every refusal into exit 1 with one line on stderr. A descriptor that
+loads is planned, and the plan ends in exit 0, 1 or 2 without a traceback."""
 
 import contextlib
 import io
@@ -108,8 +109,20 @@ part_entries = st.fixed_dictionaries({}, optional={
     "group": json_values,
 })
 
+CUBE_PART = {"id": "a", "mesh_path": "cube.stl", "mass_g": 1.0}
+IDENTITY = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+HUGE = 10 ** 400   # valid JSON, beyond any float
+
+# cubes on distinct cells of a 10 mm grid touch or stand apart, so these load
+placed_cubes = st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=1, max_size=3,
+                        unique=True).map(lambda cells: {"parts": [
+    {"id": f"p{k}", "mesh_path": "cube.stl", "mass_g": 1.0 + k,
+     "pose": {"rotation": IDENTITY, "translation_mm": [10 * c for c in cell]}}
+    for k, cell in enumerate(cells)]})
+
 descriptors = st.one_of(
     json_values,
+    placed_cubes,
     st.fixed_dictionaries({"parts": st.lists(part_entries | json_values, max_size=3)}, optional={
         "contact_epsilon_mm": json_values,
         "sweep": st.fixed_dictionaries({}, optional={"max_distance_mm": json_values,
@@ -121,19 +134,18 @@ descriptors = st.one_of(
 def assert_loads_or_refused_in_one_line(directory: Path, data: bytes) -> None:
     """``data`` as a descriptor beside a cube STL either loads or is
     refused with one of the parser's errors, and by the CLI in one line.
-    A descriptor that loads is not run."""
+    A descriptor that loads is planned in the order of its part ids: the
+    CLI exits 0, 1 or 2, with at most one line on stderr."""
     (directory / "cube.stl").write_bytes(CUBES["cube.stl"])
     descriptor = directory / "assembly.json"
     descriptor.write_bytes(data)
     try:
-        load_descriptor(descriptor)
+        assembly = load_descriptor(descriptor)
     except (MeshError, DescriptorError, FileNotFoundError):
         assert_refused_in_one_line(descriptor)
-
-
-CUBE_PART = {"id": "a", "mesh_path": "cube.stl", "mass_g": 1.0}
-IDENTITY = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-HUGE = 10 ** 400   # valid JSON, beyond any float
+        return
+    code, err = run_cli(["plan", str(descriptor), "--sequence=" + ",".join(assembly.part_ids)])
+    assert code in (0, 1, 2) and len(err.splitlines()) <= 1, (code, err)
 
 
 @given(value=descriptors)

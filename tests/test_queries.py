@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    SHEAR_Z_BY_Y,
     dense_box_pairs,
     exact_crossing_interval,
     exact_triangles_meet,
@@ -590,6 +591,60 @@ def assert_blocks_as_the_scan(static, moving, axis, span, samples) -> None:
         assert any(e is not None and e[0] < span[1] and e[1] > span[0] for e in exact), span
 
 
+def tetra_beside(tri: np.ndarray, axis: int, side: float) -> TriangleMesh | None:
+    """``tetra_on`` the triangle, its corners in the order that keeps the
+    apex out of the triangle's box on the ``side`` (+1 or -1) along
+    ``axis``, so that the solid's box touches what the triangle's touches
+    there; None when neither order does (a zero normal)."""
+    end = tri[:, axis].max() if side > 0 else tri[:, axis].min()
+    for corners in (tri, tri[[0, 2, 1]]):
+        mesh = tetra_on(corners)
+        if mesh.aabb[int(side > 0)][axis] == end:
+            return mesh
+    return None
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["random", "coplanar", "tilted", "sliver", "needle"]),
+       swap=st.booleans(), across=st.booleans(), above=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_touching_triangle_boxes_never_cross_in_range(seed, kind, swap, across, above):
+    """A pair whose boxes only touch, on an axis across the sweep at any
+    range, or along it at a range that ends at offset 0 and runs away from
+    the touch: no offset of the closed range is in the exact crossing
+    interval, and ``penetrates_along`` over the range does not block where
+    ``naive_penetrates_along`` at its samples does not."""
+    rng = np.random.default_rng(seed)
+    a, b = triangle_pair(kind, rng)
+    if swap:
+        a, b = b, a
+    axis = int(rng.integers(3))
+    touch = int(rng.choice([ax for ax in range(3) if ax != axis])) if across else axis
+    # the moving triangle above the static one along `touch`, or below it
+    b = b.copy()
+    if above:
+        b[:, touch] += a[:, touch].max() - b[:, touch].min()
+        b[:, touch] = np.maximum(b[:, touch], a[:, touch].max())
+        b[np.argmin(b[:, touch]), touch] = a[:, touch].max()
+    else:
+        b[:, touch] += a[:, touch].min() - b[:, touch].max()
+        b[:, touch] = np.minimum(b[:, touch], a[:, touch].min())
+        b[np.argmax(b[:, touch]), touch] = a[:, touch].min()
+    side = 1.0 if above else -1.0
+    static, moving = tetra_beside(a, touch, side), tetra_beside(b, touch, -side)
+    assume(static is not None and moving is not None)
+    if across:
+        span = tuple(np.sort(rng.choice([0.0, *rng.uniform(-6, 6, 2)], 2, replace=False)))
+    else:
+        span = tuple(sorted((0.0, side * rng.choice([0.0, rng.uniform(0, 6)]))))
+
+    exact = exact_crossing_interval(a, b, axis)
+    assert exact is None or exact[1] <= span[0] or exact[0] >= span[1], (exact, span)
+    samples = np.linspace(*span, 9)
+    if not naive_penetrates_along(static, moving, axis, samples):
+        assert not penetrates_along(static, moving, axis, span, samples)
+
+
 def test_face_to_face_and_edge_to_edge_boxes_never_cross_apart():
     """Boxes touching face to face (on top, on a side) or edge to edge, and
     every triangle pair of them along every axis: the pairs cross only
@@ -632,22 +687,25 @@ def test_penetrates_along_without_offsets_is_false():
 def tiled_floor_with_blocker(tiles: int) -> tuple[TriangleMesh, TriangleMesh, TriangleMesh]:
     """A floor of ``tiles`` x ``tiles`` unit boxes, the same floor with a
     post past its +x end as the last component, and a slab resting on the
-    floor that covers it. The post is taller than the slab and narrow in y,
-    so no probe of either lies inside the other when the slab runs into
+    floor that covers it, all sheared by ``SHEAR_Z_BY_Y``: the resting
+    faces are tilted, so the boxes of the slab's and the tiles' triangles
+    share interior across x. The post is taller than the slab and narrow in
+    y, so no probe of either lies inside the other when the slab runs into
     it: only crossings block."""
     boxes = [box_mesh((x, y, 0), (x + 1, y + 1, 1)) for x in range(tiles) for y in range(tiles)]
     blocker = box_mesh((tiles + 2, 5, 0), (tiles + 4, 6, 10))
     slab = box_mesh((0, 0, 1), (tiles, tiles, 2))
-    return compound_mesh(*boxes), compound_mesh(*boxes, blocker), slab
+    return tuple(m.rotated(SHEAR_Z_BY_Y)
+                 for m in (compound_mesh(*boxes), compound_mesh(*boxes, blocker), slab))
 
 
-def test_blocked_sweep_finds_a_crossing_past_the_first_batch():
+def test_blocked_sweep_finds_a_crossing_past_the_first_batch(monkeypatch):
     """The crossing candidate pairs of a blocked sweep all come after more
-    than ``_FIRST_BATCH_ROWS`` non-crossing ones in row-major order: a slab
-    slides along a tiled floor it rests on into a post past the floor's
-    end. The scan still reports it blocked, as a scan of every row does;
-    the same sweep without the post is free, and without crossings nothing
-    blocks it."""
+    than ``_FIRST_BATCH_ROWS`` non-crossing ones in row-major order, whose
+    boxes share interior: a slab slides along a tilted tiled floor it rests
+    on into a post past the floor's end. The scan still reports it blocked,
+    as a scan of every row does; the same sweep without the post is free,
+    and without crossings nothing blocks it."""
     floor, blocked_floor, slab = tiled_floor_with_blocker(20)
     offsets = np.linspace(0.5, 5.0, 10)
     span = (0.5, 5.0)
@@ -655,25 +713,29 @@ def test_blocked_sweep_finds_a_crossing_past_the_first_batch():
         assert penetrates_along(static, slab, 0, span, offsets) is expected
         assert naive_penetrates_along(static, slab, 0, offsets) is expected
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(queries, "crossing_intervals",
-                      lambda static, moving, si, mi, axis: (np.ones(len(si)), np.zeros(len(si))))
+        patch.setattr(queries, "_crosses_at", lambda *args: False)
         assert not penetrates_along(blocked_floor, slab, 0, span, offsets)
 
-    st_lo, st_hi = blocked_floor.triangle_bounds
-    ext_lo, ext_hi = (b.copy() for b in slab.triangle_bounds)
-    ext_lo[:, 0] += span[0]
-    ext_hi[:, 0] += span[1]
-    si, mi = dense_box_pairs(st_lo, st_hi, ext_lo, ext_hi)
-    lo, hi = crossing_intervals(blocked_floor, slab, si, mi, 0)
-    crossing = np.flatnonzero((lo < hi) & (lo < span[1]) & (hi > span[0]))
+    sent, intervals = [], queries.crossing_intervals
+
+    def recorded(*args):
+        lo, hi = intervals(*args)
+        sent.append((lo < hi) & (lo < span[1]) & (hi > span[0]))
+        return lo, hi
+
+    monkeypatch.setattr(queries, "crossing_intervals", recorded)
+    assert penetrates_along(blocked_floor, slab, 0, span, offsets)
+    crossing = np.flatnonzero(np.concatenate(sent))
     assert len(crossing) and crossing.min() > queries._FIRST_BATCH_ROWS
 
 
 def test_small_blocked_sweep_is_decided_at_box_window_middles(monkeypatch):
     """Counter: a box pushed down through another, 144 candidate pairs,
     fewer than one first batch, crosses at the middles of the pairs' box
-    windows, so the interval kernel is never called; a box sliding on top
-    of the other has candidates but no crossing, and reaches the kernel."""
+    windows, so the interval kernel is never called. A box sliding on top
+    of the other, whose triangles' boxes only touch across the sweep, has
+    no candidates; sheared so that the faces it slides on are tilted, it
+    has candidates but no crossing, and reaches the kernel."""
     static = box_mesh((0, 0, 0), (4, 4, 4))
     sent, intervals = [], queries.crossing_intervals
     monkeypatch.setattr(queries, "crossing_intervals",
@@ -683,6 +745,9 @@ def test_small_blocked_sweep_is_decided_at_box_window_middles(monkeypatch):
     assert sent == []
     resting = box_mesh((1, 1, 4), (3, 3, 6))
     assert not penetrates_along(static, resting, 0, (0.5, 10.0), np.linspace(0.5, 10.0, 20))
+    assert sent == []
+    tilted = (m.rotated(SHEAR_Z_BY_Y) for m in (static, resting))
+    assert not penetrates_along(*tilted, 0, (0.5, 10.0), np.linspace(0.5, 10.0, 20))
     assert sent and sum(sent) < queries._FIRST_CROSSING_ROWS
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     ROT_Z_QUARTER,
+    SHEAR_Z_BY_Y,
     dense_box_pairs,
     direction_of,
     min_distance_brute_force,
@@ -160,13 +161,25 @@ def lateral_sweep(assembly: AssemblyModel, direction: Direction) -> tuple[tuple,
     return span, direction.sign * samples[(samples >= t_lo) & (samples <= t_hi)]
 
 
+def sheared_sweeps(sweep) -> list:
+    """``sweep`` over the +-x ranges of the stacked cylinders sheared by
+    ``SHEAR_Z_BY_Y``: the upper one slides on a tilted face, so the boxes
+    of the resting triangles share interior across x, and stays free."""
+    assembly = rotated_assembly(stacked_cylinders(), SHEAR_Z_BY_Y)
+    lower, upper = (p.mesh for p in assembly.parts)
+    return [sweep(lower, upper, 0, *lateral_sweep(assembly, d))
+            for d in (Direction.PLUS_X, Direction.MINUS_X)]
+
+
 def test_crossing_rows_pruned_on_stacked_cylinders(monkeypatch):
     """Work-count guard, not a timing: on two stacked 1,024-triangle
     cylinders in face contact, the crossing kernel gets at most one row per
     candidate pair of a sweep, its nine edge axes run on at most a fifth of
     the rows that its two face axes see, and the six matrices are the
-    expected ones. The lateral sweeps are decided by the box cull, so the
-    kernel is driven with their ranges directly."""
+    expected ones. The lateral sweeps are decided by the box cull; driven
+    with their ranges directly, their triangles' boxes only touch across
+    the sweep, so they have no candidate. The rows are counted on the -z
+    sweep and on the sheared cylinders' +-x sweeps, which have candidates."""
     assembly = stacked_cylinders()
     lower, upper = (p.mesh for p in assembly.parts)
     sweeps = []
@@ -176,8 +189,8 @@ def test_crossing_rows_pruned_on_stacked_cylinders(monkeypatch):
         sweeps.append({"rows": {2: 0, 9: 0}})
         return penetrates(static, moving, axis, span, offsets)
 
-    def candidates(*args):
-        sweeps[-1]["pairs"] = len(dense_box_pairs(*args)[0])
+    def candidates(*args):   # the first call of a sweep is its crossing scan's
+        sweeps[-1].setdefault("pairs", len(dense_box_pairs(*args)[0]))
         return box_pairs(*args)
 
     def counted(lo, hi, rel, axes, *args):
@@ -189,11 +202,14 @@ def test_crossing_rows_pruned_on_stacked_cylinders(monkeypatch):
     monkeypatch.setattr(queries, "_narrow", counted)
     free = compute_all_interference_free(assembly)
     lateral_blocked = [sweep(lower, upper, d.axis, *lateral_sweep(assembly, d)) for d in LATERAL]
+    assert sheared_sweeps(sweep) == [False] * 2
 
-    assert len(sweeps) == 5
-    for s in sweeps:
+    assert len(sweeps) == 7
+    blocked, lateral, sheared = sweeps[:1], sweeps[1:5], sweeps[5:]
+    assert all(s["pairs"] == s["rows"][2] == s["rows"][9] == 0 for s in lateral)
+    for s in blocked + sheared:
         assert 0 < s["rows"][2] <= s["pairs"]
-    face_rows, edge_rows = (sum(s["rows"][n] for s in sweeps) for n in (2, 9))
+    face_rows, edge_rows = (sum(s["rows"][n] for s in blocked + sheared) for n in (2, 9))
     assert 0 < 5 * edge_rows <= face_rows
     assert lateral_blocked == [False] * 4
     for d in DIRECTION_ORDER:
@@ -204,11 +220,11 @@ def test_crossing_rows_pruned_on_stacked_cylinders(monkeypatch):
 def test_sweeps_window_only_the_pairs_they_need(monkeypatch):
     """Counter, not timing, on two stacked 1,024-triangle cylinders in face
     contact. Each candidate pair of a sweep reaches the crossing kernel at
-    most once. A free lateral sweep sends it every candidate pair of the
-    dense oracle, in row-major order; the blocked -z sweep sends at most
-    one first batch before its first crossing. The lateral sweeps are
-    decided by the box cull, so the kernel is driven with their ranges
-    directly."""
+    most once, and the blocked -z sweep sends at most one first batch
+    before its first crossing. The lateral sweeps are decided by the box
+    cull; driven with their ranges directly, they have no candidate and
+    send nothing. A free sweep of the sheared cylinders along +-x sends
+    every candidate pair of the dense oracle, in row-major order."""
     assembly = stacked_cylinders()
     lower, upper = (p.mesh for p in assembly.parts)
     sweeps = []
@@ -217,12 +233,12 @@ def test_sweeps_window_only_the_pairs_they_need(monkeypatch):
 
     def sweep(static, moving, axis, span, offsets):
         sweeps.append({"direction": direction_of(np.sign(span[0] + span[1]) * np.eye(3)[axis]),
-                       "sent": []})
+                       "sent": [np.zeros(0, dtype=np.intp)]})
         sweeps[-1]["blocked"] = penetrates(static, moving, axis, span, offsets)
         return sweeps[-1]["blocked"]
 
-    def candidates(*args):
-        sweeps[-1]["pairs"] = dense_box_pairs(*args)
+    def candidates(*args):   # the first call of a sweep is its crossing scan's
+        sweeps[-1].setdefault("pairs", dense_box_pairs(*args))
         return box_pairs(*args)
 
     def kernel(static, moving, si, mi, axis):
@@ -235,17 +251,19 @@ def test_sweeps_window_only_the_pairs_they_need(monkeypatch):
     free = compute_all_interference_free(assembly)
     for d in LATERAL:
         sweep(lower, upper, d.axis, *lateral_sweep(assembly, d))
+    sheared_sweeps(sweep)
 
-    by_direction = {s["direction"]: s for s in sweeps}
-    assert set(by_direction) == {Direction.MINUS_Z, *LATERAL}
     for s in sweeps:
         sent = np.concatenate(s["sent"])
         assert len(np.unique(sent)) == len(sent)
-    blocked = by_direction[Direction.MINUS_Z]
+    blocked, lateral, sheared = sweeps[0], sweeps[1:5], sweeps[5:]
+    assert blocked["direction"] is Direction.MINUS_Z
     assert blocked["blocked"] and not free[Direction.MINUS_Z][0, 1]
     assert 0 < sum(map(len, blocked["sent"])) <= queries._FIRST_BATCH_ROWS
-    for d in LATERAL:
-        s = by_direction[d]
+    assert [s["direction"] for s in lateral] == list(LATERAL)
+    for s in lateral:
+        assert not s["blocked"] and len(s["pairs"][0]) == len(np.concatenate(s["sent"])) == 0
+    for s in sheared:
         si, mi = s["pairs"]
         assert not s["blocked"] and len(si) > queries._FIRST_BATCH_ROWS
         assert np.array_equal(np.concatenate(s["sent"]), si * len(upper.corners) + mi)
@@ -269,6 +287,18 @@ def test_face_contact_sweeps_skip_the_kernel(monkeypatch):
     assert axes == [(2, -1.0)]
     for d in DIRECTION_ORDER:
         assert free[d][0, 1] == (d is not Direction.MINUS_Z)
+
+
+def test_proxy_sweeps_send_few_rows_to_the_crossing_kernel(proxy, monkeypatch):
+    """Counter: the proxy's resting faces (plate on motor, bolt heads on the
+    plate) give triangle pairs whose boxes only touch across the sweep or
+    at offset 0; they never reach ``crossing_intervals``, so its sweeps
+    send it at most 5,000 rows (30,220 when touching pairs were sent)."""
+    rows, intervals = [], queries.crossing_intervals
+    monkeypatch.setattr(queries, "crossing_intervals",
+                        lambda *args: rows.append(len(args[2])) or intervals(*args))
+    compute_all_interference_free(proxy)
+    assert 0 < sum(rows) <= 5_000
 
 
 QUARTER_TURNS = (
