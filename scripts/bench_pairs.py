@@ -22,6 +22,13 @@ each side's median and quartiles of every end-to-end metric of
 change must win at least 9 of every 10 pairs, the medians must differ by
 more than the parent's quartile spread, every change run must be correct,
 and the change must fail no larger share of its ops than the parent.
+
+With a claim or without, ``regression`` records per workload and
+end-to-end metric whether the change got worse by more than the metric's
+relative ``bound`` in ``BENCHMARK.json``: ``worse`` when the change's median
+is past the parent's by more than the bound, ``unresolved`` when the
+parent's quartile spread is wider than the bound (unless every change run
+beats every parent run), and ``ok`` otherwise.
 """
 
 from __future__ import annotations
@@ -128,6 +135,33 @@ def bench_workload(workload: str, seeds: list[int],
     return entry, host
 
 
+def regression(entry: dict, metric: dict) -> str:
+    """``ok``, ``worse`` or ``unresolved`` for one end-to-end ``metric`` of
+    ``BENCHMARK.json`` on one workload ``entry``; the bound is relative to
+    the parent's median."""
+    name, bound, lower = metric["name"], metric["bound"], metric["better"] == "lower"
+    parent, change = entry["parent"][name], entry["change"][name]
+    runs = {side: [r[name] for r in entry["runs"] if r["side"] == side]
+            for side in ("parent", "change")}
+    if lower:
+        beats_all = max(runs["change"]) < min(runs["parent"])
+        worse = change["median"] > parent["median"] * (1 + bound)
+    else:
+        beats_all = min(runs["change"]) > max(runs["parent"])
+        worse = change["median"] < parent["median"] * (1 - bound)
+    if beats_all:
+        return "ok"
+    if parent["q3"] - parent["q1"] > bound * abs(parent["median"]):
+        return "unresolved"
+    return "worse" if worse else "ok"
+
+
+def regression_block(workloads: dict) -> dict:
+    """:func:`regression` of every workload and end-to-end metric."""
+    return {workload: {m["name"]: regression(entry, m) for m in BENCHMARK["end_to_end"]}
+            for workload, entry in workloads.items()}
+
+
 def claim_block(claim: str, workloads: dict, seeds: list[int]) -> dict | str:
     if not claim:
         return "none: no end-to-end metric may get worse by more than its bound"
@@ -181,6 +215,7 @@ def main(argv=None) -> int:
         "host": {key: host.get(key) for key in ("nproc", "python", "numpy", "blas")},
         "method": METHOD,
         "claim": claim_block(args.claim, workloads, args.seeds),
+        "regression": regression_block(workloads),
         "workloads": workloads,
         "notes": [],
     }

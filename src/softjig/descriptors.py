@@ -15,10 +15,10 @@ tolerance::
 
 Mesh paths are resolved relative to the descriptor's directory. The
 fields ``sweep.max_distance_mm`` and ``sweep.step_count`` may only be null
-or absent: sweeps run over twice the assembly diagonal at a fixed
-resolution. Posed parts may not interpenetrate. Any other field, at the top
-level or in a part, its pose or ``sweep``, is refused by name, so a misspelt
-setting cannot pass unnoticed.
+or absent: every sweep is decided over its whole range, twice the assembly
+diagonal, with no samples to count. Posed parts may not interpenetrate.
+Any other field, at the top level or in a part, its pose or ``sweep``, is
+refused by name, so a misspelt setting cannot pass unnoticed.
 """
 
 from __future__ import annotations
@@ -115,8 +115,8 @@ def load_descriptor(path) -> AssemblyModel:
     _check_fields(path, "sweep: ", sweep_cfg, "sweep")
     for name in ("max_distance_mm", "step_count"):
         if sweep_cfg.get(name) is not None:
-            raise DescriptorError(f"{path}: sweep.{name}: must be null; sweeps sample at a "
-                                  f"fixed resolution over twice the assembly diagonal")
+            raise DescriptorError(f"{path}: sweep.{name}: must be null; sweeps are decided "
+                                  f"over their whole range, twice the assembly diagonal")
     epsilon = data.get("contact_epsilon_mm")
     try:
         epsilon = None if epsilon is None else float(epsilon)

@@ -175,7 +175,7 @@ def load_observation(path) -> JigFrameObservation:
         raise EvaluationError(f"{path}: expected an object with a 'points' field")
     try:
         points = tuple((float(p[0]), float(p[1])) for p in data["points"])
-    except (TypeError, ValueError, IndexError, KeyError) as exc:
+    except (TypeError, ValueError, OverflowError, IndexError, KeyError) as exc:
         raise EvaluationError(f"{path}: points must be four [x, y] pairs") from exc
     return JigFrameObservation(points=points, image_tag=str(data.get("image_tag", "")))
 

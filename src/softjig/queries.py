@@ -6,8 +6,8 @@ Conventions that everything downstream relies on:
   surface crossing or containment, so parts resting or sliding on each
   other stay legal.
 * One kernel, ``penetrates_along``, decides penetration of a mesh shifted
-  along an axis: crossings over a whole range of offsets, containment at
-  sampled offsets in it. ``intersects`` is its case of the single offset
+  along an axis by any offset of a closed range, crossings and containment
+  alike, with no sampling. ``intersects`` is its case of the single offset
   0, and the translational sweeps in ``relations`` run it over each
   sweep's range. It refuses an open mesh (``mesh.unbalanced_edges``); a
   part's never is.
@@ -42,22 +42,20 @@ Conventions that everything downstream relies on:
   candidate triangle pair (``crossing_intervals``): a shifted pair crosses
   on one open interval of offsets, where the two triangles' projections
   overlap on each of the 11 separating axes. ``penetrates_along`` tries a
-  pair whose interval meets its range at the midpoint of the two, which
-  catches a crossing narrower than any sample step, then at the samples
-  inside it. Pairs are generated and their intervals computed batch by
-  batch inside the early-exit scan, so a blocked sweep generates only the
-  pairs up to its first crossing.
+  pair whose interval meets its range at the midpoint of the two, then at
+  the offset there that maximises the least margin of ``proper_crossings``.
+  Pairs are generated and their intervals computed batch by batch inside
+  the early-exit scan, so a blocked sweep generates only the pairs up to
+  its first crossing.
 * Containment probes are computed once per mesh and kept read-only.
 * All offsets of one probe lie on one line along the sweep axis, so
-  containment is decided per probe by signed ray crossings
-  (``rays.ray_containment``): the winding number at each offset is the
-  signed count of the target's crossings above it. Rows whose probe line
-  passes within ``tol`` of a projected triangle edge or vertex, and rows
-  within a margin of a crossing, are cast again as their own probes along
-  each of the two other axes, and a row undecided on all three goes to
-  the dense ``winding_fraction``. ``tol`` is 1e-9 of (1 + the target's
-  largest coordinate magnitude), far enough from the surface that
-  ``winding_fraction``'s rounding cannot cross ``INSIDE_WINDING``.
+  containment is decided per probe over the whole range by signed ray
+  crossings (``rays.ray_containment``): between two crossings of its line
+  the winding number is the signed count of the crossings above. A probe
+  whose line passes within ``tol`` of a projected triangle edge or vertex
+  moves to another point of its face, from a fixed list, and counts as
+  inside if every point of the list does. ``tol`` is 1e-9 of (1 + the
+  target's largest coordinate magnitude).
 
 All tolerances are absolute millimetres.
 """
@@ -71,11 +69,6 @@ from .mesh import DegenerateMeshError, PerMesh, TriangleMesh, unbalanced_edges
 from .rays import ray_containment
 
 TOUCH_TOLERANCE_MM = 1e-9
-
-# winding fraction above this counts as strictly inside a closed mesh
-# (inside = 1, outside = 0; on the surface it is not defined, see
-# winding_fraction)
-INSIDE_WINDING = 0.75
 
 # rows per narrow-phase batch; bounds the kernels' temporaries
 _CHUNK_ROWS = 1 << 17
@@ -283,6 +276,42 @@ def _cross(u: np.ndarray, v: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.stack([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0], axis=axis)
 
 
+def _plane_distances(ab: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For the triangle pairs ``ab[0], ab[1]`` stacked on a leading axis:
+    their normals, the normals' lengths, and the distances in mm of each
+    triangle's vertices to the other's plane."""
+    normal = _cross(ab[:, :, 1] - ab[:, :, 0], ab[:, :, 2] - ab[:, :, 0])
+    length = np.linalg.norm(normal, axis=2)
+    signed = (np.einsum("sikj,sij->sik", ab - ab[::-1, :, :1], normal[::-1])
+              / np.where(length > 0, length, 1.0)[::-1, :, None])
+    return normal, length, signed
+
+
+def _crossing_margin(tri_a: np.ndarray, tri_b: np.ndarray, tol: float) -> np.ndarray:
+    """Row-wise least of the margins by which the tests of
+    :func:`proper_crossings` hold, positive exactly where it is True: each
+    triangle's vertices beyond ``tol`` on both sides of the other's plane,
+    and the overlap of the two cuts beyond ``tol`` (computed when some row
+    has cuts; -inf for a zero-area triangle or parallel planes)."""
+    # both triangles of each row on a leading axis, the other's terms at [::-1]
+    ab = np.stack([np.asarray(tri_a, dtype=np.float64), np.asarray(tri_b, dtype=np.float64)])
+    normal, length, signed = _plane_distances(ab)
+    straddle = np.minimum(-tol - signed.min(axis=2), signed.max(axis=2) - tol).min(axis=0)
+    margin = np.where((length > 0).all(axis=0), straddle, -np.inf)
+    if not (margin > -tol).any():
+        return margin
+
+    d = _cross(normal[0], normal[1])
+    len_d = np.linalg.norm(d, axis=1)
+    ok = len_d > 0
+    d_hat = d / np.where(ok, len_d, 1.0)[:, None]
+    lo, hi = _interval_on_line(signed.reshape(-1, 3),
+                               np.einsum("sikj,ij->sik", ab, d_hat).reshape(-1, 3))
+    n = len(margin)
+    overlap = np.minimum(hi[:n], hi[n:]) - np.maximum(lo[:n], lo[n:])
+    return np.where(ok, np.minimum(margin, overlap - tol), -np.inf)
+
+
 def proper_crossings(tri_a: np.ndarray, tri_b: np.ndarray,
                      tol: float = TOUCH_TOLERANCE_MM) -> np.ndarray:
     """Row-wise transversal-crossing test for triangle pairs.
@@ -293,29 +322,26 @@ def proper_crossings(tri_a: np.ndarray, tri_b: np.ndarray,
     overlap, edge touches, and vertex touches are all false: those are
     contacts, not penetrations.
     """
-    # both triangles of each row on a leading axis, the other's terms at [::-1]
-    ab = np.stack([np.asarray(tri_a, dtype=np.float64), np.asarray(tri_b, dtype=np.float64)])
-    normal = _cross(ab[:, :, 1] - ab[:, :, 0], ab[:, :, 2] - ab[:, :, 0])
-    length = np.linalg.norm(normal, axis=2)
-    valid = (length > 0).all(axis=0)
-    # vertex distances to the other triangle's plane, in mm
-    signed = (np.einsum("sikj,sij->sik", ab - ab[::-1, :, :1], normal[::-1])
-              / np.where(length > 0, length, 1.0)[::-1, :, None])
-    mask = valid & ((signed.min(axis=2) < -tol) & (signed.max(axis=2) > tol)).all(axis=0)
-    if not mask.any():
-        return mask
+    return _crossing_margin(tri_a, tri_b, tol) > 0
 
-    d = _cross(normal[0], normal[1])
-    len_d = np.linalg.norm(d, axis=1)
-    ok = len_d > 0
-    d_hat = d / np.where(ok, len_d, 1.0)[:, None]
-    mask &= ok
 
-    lo, hi = _interval_on_line(signed.reshape(-1, 3),
-                               np.einsum("sikj,ij->sik", ab, d_hat).reshape(-1, 3))
-    n = len(mask)
-    overlap = np.minimum(hi[:n], hi[n:]) - np.maximum(lo[:n], lo[n:])
-    return mask & (overlap > tol)
+def _straddle_window(tri_s: np.ndarray, tri_m: np.ndarray, axis: int,
+                     tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per pair, the open interval of offsets t at which ``tri_m`` shifted
+    by t along ``axis`` and ``tri_s`` each have vertices beyond ``tol`` on
+    both sides of the other's plane, up to rounding: a shift moves each
+    triangle's vertex distances to the other's plane at one slope, the
+    ``axis`` component of that plane's unit normal, so the four straddle
+    margins of :func:`_crossing_margin` are affine in t."""
+    normal, length, signed = _plane_distances(np.stack([tri_s, tri_m]))
+    slope = (np.stack([-normal[1][:, axis], normal[0][:, axis]])
+             / np.where(length > 0, length, 1.0)[::-1])
+    below, above = signed.min(axis=2), signed.max(axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rise, fall = (tol - above) / slope, (-tol - below) / slope
+    spread = above - below > 2 * tol
+    return (np.where(spread, np.minimum(rise, fall), np.inf).max(axis=0),
+            np.where(spread, np.maximum(rise, fall), -np.inf).min(axis=0))
 
 
 def _triangle_terms(mesh: TriangleMesh) -> tuple[np.ndarray, ...]:
@@ -496,35 +522,24 @@ def winding_fraction(points: np.ndarray, corners: np.ndarray) -> np.ndarray:
 
 # -- containment probes ------------------------------------------------------
 
-def interior_probe_point(mesh: TriangleMesh) -> np.ndarray:
-    """A point just inside the solid: largest face's centroid nudged inward."""
-    corners = mesh.corners
-    e1 = corners[:, 1] - corners[:, 0]
-    e2 = corners[:, 2] - corners[:, 0]
-    normals = np.cross(e1, e2)
-    areas2 = np.linalg.norm(normals, axis=1)
-    idx = int(np.argmax(areas2))
-    normal = normals[idx] / areas2[idx]
-    centroid = corners[idx].mean(axis=0)
-    depth = 1e-3 * mesh.aabb_diagonal
-    return centroid - depth * normal
-
-
-def surface_probe_points(mesh: TriangleMesh) -> np.ndarray:
-    """Containment probes: every face centroid pulled slightly inside the
-    solid, plus one deep interior point.
-
-    The inward pull keeps probes of a surface that merely rests on another
-    mesh strictly outside it (on-surface winding numbers are degenerate),
-    while probes of a penetrating surface stay inside the other solid.
+def surface_probe_points(mesh: TriangleMesh, weights: np.ndarray | None = None,
+                         depth: float = 1e-6) -> np.ndarray:
+    """Containment probes: a point of every face, its centroid or the point
+    of barycentric ``weights`` of its first two corners, pulled ``depth``
+    of the mesh's diagonal inside the solid, plus one point 1e-3 of it
+    under the largest face. The inward pull keeps probes of a surface that
+    merely rests on another mesh strictly outside it (on-surface winding
+    numbers are degenerate), while probes of a penetrating surface stay
+    inside the other solid.
     """
     corners = mesh.corners
     normals = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
     lengths = np.linalg.norm(normals, axis=1)
-    ok = lengths > 0
-    depth = 1e-6 * mesh.aabb_diagonal
-    probes = corners.mean(axis=1)[ok] - depth * normals[ok] / lengths[ok, None]
-    return np.vstack([probes, interior_probe_point(mesh)[None, :]])
+    faces = np.append(np.flatnonzero(lengths > 0), np.argmax(lengths))
+    depth = np.append(np.full(len(faces) - 1, depth), 1e-3)[:, None] * mesh.aabb_diagonal
+    points = (corners[faces].mean(axis=1) if weights is None
+              else np.append(weights, 1.0 - weights.sum()) @ corners[faces])
+    return points - depth * normals[faces] / lengths[faces, None]
 
 
 def _read_only_probes(mesh: TriangleMesh) -> np.ndarray:
@@ -535,6 +550,13 @@ def _read_only_probes(mesh: TriangleMesh) -> np.ndarray:
 
 # surface_probe_points of a mesh, computed once per mesh and kept read-only
 _probe_points = PerMesh(_read_only_probes)
+
+# barycentric weights (of the first two corners) of the points of its face
+# that a probe takes in turn, each twice as deep, while its line passes near
+# a projected edge: the R2 sequence folded into the triangle and drawn 0.4
+# of the way to the centroid, so that they fall on no grid the corners share
+_PROBE_WEIGHTS = np.array([[0.286260, 0.175238], [0.139187, 0.517142], [0.592113, 0.259046],
+                           [0.421627, 0.265717], [0.297966, 0.342854], [0.150893, 0.684758]])
 
 
 # -- penetration kernel ------------------------------------------------------
@@ -547,13 +569,81 @@ def _crosses_at(static: TriangleMesh, moving: TriangleMesh, si: np.ndarray, mi: 
     return bool(proper_crossings(static.corners[si], shifted).any())
 
 
+def _crosses_in(static: TriangleMesh, moving: TriangleMesh, si: np.ndarray, mi: np.ndarray,
+                axis: int, lo: np.ndarray, hi: np.ndarray) -> bool:
+    """Whether :func:`proper_crossings` holds for some pair p, ``moving``
+    shifted by an offset in ``[lo[p], hi[p]]``: tried at the ends, then at
+    the maximiser of its least margin (:func:`_crossing_margin`), on the
+    range cut to the pair's straddle window at half the tolerance
+    (:func:`_straddle_window`, which keeps what rounding puts a few ulps
+    past the window at the tolerance). There both cuts exist, and their
+    overlap, the cut of a convex triangle by a moving plane against a fixed
+    one, is concave in the offset; so is the least margin. A golden-section
+    search, on every pair at once, narrows each window to float resolution
+    around its maximiser, and stops at the first positive margin."""
+    tri_s, tri_m = static.corners[si], moving.corners[mi]
+    w_lo, w_hi = _straddle_window(tri_s, tri_m, axis, 0.5 * TOUCH_TOLERANCE_MM)
+    a, b = np.maximum(lo, w_lo), np.minimum(hi, w_hi)
+    keep = a <= b
+    tri_s, tri_m, a, b = tri_s[keep], tri_m[keep], a[keep], b[keep]
+
+    def margin(t: np.ndarray) -> np.ndarray:
+        shifted = tri_m.copy()
+        shifted[:, :, axis] += t[:, None]
+        return _crossing_margin(tri_s, shifted, TOUCH_TOLERANCE_MM)
+
+    if (margin(a) > 0).any() or (margin(b) > 0).any():
+        return True
+    # each step keeps 0.618 of every window, so 128 take any float range
+    # below its resolution
+    golden = (np.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(128):
+        x1, x2 = b - golden * (b - a), a + golden * (b - a)
+        f1, f2 = margin(x1), margin(x2)
+        if (f1 > 0).any() or (f2 > 0).any():
+            return True
+        if (b - a <= 4 * np.spacing(np.maximum(np.abs(a), np.abs(b)))).all():
+            return False
+        # the maximiser lies in [a, x2] where f1 >= f2, else in [x1, b]
+        a, b = np.where(f1 >= f2, a, x1), np.where(f1 >= f2, x2, b)
+    return False
+
+
+def _holds_a_probe(target: TriangleMesh, source: TriangleMesh, axis: int, first: float,
+                   last: float) -> bool:
+    """Whether a probe of ``source`` shifted along ``axis`` by some offset in
+    ``[first, last]`` lies strictly inside ``target`` (by
+    :func:`softjig.rays.ray_containment`, on the probes that can meet the
+    interior of the target's box). A probe whose line passes near a
+    projected edge moves to the next point of its face (``_PROBE_WEIGHTS``)
+    at twice the depth, which also clears a face it rests on once past the
+    target's ``tol``; near at every point, it counts as inside."""
+    lo, hi = target.aabb
+    across = [ax for ax in range(3) if ax != axis]
+    points = _probe_points(source)
+    probes = np.arange(len(points))
+    for k, weights in enumerate((None, *_PROBE_WEIGHTS)):
+        if k:
+            points = surface_probe_points(source, weights, 1e-6 * 2 ** k)[probes]
+        c_lo, c_hi = points[:, axis] + first, points[:, axis] + last
+        keep = (c_lo < hi[axis]) & (c_hi > lo[axis]) & np.all(
+            (points[:, across] > lo[across]) & (points[:, across] < hi[across]), axis=1)
+        at, near = ray_containment(target, points[keep], axis, c_lo[keep], c_hi[keep],
+                                   _LAST_BATCH_ROWS)
+        if not np.isnan(at).all():
+            return True
+        probes = probes[keep][near]
+        if not len(probes):
+            return False
+    return True
+
+
 def penetrates_along(static: TriangleMesh, moving: TriangleMesh, axis: int,
-                     span: tuple[float, float], offsets: np.ndarray) -> bool:
-    """True iff ``moving``, shifted along ``axis``, penetrates ``static``:
-    crossing it at some signed offset in the closed range ``span`` (mm), or
-    containing it, or contained by it, at some offset in ``offsets`` (mm,
-    any order, inside ``span``). A range whose first end exceeds its
-    second, with no offsets, penetrates nothing.
+                     span: tuple[float, float]) -> bool:
+    """True iff ``moving``, shifted along ``axis`` by some signed offset in
+    the closed range ``span`` (mm), penetrates ``static``: crosses it, or
+    contains a probe of it, or has a probe inside it. A range whose first
+    end exceeds its second penetrates nothing.
 
     A crossing is one where :func:`proper_crossings` holds. The candidate
     pairs are the static and moving triangles whose boxes overlap somewhere
@@ -577,97 +667,59 @@ def penetrates_along(static: TriangleMesh, moving: TriangleMesh, axis: int,
 
     Each candidate pair gets its interval of crossing offsets once
     (:func:`crossing_intervals`); one that meets the range is tried at the
-    midpoint of the two, then at the ``offsets`` inside the interval. The
-    least of the margins that :func:`proper_crossings` compares with its
-    tolerance is concave in the offset, so on an interval inside the exact
-    one the midpoint has at least half its largest value in range. A batch
-    of fewer than ``_FIRST_CROSSING_ROWS`` pairs, as small meshes give, is
-    first tried at the middles of its pairs' box windows. Batches start at
-    ``_FIRST_CROSSING_ROWS`` pairs and double up to ``_FIRST_BATCH_ROWS``;
-    the scan stops at the first batch that blocks.
+    midpoint of the two, then at the offset there that maximises its least
+    margin (:func:`_crosses_in`). The least margin is concave in the
+    offset, so on an interval inside the exact one the midpoint has at
+    least half its largest value in range. When the whole candidate
+    stream is one batch of fewer than ``_FIRST_CROSSING_ROWS`` pairs, as
+    small meshes give, it is first tried at the middles of its pairs' box
+    windows. Batches start at ``_FIRST_CROSSING_ROWS`` pairs and double up
+    to ``_FIRST_BATCH_ROWS``; the scan stops at the first batch that blocks.
     Both meshes must be closed 2-cycles, as parts are: the callers' box
     culls and ray containment hold only for those, so an open one
     (:data:`softjig.mesh.unbalanced_edges`) raises
     :class:`~softjig.mesh.DegenerateMeshError`.
 
-    Containment is sampled: a surface or interior probe of either mesh
-    strictly inside the other solid at one of ``offsets``; probes also
-    catch overlaps whose boundaries meet only along tangent planes. The
-    rows are the (probe, offset) points strictly inside the target's box.
-    Each is decided by the signed count of the target's crossings of the
-    probe's line along ``axis`` above it (:func:`softjig.rays.ray_containment`);
-    a row undecided there, its line within ``tol`` of a projected triangle
-    edge or vertex or its point within a margin of a crossing, is cast as
-    its own probe along each of the two other axes in turn, and only a row
-    undecided on all three goes to :func:`winding_fraction`. ``tol`` is
-    1e-9 (1 + the target's largest coordinate magnitude).
+    Containment is a probe of either mesh strictly inside the other solid
+    at some offset of the range (:func:`_holds_a_probe`); probes also catch
+    overlaps whose boundaries meet only along tangent planes.
     """
     for mesh in (static, moving):
         if unbalanced_edges(mesh):
             raise DegenerateMeshError(f"{mesh!r} is not closed: {unbalanced_edges(mesh)} "
                                       f"directed edges do not match their reverses")
-    offsets = np.asarray(offsets, dtype=np.float64)
     first, last = span
-    if first <= last:
-        # moving boxes stretched over the range, each bound that the shift
-        # leaves exact one ulp inward, so that touching boxes are apart there
-        lo, hi = moving.triangle_bounds
-        ext_lo, ext_hi = np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf)
-        if first:
-            ext_lo[:, axis] = lo[:, axis] + first
-        if last:
-            ext_hi[:, axis] = hi[:, axis] + last
-        pairs = broad.box_pairs(*static.triangle_bounds, ext_lo, ext_hi)
-        s_lo, s_hi, m_lo, m_hi = (b[:, axis] for m in (static, moving) for b in m.triangle_bounds)
-        for i, j in broad.batches(pairs, _FIRST_CROSSING_ROWS, _FIRST_BATCH_ROWS):
-            # blocked sweeps mostly cross deep in a pair's box window: try its middle
-            if len(i) < _FIRST_CROSSING_ROWS and _crosses_at(static, moving, i, j, axis, np.clip(
-                    [s_lo[i] - m_hi[j], s_hi[i] - m_lo[j]], first, last).mean(0)):
+    if first > last:
+        return False
+    # moving boxes stretched over the range, each bound that the shift
+    # leaves exact one ulp inward, so that touching boxes are apart there
+    lo, hi = moving.triangle_bounds
+    ext_lo, ext_hi = np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf)
+    if first:
+        ext_lo[:, axis] = lo[:, axis] + first
+    if last:
+        ext_hi[:, axis] = hi[:, axis] + last
+    pairs = broad.box_pairs(*static.triangle_bounds, ext_lo, ext_hi)
+    s_lo, s_hi, m_lo, m_hi = (b[:, axis] for m in (static, moving) for b in m.triangle_bounds)
+    for k, (i, j) in enumerate(broad.batches(pairs, _FIRST_CROSSING_ROWS, _FIRST_BATCH_ROWS)):
+        # blocked sweeps mostly cross deep in a pair's box window: try its
+        # middle when the whole stream is one short batch
+        if not k and len(i) < _FIRST_CROSSING_ROWS:
+            middle = np.clip([s_lo[i] - m_hi[j], s_hi[i] - m_lo[j]], first, last).mean(0)
+            if _crosses_at(static, moving, i, j, axis, middle):
                 return True
-            lo, hi = crossing_intervals(static, moving, i, j, axis)
-            meet = np.flatnonzero((lo < hi) & (lo < last) & (hi > first))
-            i, j, lo, hi = i[meet], j[meet], lo[meet], hi[meet]
-            mid = 0.5 * (np.maximum(lo, first) + np.minimum(hi, last))
-            # one pair first: a crossing interval is mostly a deep crossing
-            if len(meet) and (_crosses_at(static, moving, i[:1], j[:1], axis, mid[:1])
-                              or _crosses_at(static, moving, i, j, axis, mid)):
-                return True
-            p, k = np.nonzero((offsets > lo[:, None]) & (offsets < hi[:, None])
-                              & (offsets != mid[:, None]))
-            for s in range(0, len(p), _FIRST_BATCH_ROWS):
-                rows = slice(s, s + _FIRST_BATCH_ROWS)
-                if _crosses_at(static, moving, i[p[rows]], j[p[rows]], axis, offsets[k[rows]]):
-                    return True
-
-    # containment: moving probes in the static solid, static probes in the
-    # shifted moving solid, on the (probe, offset) grid inside the target
-    # box; rays along each axis decide most rows, the winding number the rest
-    other = [ax for ax in range(3) if ax != axis]
-    for probes, target, sign in ((_probe_points(moving), static, 1.0),
-                                 (_probe_points(static), moving, -1.0)):
-        lo, hi = target.aabb
-        coord = probes[:, axis][:, None] + sign * offsets[None, :]
-        inside = (coord > lo[axis]) & (coord < hi[axis])
-        inside &= np.all((probes[:, other] > lo[other]) & (probes[:, other] < hi[other]),
-                         axis=1)[:, None]
-        pi, oi = np.nonzero(inside)
-        points = probes[pi]
-        points[:, axis] = coord[pi, oi]
-        lines, probe_of_row = probes, pi
-        for ax in (axis, *other):
-            if not len(points):
-                break
-            by_ray, undecided = ray_containment(target, lines, ax, probe_of_row, points[:, ax],
-                                                _LAST_BATCH_ROWS)
-            if by_ray.any():
-                return True
-            points = points[undecided]
-            lines, probe_of_row = points, np.arange(len(points))
-        for start in range(0, len(points), _CHUNK_ROWS):
-            w = winding_fraction(points[start:start + _CHUNK_ROWS], target.corners)
-            if (w > INSIDE_WINDING).any():
-                return True
-    return False
+        lo, hi = crossing_intervals(static, moving, i, j, axis)
+        meet = np.flatnonzero((lo < hi) & (lo < last) & (hi > first))
+        i, j = i[meet], j[meet]
+        lo, hi = np.maximum(lo[meet], first), np.minimum(hi[meet], last)
+        mid = 0.5 * (lo + hi)
+        # one pair first: a crossing interval is mostly a deep crossing
+        if len(meet) and (_crosses_at(static, moving, i[:1], j[:1], axis, mid[:1])
+                          or _crosses_at(static, moving, i, j, axis, mid)
+                          or _crosses_in(static, moving, i, j, axis, lo, hi)):
+            return True
+    return (_holds_a_probe(static, moving, axis, first, last)
+            or _holds_a_probe(moving, static, axis, -last, -first))
 
 
 # -- public queries ----------------------------------------------------------
@@ -683,7 +735,7 @@ def intersects(mesh_a: TriangleMesh, mesh_b: TriangleMesh) -> bool:
     """
     if not broad.interiors_overlap(*mesh_a.aabb, *mesh_b.aabb):
         return False
-    return penetrates_along(mesh_a, mesh_b, 0, (0.0, 0.0), np.zeros(1))
+    return penetrates_along(mesh_a, mesh_b, 0, (0.0, 0.0))
 
 
 def _padded(mesh_a: TriangleMesh, mesh_b: TriangleMesh, distance: float) -> float:

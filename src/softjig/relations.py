@@ -6,11 +6,10 @@ For parts i, k of an assembled product:
 * ``interference_free[j][i, k]`` — part k can translate along axis
   direction j from its assembled pose all the way out of the assembly
   without ever penetrating part i, decided by the penetration kernel
-  ``queries.penetrates_along``. Triangle crossings are looked for over
-  the whole translation in closed form, each pair tried where its interval
-  of crossing offsets meets the sweep; containment (a probe of one part
-  strictly inside the other) at uniform samples, ``STEP_COUNT`` per sweep,
-  more for thin parts.
+  ``queries.penetrates_along`` over the whole translation, with no
+  sampling: triangle crossings by each pair's interval of crossing
+  offsets, containment (a probe of one part strictly inside the other) by
+  the gaps between the crossings of each probe's line.
 * ``reachable[j]`` — elementwise gate of contact with interference
   freedom: ``(C | C^T) & M_j``. A pair's six reachable flags, in the fixed
   order +x, -x, +y, -y, +z, -z, form its reachable-direction list.
@@ -24,7 +23,6 @@ free without the kernel; ``sweep_translation_is_free`` carries the proof.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -34,14 +32,6 @@ from .broad import interiors_overlap
 from .mesh import TriangleMesh
 from .parts import AssemblyModel
 from .queries import penetrates_along, within_distance
-
-# containment samples of every sweep, which runs twice the assembly AABB
-# diagonal: beyond that an axis translation cannot re-enter the assembly
-# bounds
-STEP_COUNT = 64
-# most samples one pair's sweep may take; above it the sweep is refused
-# before its offsets are allocated
-MAX_SWEEP_STEPS = 1 << 20
 
 
 class RelationError(ValueError):
@@ -109,33 +99,13 @@ class ReachableDirectionList:
         return tuple(d for d, f in zip(DIRECTION_ORDER, self.flags) if f)
 
 
-def sweep_steps(max_distance: float, thinnest_extent: float) -> int:
-    """Samples one pair's sweep takes: ``STEP_COUNT``, raised so that the
-    step never exceeds half the thinnest AABB extent of the swept pair."""
-    n = STEP_COUNT
-    if thinnest_extent > 0:
-        n = max(n, math.ceil(max_distance / (0.5 * thinnest_extent)))
-    return n
-
-
-def sweep_sample_distances(max_distance: float, n_steps: int) -> np.ndarray:
-    """Sample offsets ``max_distance * (k / n)`` for k = 1..n.
-
-    Computed so that the grid for any integer multiple of ``n_steps`` is an
-    exact superset, which keeps refinement monotone.
-    """
-    k = np.arange(1, n_steps + 1, dtype=np.float64)
-    return max_distance * (k / n_steps)
-
-
 # -- sweep engine ------------------------------------------------------------
 
 def sweep_translation_is_free(static: TriangleMesh, moving: TriangleMesh,
-                              direction: Direction, max_distance: float,
-                              n_steps: int) -> bool:
-    """True iff ``moving``, translated along ``direction`` by up to
-    ``max_distance``, never crosses ``static`` and no probe of either lies
-    inside the other at a sampled offset.
+                              direction: Direction, max_distance: float) -> bool:
+    """True iff ``moving``, translated along ``direction`` by any offset up
+    to ``max_distance``, neither crosses ``static`` nor holds a probe of it,
+    nor has a probe inside it.
 
     A pair whose whole boxes share no interior on one of the two axes
     across the sweep is free outright, touching boxes included: a closed
@@ -145,10 +115,9 @@ def sweep_translation_is_free(static: TriangleMesh, moving: TriangleMesh,
     No proper crossing (its segment would lie in the slab, in the relative
     interior of both triangles, making them coplanar) and no probe strictly
     inside the other solid can occur. Otherwise the range is the offsets in
-    (0, ``max_distance``] at which the two boxes overlap along the axis:
-    :func:`softjig.queries.penetrates_along` looks for crossings over all
-    of it, the kernel that :func:`softjig.queries.intersects` runs at offset
-    zero, and containment at the samples that fall in it.
+    (0, ``max_distance``] at which the two boxes overlap along the axis,
+    all of which :func:`softjig.queries.penetrates_along` decides, the
+    kernel that :func:`softjig.queries.intersects` runs at offset zero.
     """
     axis, sign = direction.axis, direction.sign
     s_lo, s_hi = static.aabb
@@ -162,13 +131,8 @@ def sweep_translation_is_free(static: TriangleMesh, moving: TriangleMesh,
     first, last = max(float(t_lo), 0.0), min(float(t_hi), max_distance)
     if first >= last:
         return True
-
-    scale = n_steps / max_distance
-    k_lo = max(1, math.ceil(t_lo * scale - 1e-9))
-    k_hi = min(n_steps, math.floor(t_hi * scale + 1e-9))
-    samples = sweep_sample_distances(max_distance, n_steps)[k_lo - 1:k_hi]
     span = (first, last) if sign > 0 else (-last, -first)
-    return not penetrates_along(static, moving, axis, span, sign * samples)
+    return not penetrates_along(static, moving, axis, span)
 
 
 # -- relation matrices -------------------------------------------------------
@@ -280,12 +244,12 @@ def compute_all_interference_free(assembly: AssemblyModel) -> dict[Direction, np
     """All six interference-free matrices. Entry (i, k) of matrix j is true
     when part k sweeps out along j without penetrating part i.
 
-    Each unordered pair i < k resolves its step count once
-    (:func:`sweep_steps`) and is swept once per direction with the higher
-    index moving; the result fills (i, k) of matrix j and (k, i) of matrix
-    -j, so the mirror identity between (i, k, j) and (k, i, -j) is bit-exact. A pair that needs more than
-    ``MAX_SWEEP_STEPS`` steps is refused before any offsets are allocated,
-    and running out of memory raises :class:`RelationError` naming both parts.
+    Each unordered pair i < k is swept once per direction, over twice the
+    assembly diagonal, with the higher index moving; the result fills
+    (i, k) of matrix j and (k, i) of matrix -j, so the mirror identity
+    between (i, k, j) and (k, i, -j) is bit-exact. Beyond that distance an
+    axis translation cannot re-enter the assembly bounds. Running out of
+    memory raises :class:`RelationError` naming both parts.
     """
     max_distance = 2.0 * assembly.aabb_diagonal
     n = len(assembly.parts)
@@ -293,16 +257,9 @@ def compute_all_interference_free(assembly: AssemblyModel) -> dict[Direction, np
     for i in range(n):
         for k in range(i + 1, n):
             static, moving = assembly.parts[i], assembly.parts[k]
-            thin = min(float(np.min(p.mesh.aabb[1] - p.mesh.aabb[0])) for p in (static, moving))
-            n_steps = sweep_steps(max_distance, thin)
-            if n_steps > MAX_SWEEP_STEPS:
-                raise RelationError(
-                    f"sweeping {moving.id!r} past {static.id!r} needs "
-                    f"{n_steps} steps, more than the limit of {MAX_SWEEP_STEPS}")
             for d in DIRECTION_ORDER:
                 try:
-                    result = sweep_translation_is_free(static.mesh, moving.mesh, d,
-                                                       max_distance, n_steps)
+                    result = sweep_translation_is_free(static.mesh, moving.mesh, d, max_distance)
                 except MemoryError:
                     raise RelationError(f"out of memory sweeping {moving.id!r} past "
                                         f"{static.id!r} along {d.value}") from None

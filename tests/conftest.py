@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,6 @@ from softjig.planner import (
     select_posture,
 )
 from softjig.queries import (
-    INSIDE_WINDING,
     _segment_segment_distance_sq,
     intersects,
     proper_crossings,
@@ -33,10 +33,15 @@ from softjig.relations import (
     DIRECTION_ORDER,
     compute_relation_matrices,
     merge_entity,
-    sweep_sample_distances,
-    sweep_steps,
-    sweep_translation_is_free,
 )
+
+# winding fraction above this counts as strictly inside a closed mesh
+# (inside = 1, outside = 0; on the surface it is not defined, see
+# ``queries.winding_fraction``)
+INSIDE_WINDING = 0.75
+
+# samples of the sampled reference sweep, over twice the assembly diagonal
+STEP_COUNT = 64
 
 
 @pytest.fixture(scope="session")
@@ -103,8 +108,27 @@ def dense_box_pairs(lo_a, hi_a, lo_b, hi_b, gap=0.0):
     return np.nonzero(overlap)
 
 
+def sweep_steps(max_distance: float, thinnest_extent: float) -> int:
+    """Samples of the sampled reference sweep: ``STEP_COUNT``, raised so
+    that the step never exceeds half the thinnest AABB extent of the swept
+    pair."""
+    n = STEP_COUNT
+    if thinnest_extent > 0:
+        n = max(n, math.ceil(max_distance / (0.5 * thinnest_extent)))
+    return n
+
+
+def sweep_sample_distances(max_distance: float, n_steps: int) -> np.ndarray:
+    """Sample offsets ``max_distance * (k / n)`` for k = 1..n, computed so
+    that the grid for any integer multiple of ``n_steps`` is an exact
+    superset, which keeps refinement monotone."""
+    k = np.arange(1, n_steps + 1, dtype=np.float64)
+    return max_distance * (k / n_steps)
+
+
 def naive_sweep_is_free(static_mesh, moving_mesh, direction, max_distance, n_steps) -> bool:
-    """Reference sweep: one public intersection query per sample."""
+    """The sampled reference sweep: one public intersection query per
+    sample, the moving mesh translated by it."""
     unit = direction.unit_vector
     for t in sweep_sample_distances(max_distance, n_steps):
         if intersects(static_mesh, moving_mesh.translated(t * unit)):
@@ -114,11 +138,9 @@ def naive_sweep_is_free(static_mesh, moving_mesh, direction, max_distance, n_ste
 
 def oracle_interference_free(assembly: AssemblyModel) -> dict:
     """The 10x sampled oracle for ``compute_all_interference_free``: each
-    pair i < k swept with containment sampled at 10 x the step count
-    ``sweep_steps`` resolves for it, so its grid nests the default grid
-    exactly, with the higher-index part moving and the result mirrored
-    into (k, i) of -j. Crossings are decided over the whole range either
-    way."""
+    pair i < k swept by ``naive_sweep_is_free`` at 10 x the step count that
+    ``sweep_steps`` resolves for it, with the higher-index part moving and
+    the result mirrored into (k, i) of -j."""
     max_distance = 2.0 * assembly.aabb_diagonal
     n = len(assembly.parts)
     free = {d: np.zeros((n, n), dtype=bool) for d in DIRECTION_ORDER}
@@ -128,7 +150,7 @@ def oracle_interference_free(assembly: AssemblyModel) -> dict:
             thin = min(float(np.min(m.aabb[1] - m.aabb[0])) for m in (static, moving))
             n_steps = 10 * sweep_steps(max_distance, thin)
             for d in DIRECTION_ORDER:
-                free[d][i, k] = free[d.opposite][k, i] = sweep_translation_is_free(
+                free[d][i, k] = free[d.opposite][k, i] = naive_sweep_is_free(
                     static, moving, d, max_distance, n_steps)
     return free
 

@@ -1,5 +1,6 @@
 """``scripts/bench_pairs.py`` on synthetic entries: seed lists, quartile
-summaries and the claim verdict. Nothing here starts a process."""
+summaries, the claim verdict and the regression check. Nothing here starts
+a process."""
 
 import importlib.util
 from pathlib import Path
@@ -77,3 +78,49 @@ def test_claim_needs_nine_of_ten_pairs_and_a_gap_past_the_spread():
 
 def test_no_claim_is_a_sentence():
     assert bench_pairs.claim_block("", {}, [1]).startswith("none")
+
+
+def runs_entry(parent: list[float], change: list[float]) -> dict:
+    """A workload entry with every end-to-end metric of ``BENCHMARK.json``
+    given the same values, one run per value and side."""
+    names = [m["name"] for m in bench_pairs.BENCHMARK["end_to_end"]]
+    runs = ([{"side": "parent", **{n: v for n in names}} for v in parent]
+            + [{"side": "change", **{n: v for n in names}} for v in change])
+    return {"parent": {n: bench_pairs.summary(parent) for n in names},
+            "change": {n: bench_pairs.summary(change) for n in names}, "runs": runs}
+
+
+OP_S = {"name": "op_s.p50", "better": "lower", "bound": 0.24}
+HIGHER = {"name": "op_s.p50", "better": "higher", "bound": 0.24}
+
+
+def test_regression_is_ok_within_the_bound_and_worse_past_it():
+    assert bench_pairs.regression(runs_entry(PARENT, [p * 1.2 for p in PARENT]), OP_S) == "ok"
+    assert bench_pairs.regression(runs_entry(PARENT, [p * 1.3 for p in PARENT]), OP_S) == "worse"
+    assert bench_pairs.regression(runs_entry(PARENT, FASTER), OP_S) == "ok"
+
+
+def test_regression_follows_the_metric_direction():
+    assert bench_pairs.regression(runs_entry(PARENT, [p * 0.7 for p in PARENT]),
+                                  HIGHER) == "worse"
+    assert bench_pairs.regression(runs_entry(PARENT, [p * 1.3 for p in PARENT]), HIGHER) == "ok"
+
+
+def test_regression_is_unresolved_when_the_parent_spreads_past_the_bound():
+    """A parent whose quartiles are further apart than the bound cannot
+    show a regression either way, unless every change run beats every
+    parent run."""
+    wide = [0.2, 0.3, 0.4, 0.2, 0.3, 0.4, 0.2, 0.3, 0.4, 0.3]
+    assert bench_pairs.regression(runs_entry(wide, wide), OP_S) == "unresolved"
+    assert bench_pairs.regression(runs_entry(wide, [0.19] * 10), OP_S) == "ok"
+    assert bench_pairs.regression(runs_entry(wide, [0.5] * 10), OP_S) == "unresolved"
+
+
+def test_regression_block_covers_every_workload_and_end_to_end_metric():
+    block = bench_pairs.regression_block({"proxy": runs_entry(PARENT, PARENT),
+                                          "box_stack": runs_entry(PARENT, [0.5] * 10)})
+    names = {m["name"] for m in bench_pairs.BENCHMARK["end_to_end"]}
+    assert set(block) == {"proxy", "box_stack"}
+    assert set(block["proxy"]) == set(block["box_stack"]) == names
+    assert set(block["proxy"].values()) == {"ok"}
+    assert set(block["box_stack"].values()) == {"worse"}

@@ -18,7 +18,7 @@ def test_concurrent_queries_on_shared_meshes():
         return (
             min_distance(motor, shifted),
             intersects(motor, shifted),
-            tuple(sweep_translation_is_free(motor, shifted, d, 200.0, 16)
+            tuple(sweep_translation_is_free(motor, shifted, d, 200.0)
                   for d in DIRECTION_ORDER),
         )
 

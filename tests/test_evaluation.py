@@ -249,6 +249,16 @@ def test_observation_malformed_points(tmp_path):
         load_observation(path)
 
 
+def test_observation_coordinate_beyond_float_range(tmp_path):
+    """A marker coordinate written as an integer too large for a float is
+    refused with an error that names the file, not an OverflowError."""
+    path = tmp_path / "obs.json"
+    huge = int("9" * 400)
+    path.write_text(json.dumps({"points": [[huge, 0], [1, 0], [0, -1], [-1, 0]]}))
+    with pytest.raises(EvaluationError, match="obs.json"):
+        load_observation(path)
+
+
 def test_force_csv_with_and_without_time(tmp_path):
     timed = tmp_path / "timed.csv"
     timed.write_text("fx,fy,fz,t\n1,2,-3,0.0\n4,5,-6,0.1\n")

@@ -9,7 +9,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    INSIDE_WINDING,
     SHEAR_Z_BY_Y,
+    tunnel_assembly,
     dense_box_pairs,
     exact_crossing_interval,
     exact_triangles_meet,
@@ -40,6 +42,7 @@ from softjig.queries import (
     penetrates_along,
     point_triangle_distance_sq,
     proper_crossings,
+    surface_probe_points,
     triangle_pair_distance_sq,
     winding_fraction,
     within_distance,
@@ -359,6 +362,29 @@ def test_within_distance_at_epsilon_boundary_on_rotated_meshes(seed, scale):
         assert within_distance(a, b, eps) == within_distance(b, a, eps) == expected
 
 
+@pytest.mark.parametrize("gap", [0.99, 1.01, 1.2, 1.5])
+def test_within_distance_scans_past_its_first_batch_on_a_near_miss(monkeypatch, gap):
+    """Two 256-segment cylinders side by side along the (+x, +y) diagonal,
+    their walls ``gap`` times epsilon apart: just inside epsilon, or a near
+    miss, whose triangles' boxes come within epsilon while none of its
+    triangle pairs does. The threshold query agrees with ``min_distance``
+    in both orders, and a near miss sends more than one first contact batch
+    of candidate pairs to the distance kernel before it answers."""
+    eps = 0.05
+    rows, kernel = [], queries.triangle_pair_distance_sq
+    monkeypatch.setattr(queries, "triangle_pair_distance_sq",
+                        lambda a, b: rows.append(len(a)) or kernel(a, b))
+    centre = (20 + 12 + gap * eps) / np.sqrt(2)
+    left = revolve_mesh([(0, 0), (20, 0), (20, 30), (0, 30)], 256)
+    right = revolve_mesh([(0, 0), (12, 0), (12, 25), (0, 25)], 256).translated((centre, centre, 0))
+    near_miss = gap > 1
+    for a, b in ((left, right), (right, left)):
+        rows.clear()
+        assert within_distance(a, b, eps) == (not near_miss)
+        assert sum(rows) > queries._FIRST_CONTACT_ROWS or not near_miss
+        assert (min_distance(a, b) <= eps) == (not near_miss)
+
+
 # -- broad phase ----------------------------------------------------------------
 
 def box_soup(rng, n: int, stretch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -531,6 +557,7 @@ def pair_interval(a: np.ndarray, b: np.ndarray, axis: int) -> tuple[float, float
        kind=st.sampled_from(["random", "coplanar", "tilted", "sliver", "needle"]),
        swap=st.booleans())
 @example(seed=880919, kind="tilted", swap=False)
+@example(seed=2293695319, kind="tilted", swap=True)
 @settings(max_examples=200, deadline=None)
 def test_crossing_intervals_hold_every_crossing_offset(seed, kind, swap):
     """Every offset at which ``proper_crossings`` of the shifted pair is
@@ -574,12 +601,34 @@ def test_crossing_intervals_hold_every_crossing_offset(seed, kind, swap):
                               offsets[(offsets >= span[0]) & (offsets <= span[1])])
 
 
+def witnessed_probe(static, moving, axis, span) -> bool:
+    """Whether ``rays.ray_containment`` puts a probe of either mesh, at any
+    point of the list that ``penetrates_along`` tries, strictly inside the
+    other at an offset of ``span``, confirmed by the winding number of the
+    point it returns."""
+    first, last = span
+    for source, target, shift in ((moving, static, (first, last)),
+                                  (static, moving, (-last, -first))):
+        for points in (surface_probe_points(source),
+                       *(surface_probe_points(source, w, 1e-6 * 2 ** (k + 1))
+                         for k, w in enumerate(queries._PROBE_WEIGHTS))):
+            at, _ = ray_containment(target, points, axis, points[:, axis] + shift[0],
+                                    points[:, axis] + shift[1], 1 << 10)
+            hit = ~np.isnan(at)
+            points = points[hit]
+            points[:, axis] = at[hit]
+            if (winding_fraction(points, target.corners) > INSIDE_WINDING).any():
+                return True
+    return False
+
+
 def assert_blocks_as_the_scan(static, moving, axis, span, samples) -> None:
     """``penetrates_along`` over ``span`` blocks wherever
     ``naive_penetrates_along`` at ``samples`` (offsets inside ``span``)
     does. Where it alone blocks, some triangle pair whose interval meets
-    the range crosses in range by the exact reference."""
-    blocked = penetrates_along(static, moving, axis, span, samples)
+    the range crosses in range by the exact reference, or a probe is inside
+    the other solid at an offset of the range by the winding number."""
+    blocked = penetrates_along(static, moving, axis, span)
     if naive_penetrates_along(static, moving, axis, samples):
         assert blocked
     elif blocked:
@@ -588,7 +637,8 @@ def assert_blocks_as_the_scan(static, moving, axis, span, samples) -> None:
         lo, hi = crossing_intervals(static, moving, si, mi, axis)
         exact = [exact_crossing_interval(static.corners[si[p]], moving.corners[mi[p]], axis)
                  for p in np.flatnonzero((lo < hi) & (lo < span[1]) & (hi > span[0]))]
-        assert any(e is not None and e[0] < span[1] and e[1] > span[0] for e in exact), span
+        assert (any(e is not None and e[0] < span[1] and e[1] > span[0] for e in exact)
+                or witnessed_probe(static, moving, axis, span)), span
 
 
 def tetra_beside(tri: np.ndarray, axis: int, side: float) -> TriangleMesh | None:
@@ -613,7 +663,8 @@ def test_touching_triangle_boxes_never_cross_in_range(seed, kind, swap, across, 
     range, or along it at a range that ends at offset 0 and runs away from
     the touch: no offset of the closed range is in the exact crossing
     interval, and ``penetrates_along`` over the range does not block where
-    ``naive_penetrates_along`` at its samples does not."""
+    ``naive_penetrates_along`` at its samples does not: no probe of either
+    solid enters the other."""
     rng = np.random.default_rng(seed)
     a, b = triangle_pair(kind, rng)
     if swap:
@@ -642,7 +693,7 @@ def test_touching_triangle_boxes_never_cross_in_range(seed, kind, swap, across, 
     assert exact is None or exact[1] <= span[0] or exact[0] >= span[1], (exact, span)
     samples = np.linspace(*span, 9)
     if not naive_penetrates_along(static, moving, axis, samples):
-        assert not penetrates_along(static, moving, axis, span, samples)
+        assert not penetrates_along(static, moving, axis, span)
 
 
 def test_face_to_face_and_edge_to_edge_boxes_never_cross_apart():
@@ -670,15 +721,15 @@ def test_face_to_face_and_edge_to_edge_boxes_never_cross_apart():
 
 
 def test_penetrates_along_without_offsets_is_false():
-    """An empty range and no offsets, nothing to penetrate, even for solids
-    that overlap; the kernel takes an empty candidate list, and a range of
-    one offset is the intersection test."""
+    """An empty range, no offsets, has nothing to penetrate, even for
+    solids that overlap; the kernel takes an empty candidate list, and a
+    range of one offset is the intersection test."""
     static = box_mesh((0, 0, 0), (2, 2, 2))
     moving = box_mesh((1, 1, 1), (3, 3, 3))
     assert intersects(static, moving)
     for axis in range(3):
-        assert not penetrates_along(static, moving, axis, (1.0, 0.0), [])
-        assert penetrates_along(static, moving, axis, (0.0, 0.0), [])
+        assert not penetrates_along(static, moving, axis, (1.0, 0.0))
+        assert penetrates_along(static, moving, axis, (0.0, 0.0))
     none = np.zeros(0, dtype=np.intp)
     lo, hi = crossing_intervals(static, moving, none, none, 0)
     assert lo.shape == hi.shape == (0,)
@@ -710,11 +761,12 @@ def test_blocked_sweep_finds_a_crossing_past_the_first_batch(monkeypatch):
     offsets = np.linspace(0.5, 5.0, 10)
     span = (0.5, 5.0)
     for static, expected in ((floor, False), (blocked_floor, True)):
-        assert penetrates_along(static, slab, 0, span, offsets) is expected
+        assert penetrates_along(static, slab, 0, span) is expected
         assert naive_penetrates_along(static, slab, 0, offsets) is expected
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(queries, "_crosses_at", lambda *args: False)
-        assert not penetrates_along(blocked_floor, slab, 0, span, offsets)
+        patch.setattr(queries, "_crosses_in", lambda *args: False)
+        assert not penetrates_along(blocked_floor, slab, 0, span)
 
     sent, intervals = [], queries.crossing_intervals
 
@@ -724,7 +776,7 @@ def test_blocked_sweep_finds_a_crossing_past_the_first_batch(monkeypatch):
         return lo, hi
 
     monkeypatch.setattr(queries, "crossing_intervals", recorded)
-    assert penetrates_along(blocked_floor, slab, 0, span, offsets)
+    assert penetrates_along(blocked_floor, slab, 0, span)
     crossing = np.flatnonzero(np.concatenate(sent))
     assert len(crossing) and crossing.min() > queries._FIRST_BATCH_ROWS
 
@@ -741,14 +793,38 @@ def test_small_blocked_sweep_is_decided_at_box_window_middles(monkeypatch):
     monkeypatch.setattr(queries, "crossing_intervals",
                         lambda *args: sent.append(len(args[2])) or intervals(*args))
     above = box_mesh((1, 1, 6), (3, 3, 8))
-    assert penetrates_along(static, above, 2, (-10.0, -0.5), np.linspace(-10.0, -0.5, 20))
+    assert penetrates_along(static, above, 2, (-10.0, -0.5))
     assert sent == []
     resting = box_mesh((1, 1, 4), (3, 3, 6))
-    assert not penetrates_along(static, resting, 0, (0.5, 10.0), np.linspace(0.5, 10.0, 20))
+    assert not penetrates_along(static, resting, 0, (0.5, 10.0))
     assert sent == []
     tilted = (m.rotated(SHEAR_Z_BY_Y) for m in (static, resting))
-    assert not penetrates_along(*tilted, 0, (0.5, 10.0), np.linspace(0.5, 10.0, 20))
+    assert not penetrates_along(*tilted, 0, (0.5, 10.0))
     assert sent and sum(sent) < queries._FIRST_CROSSING_ROWS
+
+
+def test_long_scan_ending_on_a_short_batch_skips_the_box_window_middles(monkeypatch):
+    """Counter: a slab sliding along a tilted floor of 12 x 12 tiles, free,
+    whose crossing scan runs five batches and ends on one of 2 pairs, under
+    ``_FIRST_CROSSING_ROWS``, never tries the box-window middles, which
+    only a stream that is one short batch as a whole gets: with no
+    interval meeting the range, no offset at all is tried."""
+    floor, _, slab = tiled_floor_with_blocker(12)
+    sizes, batches = [], broad.batches
+
+    def recorded(blocks, first, last):
+        for batch in batches(blocks, first, last):
+            if first == queries._FIRST_CROSSING_ROWS:
+                sizes.append(len(batch[0]))
+            yield batch
+
+    def forbidden(*args):
+        raise AssertionError("an offset was tried")
+
+    monkeypatch.setattr(broad, "batches", recorded)
+    monkeypatch.setattr(queries, "_crosses_at", forbidden)
+    assert not penetrates_along(floor, slab, 0, (0.5, 5.0))
+    assert len(sizes) == 5 and 0 < sizes[-1] < queries._FIRST_CROSSING_ROWS
 
 
 def test_sliver_pair_keeps_its_whole_box_range():
@@ -771,7 +847,7 @@ def test_sliver_pair_keeps_its_whole_box_range():
         shifted = np.repeat(b[None], len(offsets), axis=0)
         shifted[:, :, 2] += offsets[:, None]
         assert not proper_crossings(np.broadcast_to(a, shifted.shape), shifted).any()
-        assert not penetrates_along(tetra_on(a), tetra_on(b), 2, (-4.0, 4.0), offsets[[0, -1]])
+        assert not penetrates_along(tetra_on(a), tetra_on(b), 2, (-4.0, 4.0))
 
 
 def test_probe_points_computed_once_per_mesh(monkeypatch):
@@ -863,15 +939,19 @@ def nudged(x: np.ndarray, rng) -> np.ndarray:
        axis=st.integers(0, 2))
 @settings(max_examples=150, deadline=None)
 def test_ray_containment_matches_winding_number(seed, kind, axis):
-    """On every row that the ray test decides, its answer is
-    ``winding_fraction > INSIDE_WINDING``, on the probe's own axis and, for
-    the rows left undecided there, cast as their own probes along each of
-    the two other axes in turn. The kernel refuses an open target, whose
-    unbalanced edges are counted as edge by edge. Probes sit at random,
-    exactly on vertices, edges and faces of the target, and a few ulps off
-    them; rows sit at random, at every vertex height and a few ulps off
-    those. And ``penetrates_along`` blocks wherever a scan of every row
-    does, and otherwise only on an exact crossing."""
+    """Per probe line and closed range of its coordinate along the line:
+    where ``ray_containment`` finds the probe inside, the coordinate it
+    returns is in the range and the winding number there is inside; and
+    at random offsets in the range and at its ends, wherever the point is
+    more than 1e-5 from the surface and the winding number puts it inside,
+    the line is found inside or marked near an edge. The kernel refuses an
+    open target, whose unbalanced edges are counted edge by edge. Probes
+    sit at random, exactly on vertices, edges and faces of the target, and
+    a few ulps off them, so that many lines pass near projected edges;
+    range ends sit at random, at vertex heights and a few ulps off those.
+    And ``penetrates_along`` blocks wherever a scan of every row does, and
+    otherwise only on an exact crossing or a probe the winding number puts
+    inside."""
     rng = np.random.default_rng(seed)
     target = ray_target(kind, rng)
     corners = target.corners
@@ -887,12 +967,9 @@ def test_ray_containment_matches_winding_number(seed, kind, axis):
     probes = np.vstack([on_surface, nudged(on_surface, rng), rng.uniform(lo, hi, (12, 3))])
     heights = np.concatenate([target.vertices[:, axis], rng.uniform(lo[axis], hi[axis], 8)])
     heights = np.concatenate([heights, nudged(heights[:, None], rng)[:, 0]])
-    pi, hk = (g.ravel() for g in np.meshgrid(np.arange(len(probes)),
-                                             rng.choice(heights, 12), indexing="ij"))
-    points = probes[pi]
-    points[:, axis] = hk
-    keep = np.all((points > lo) & (points < hi), axis=1)
-    pi, points = pi[keep], points[keep]
+    ends = np.sort(rng.choice(heights, (len(probes), 2)), axis=1)
+    single = rng.random(len(probes)) < 0.25
+    ends[single, 1] = ends[single, 0]
 
     assert unbalanced_edges(target) == naive_unbalanced_edges(target)
     assert (unbalanced_edges(target) == 0) == (kind != "open")
@@ -901,22 +978,26 @@ def test_ray_containment_matches_winding_number(seed, kind, axis):
     offsets = rng.uniform(-12, 12, 6)
     if kind == "open":
         with pytest.raises(DegenerateMeshError, match="not match their reverses"):
-            penetrates_along(target, moving, axis, (-12.0, 12.0), offsets)
+            penetrates_along(target, moving, axis, (-12.0, 12.0))
         return
-    inside, undecided = ray_containment(target, probes, axis, pi, points[:, axis], 1 << 10)
-    decided = ~undecided
-    expected = winding_fraction(points[decided], corners) > queries.INSIDE_WINDING
-    assert np.array_equal(inside[decided], expected)
-    assert not inside[undecided].any()
-    # the rows left undecided, each its own probe along the other two axes
-    for other in (ax for ax in range(3) if ax != axis):
-        points = points[undecided]
-        inside, undecided = ray_containment(target, points, other, np.arange(len(points)),
-                                            points[:, other], 1 << 10)
-        decided = ~undecided
-        expected = winding_fraction(points[decided], corners) > queries.INSIDE_WINDING
-        assert np.array_equal(inside[decided], expected)
-        assert not inside[undecided].any()
+    at, near = ray_containment(target, probes, axis, ends[:, 0], ends[:, 1], 1 << 10)
+    hit = ~np.isnan(at)
+    assert not (hit & near).any()
+    assert ((ends[hit, 0] <= at[hit]) & (at[hit] <= ends[hit, 1])).all()
+    points = probes[hit]
+    points[:, axis] = at[hit]
+    assert (winding_fraction(points, corners) > INSIDE_WINDING).all()
+    # random offsets of each range, and its ends
+    share = np.hstack([np.zeros((len(probes), 1)), rng.random((len(probes), 6)),
+                       np.ones((len(probes), 1))])
+    pi = np.repeat(np.arange(len(probes)), share.shape[1])
+    points = probes[pi]
+    points[:, axis] = (ends[:, :1] + share * (ends[:, 1:] - ends[:, :1])).ravel()
+    surface = point_triangle_distance_sq(np.repeat(points, len(corners), axis=0),
+                                         np.tile(corners, (len(points), 1, 1)))
+    far = surface.reshape(len(points), -1).min(axis=1) > 1e-10
+    inside = winding_fraction(points, corners) > INSIDE_WINDING
+    assert (hit | near)[pi[inside & far]].all()
 
     # the moving target is off the integer grid: a probe exactly on the
     # other surface has a degenerate winding number, which the oracle counts
@@ -927,64 +1008,63 @@ def test_ray_containment_matches_winding_number(seed, kind, axis):
 
 def test_rays_decide_rows_beside_walls_parallel_to_the_axis():
     """Counter: inside a revolved part whose side wall runs along the
-    sweep axis, every row whose probe line passes no projected edge or
-    corner is decided by the rays, although the wall triangles' projected
-    boxes hold many of the probes, and each answer is the winding number's.
-    A wall edge parallel to the axis projects to a point and marks only
-    probes within ``tol`` of it."""
+    sweep axis, every probe line that passes no projected edge or corner
+    is decided by the rays, although the wall triangles' projected boxes
+    hold many of the probes, and at each single offset the answer is the
+    winding number's. A wall edge parallel to the axis projects to a point
+    and marks only probes within ``tol`` of it."""
     target = revolve_mesh([(0, 0), (10, 0), (10, 20), (0, 20)], 8)
     rng = np.random.default_rng(0)
     radius, angle = 9.9 * np.sqrt(rng.random(200)), rng.uniform(0, 2 * np.pi, 200)
     probes = np.column_stack([radius * np.cos(angle), radius * np.sin(angle),
                               rng.uniform(1, 19, 200)])
-    pi = np.repeat(np.arange(200), 4)
-    coords = rng.uniform(1, 19, len(pi))
-    inside, undecided = ray_containment(target, probes, 2, pi, coords, 1 << 10)
-    points = probes[pi]
-    points[:, 2] = coords
-    assert not undecided.any()
-    assert np.array_equal(inside, winding_fraction(points, target.corners) > queries.INSIDE_WINDING)
-    assert 0 < inside.sum() < len(pi)
+    points = np.repeat(probes, 4, axis=0)
+    points[:, 2] = rng.uniform(1, 19, len(points))
+    at, near = ray_containment(target, points, 2, points[:, 2], points[:, 2], 1 << 10)
+    inside = ~np.isnan(at)
+    assert not near.any()
+    assert np.array_equal(inside, winding_fraction(points, target.corners) > INSIDE_WINDING)
+    assert np.array_equal(at[inside], points[inside, 2])
+    assert 0 < inside.sum() < len(points)
 
 
-def count_winding_rows(monkeypatch) -> dict:
-    """Wraps ``queries.winding_fraction``; the returned dict maps the id of
-    each target's corner array to the number of points evaluated on it."""
-    rows = {}
-    original = queries.winding_fraction
+def count_rechosen(monkeypatch) -> list:
+    """Wraps ``queries.surface_probe_points``; the returned list gets, per
+    call that moves probes off their face's centroid, the index in
+    ``_PROBE_WEIGHTS`` of the point they move to."""
+    calls = []
+    original = queries.surface_probe_points
 
-    def counted(points, corners):
-        rows[id(corners)] = rows.get(id(corners), 0) + len(points)
-        return original(points, corners)
+    def counted(mesh, weights=None, depth=1e-6):
+        if weights is not None:
+            calls.append(next(k for k, w in enumerate(queries._PROBE_WEIGHTS)
+                              if np.array_equal(w, weights)))
+        return original(mesh, weights, depth)
 
-    monkeypatch.setattr(queries, "winding_fraction", counted)
-    return rows
+    monkeypatch.setattr(queries, "surface_probe_points", counted)
+    return calls
 
 
 def test_rays_decide_most_proxy_containment_rows(monkeypatch):
-    """Counters, no timing: a proxy plan sends at most 1/20 of its 4,359
-    containment rows to the winding number, and its plan is the one made
-    with every row sent there, by a ray test that decides no row."""
-    rows = count_winding_rows(monkeypatch)
+    """Counter, no timing: a proxy plan moves no probe off its face's
+    centroid, since no probe line passes near a projected edge, and its
+    plan is the one made with every probe moved to the first other point
+    of its face."""
+    calls = count_rechosen(monkeypatch)
     sequence = AssemblySequence.parse("motor,plate,bolts")
     plan = configure_fixing_parts(proxy_assembly(), sequence).to_json_dict()
-    assert sum(rows.values()) <= 4359 // 20
-    rows.clear()
-
-    def decides_nothing(target, probes, axis, probe_of_row, coords, block):
-        return np.zeros(len(coords), dtype=bool), np.ones(len(coords), dtype=bool)
-
-    monkeypatch.setattr(queries, "ray_containment", decides_nothing)
+    assert calls == []
+    moved = queries.PerMesh(lambda mesh: surface_probe_points(mesh, queries._PROBE_WEIGHTS[0]))
+    monkeypatch.setattr(queries, "_probe_points", moved)
     assert configure_fixing_parts(proxy_assembly(), sequence).to_json_dict() == plan
-    assert sum(rows.values()) == 4359
 
 
 def side_by_side_cylinders(segments: int, bands: int) -> tuple[TriangleMesh, TriangleMesh]:
     """Two cylinders side by side: r 25, z 0-40 at the origin, and r 12,
     z 0-30 with its axis 39 mm away along the (+x, +y) diagonal, each side
     wall cut into ``bands`` rings. The small one's probe heights coincide
-    with the large one's ring heights, so probe lines along z pass through
-    projected ring edges."""
+    with the large one's ring heights, so probe lines along x and y pass
+    through projected ring edges."""
     def cylinder(radius, height):
         wall = [(radius, height * k / bands) for k in range(bands + 1)]
         return revolve_mesh([(0, 0), *wall, (0, height)], segments)
@@ -992,33 +1072,85 @@ def side_by_side_cylinders(segments: int, bands: int) -> tuple[TriangleMesh, Tri
     return cylinder(25, 40), cylinder(12, 30).translated((offset, offset, 0))
 
 
-def test_rays_on_three_axes_decide_side_by_side_cylinder_rows(monkeypatch):
-    """Counter: the matrices of two side-by-side cylinders, whose probe
-    lines along the sweep axis graze the other's ring edges, send no row
-    to the winding number once undecided rows are cast along the two other
-    axes (82 rows when only the sweep axis was cast)."""
-    rows = count_winding_rows(monkeypatch)
+def side_by_side_flags(monkeypatch) -> tuple[dict, list]:
+    """The interference-free flags of the (64, 3) side-by-side cylinders,
+    with the small one moving, then fixed, and the probe moves made."""
+    calls = count_rechosen(monkeypatch)
     big, small = side_by_side_cylinders(64, 3)
     assembly = AssemblyModel((PartModel("big", big, 1.0), PartModel("small", small, 1.0)))
     free = compute_relation_matrices(assembly).interference_free
-    assert sum(rows.values()) == 0
+    return {d.value: (bool(free[d][0, 1]), bool(free[d][1, 0])) for d in free}, calls
+
+
+def test_rechosen_probes_decide_side_by_side_cylinders(monkeypatch):
+    """Counter: on two side-by-side cylinders, whose probe lines graze the
+    other's ring edges, the probes on those lines move once, to the first
+    other point of their face, where every line is decided, and the
+    matrices are the hand-derived ones: the small one runs into the large
+    one along -x and -y, the large one into the small one along +x and +y."""
+    flags, calls = side_by_side_flags(monkeypatch)
+    assert calls and set(calls) == {0}
+    for d, (small_moving, big_moving) in flags.items():
+        assert small_moving == (d not in ("-x", "-y"))
+        assert big_moving == (d not in ("+x", "+y"))
+
+
+def test_a_probe_near_an_edge_at_every_point_counts_as_inside(monkeypatch):
+    """With no other point of a face to move to, a probe line that passes
+    near a projected edge counts as inside: the side-by-side cylinders,
+    whose grazing lines block nothing once moved, lose free directions and
+    gain none."""
+    expected, _ = side_by_side_flags(monkeypatch)
+    monkeypatch.setattr(queries, "_PROBE_WEIGHTS", queries._PROBE_WEIGHTS[:0])
+    flags, calls = side_by_side_flags(monkeypatch)
+    assert calls == []
+    lost = [(d, k) for d in flags for k in (0, 1) if expected[d][k] and not flags[d][k]]
+    gained = [(d, k) for d in flags for k in (0, 1) if flags[d][k] and not expected[d][k]]
+    assert lost and not gained
+
+
+def test_probes_resting_on_a_face_within_tol_move_deeper(monkeypatch):
+    """Counter: the tunnel moved 1e5 mm along x, where the target's ``tol``
+    (1e-4 mm) exceeds the 1e-6 of the diagonal that the slider's probes are
+    pulled in by: the lines of the probes on the face that rests on the
+    floor pass within ``tol`` of the floor's projected face at every point
+    of that depth, and are decided only once a move pulls them deeper. The
+    slider still leaves only along +x, as it does at the origin."""
+    calls = count_rechosen(monkeypatch)
+    shifted = AssemblyModel(tuple(PartModel(p.id, p.mesh.translated((1e5, 0, 0)), p.mass)
+                                  for p in tunnel_assembly().parts))
+    free = compute_relation_matrices(shifted).interference_free
+    assert max(calls) >= 1
     for d in free:
-        assert free[d][0, 1] == (d.value not in ("-x", "-y"))     # the small one moving
-        assert free[d][1, 0] == (d.value not in ("+x", "+y"))
+        assert free[d][0, 1] == (d.value == "+x"), d
 
 
 def test_rays_decide_every_cli_proxy_containment_row(monkeypatch, tmp_path):
     """Counter: a proxy plan from the STL files that ``softjig fixtures``
-    writes, whose welded plate repeats directed edges, sends no row to the
-    winding number."""
-    rows = count_winding_rows(monkeypatch)
+    writes, whose welded plate repeats directed edges, moves no probe off
+    its face's centroid."""
+    calls = count_rechosen(monkeypatch)
     assert main(["fixtures", "--out-dir", str(tmp_path)]) == 0
     plate = load_mesh(tmp_path / "plate.stl")
     tail, head = plate.triangles.ravel(), np.roll(plate.triangles, -1, axis=1).ravel()
     assert len(np.unique(tail * len(plate.vertices) + head)) < len(tail)
     assert main(["plan", str(tmp_path / "assembly.json"), "--sequence", "motor,plate,bolts",
                  "--out", str(tmp_path / "plan.json")]) == 0
-    assert sum(rows.values()) == 0
+    assert calls == []
+
+
+def test_no_probe_moves_on_the_fixture_sets(monkeypatch, proxy, peg, cube_stacks):
+    """Counter: the matrices of the proxy, the peg, the tunnel, the cube
+    stacks and two stacked cylinders move no probe off its face's
+    centroid, so the fallback that counts a probe near an edge at every
+    point as inside is never reached on them."""
+    calls = count_rechosen(monkeypatch)
+    cylinders = AssemblyModel((
+        PartModel("lower", revolve_mesh([(0, 0), (20, 0), (20, 30), (0, 30)], 256), 1.0),
+        PartModel("upper", revolve_mesh([(0, 30), (17, 30), (17, 60), (0, 60)], 256), 1.0)))
+    for assembly in (proxy, peg, tunnel_assembly(), *cube_stacks, cylinders):
+        compute_relation_matrices(assembly)
+    assert calls == []
 
 
 def open_plate() -> TriangleMesh:
@@ -1037,10 +1169,9 @@ def test_kernel_refuses_an_open_mesh_on_either_side():
     for static, moving in ((plate, motor), (motor, plate)):
         with pytest.raises(DegenerateMeshError, match="4 directed edges"):
             intersects(static, moving)
-        for offsets in ([0.0, 5.0], []):
+        for span in ((0.0, 5.0), (1.0, 0.0)):
             with pytest.raises(DegenerateMeshError, match="4 directed edges"):
-                penetrates_along(static, moving, 2, (0.0, 5.0) if offsets else (1.0, 0.0),
-                                 offsets)
+                penetrates_along(static, moving, 2, span)
 
 
 def test_winding_classifies_inside_outside():

@@ -16,6 +16,7 @@ from conftest import (
     naive_sweep_is_free,
     oracle_interference_free,
     rotated_assembly,
+    sweep_sample_distances,
 )
 
 from softjig import broad, cube_stack_assembly, queries, relations
@@ -35,8 +36,6 @@ from softjig.relations import (
     compute_reachable_matrix,
     compute_relation_matrices,
     merge_entity,
-    sweep_sample_distances,
-    sweep_steps,
     sweep_translation_is_free,
 )
 
@@ -141,24 +140,20 @@ def stacked_cylinders() -> AssemblyModel:
 LATERAL = (Direction.PLUS_X, Direction.MINUS_X, Direction.PLUS_Y, Direction.MINUS_Y)
 
 
-def lateral_sweep(assembly: AssemblyModel, direction: Direction) -> tuple[tuple, np.ndarray]:
-    """The signed range and samples of the default sweep of the second
-    part past the first along ``direction``: the offsets in (0, D] at which
-    the whole boxes overlap along the axis, and the samples among them.
-    What the penetration kernel would be given if the touching-box cull did
-    not decide the sweep first."""
+def lateral_sweep(assembly: AssemblyModel, direction: Direction) -> tuple[float, float]:
+    """The signed range of the default sweep of the second part past the
+    first along ``direction``: the offsets in (0, D] at which the whole
+    boxes overlap along the axis. What the penetration kernel would be
+    given if the touching-box cull did not decide the sweep first."""
     static, moving = (p.mesh for p in assembly.parts)
     max_distance = 2.0 * assembly.aabb_diagonal
-    thin = min(float(np.min(m.aabb[1] - m.aabb[0])) for m in (static, moving))
-    samples = sweep_sample_distances(max_distance, sweep_steps(max_distance, thin))
     ax = direction.axis
     if direction.sign > 0:
         t_lo, t_hi = static.aabb[0][ax] - moving.aabb[1][ax], static.aabb[1][ax] - moving.aabb[0][ax]
     else:
         t_lo, t_hi = moving.aabb[0][ax] - static.aabb[1][ax], moving.aabb[1][ax] - static.aabb[0][ax]
     first, last = max(t_lo, 0.0), min(t_hi, max_distance)
-    span = (first, last) if direction.sign > 0 else (-last, -first)
-    return span, direction.sign * samples[(samples >= t_lo) & (samples <= t_hi)]
+    return (first, last) if direction.sign > 0 else (-last, -first)
 
 
 def sheared_sweeps(sweep) -> list:
@@ -167,7 +162,7 @@ def sheared_sweeps(sweep) -> list:
     of the resting triangles share interior across x, and stays free."""
     assembly = rotated_assembly(stacked_cylinders(), SHEAR_Z_BY_Y)
     lower, upper = (p.mesh for p in assembly.parts)
-    return [sweep(lower, upper, 0, *lateral_sweep(assembly, d))
+    return [sweep(lower, upper, 0, lateral_sweep(assembly, d))
             for d in (Direction.PLUS_X, Direction.MINUS_X)]
 
 
@@ -185,9 +180,9 @@ def test_crossing_rows_pruned_on_stacked_cylinders(monkeypatch):
     sweeps = []
     penetrates, box_pairs, narrow = relations.penetrates_along, broad.box_pairs, queries._narrow
 
-    def sweep(static, moving, axis, span, offsets):
+    def sweep(static, moving, axis, span):
         sweeps.append({"rows": {2: 0, 9: 0}})
-        return penetrates(static, moving, axis, span, offsets)
+        return penetrates(static, moving, axis, span)
 
     def candidates(*args):   # the first call of a sweep is its crossing scan's
         sweeps[-1].setdefault("pairs", len(dense_box_pairs(*args)[0]))
@@ -201,7 +196,7 @@ def test_crossing_rows_pruned_on_stacked_cylinders(monkeypatch):
     monkeypatch.setattr(broad, "box_pairs", candidates)
     monkeypatch.setattr(queries, "_narrow", counted)
     free = compute_all_interference_free(assembly)
-    lateral_blocked = [sweep(lower, upper, d.axis, *lateral_sweep(assembly, d)) for d in LATERAL]
+    lateral_blocked = [sweep(lower, upper, d.axis, lateral_sweep(assembly, d)) for d in LATERAL]
     assert sheared_sweeps(sweep) == [False] * 2
 
     assert len(sweeps) == 7
@@ -231,10 +226,10 @@ def test_sweeps_window_only_the_pairs_they_need(monkeypatch):
     penetrates, box_pairs, intervals = (relations.penetrates_along, broad.box_pairs,
                                         queries.crossing_intervals)
 
-    def sweep(static, moving, axis, span, offsets):
+    def sweep(static, moving, axis, span):
         sweeps.append({"direction": direction_of(np.sign(span[0] + span[1]) * np.eye(3)[axis]),
                        "sent": [np.zeros(0, dtype=np.intp)]})
-        sweeps[-1]["blocked"] = penetrates(static, moving, axis, span, offsets)
+        sweeps[-1]["blocked"] = penetrates(static, moving, axis, span)
         return sweeps[-1]["blocked"]
 
     def candidates(*args):   # the first call of a sweep is its crossing scan's
@@ -250,7 +245,7 @@ def test_sweeps_window_only_the_pairs_they_need(monkeypatch):
     monkeypatch.setattr(queries, "crossing_intervals", kernel)
     free = compute_all_interference_free(assembly)
     for d in LATERAL:
-        sweep(lower, upper, d.axis, *lateral_sweep(assembly, d))
+        sweep(lower, upper, d.axis, lateral_sweep(assembly, d))
     sheared_sweeps(sweep)
 
     for s in sweeps:
@@ -278,9 +273,9 @@ def test_face_contact_sweeps_skip_the_kernel(monkeypatch):
     axes = []
     penetrates = relations.penetrates_along
 
-    def counted(static, moving, axis, span, offsets):
+    def counted(static, moving, axis, span):
         axes.append((axis, float(np.sign(span[0] + span[1]))))
-        return penetrates(static, moving, axis, span, offsets)
+        return penetrates(static, moving, axis, span)
 
     monkeypatch.setattr(relations, "penetrates_along", counted)
     free = compute_all_interference_free(assembly)
@@ -361,7 +356,7 @@ def test_touching_boxes_cull_only_free_sweeps(pair):
     for d in DIRECTION_ORDER:
         if all(ax == d.axis for ax in touching):
             continue
-        assert sweep_translation_is_free(static, moving, d, max_distance, 16), d.value
+        assert sweep_translation_is_free(static, moving, d, max_distance), d.value
         assert not naive_penetrates_along(static, moving, d.axis, d.sign * offsets), d.value
 
 
@@ -398,10 +393,10 @@ def test_blocked_sweep_stops_generating_candidates(monkeypatch):
     sweeps = []
     penetrates, box_pairs, overlap = relations.penetrates_along, broad.box_pairs, broad._overlap
 
-    def sweep(static, moving, axis, span, offsets):
+    def sweep(static, moving, axis, span):
         sweeps.append({"direction": direction_of(np.sign(span[0] + span[1]) * np.eye(3)[axis]),
                        "tests": []})
-        sweeps[-1]["blocked"] = penetrates(static, moving, axis, span, offsets)
+        sweeps[-1]["blocked"] = penetrates(static, moving, axis, span)
         return sweeps[-1]["blocked"]
 
     def candidates(*args):
@@ -455,6 +450,9 @@ def test_resting_cube_blocked_only_downward():
 
 
 def test_sweep_engine_matches_naive_loop():
+    """On a peg in its hole and on boxes stacked and side by side, whose
+    blocking windows are wide, the sweep decided over its whole range
+    equals the sampled reference at every resolution."""
     base = generate_proxy_fixture("blind-hole-base").mesh
     peg = generate_proxy_fixture("peg").mesh
     lower = box_mesh((0, 0, 0), (10, 10, 10))
@@ -463,16 +461,16 @@ def test_sweep_engine_matches_naive_loop():
     for static, moving in [(base, peg), (lower, upper), (lower, beside)]:
         for d in DIRECTION_ORDER:
             for n in (16, 37, 64):
-                assert sweep_translation_is_free(static, moving, d, 80.0, n) == \
+                assert sweep_translation_is_free(static, moving, d, 80.0) == \
                     naive_sweep_is_free(static, moving, d, 80.0, n), (d.value, n)
 
 
 @given(seed=st.integers(0, 100_000))
 @settings(max_examples=20, deadline=None)
 def test_sweep_engine_matches_naive_on_random_boxes(seed):
-    """Random boxes: a sweep is blocked wherever the per-sample loop finds
-    an intersection, and exactly when the boxes' interiors meet at some
-    offset in (0, 40], which it may miss between its 16 samples."""
+    """Random boxes: a sweep is blocked exactly when the boxes' interiors
+    meet at some offset in (0, 40], and so wherever the per-sample loop
+    finds an intersection, which it may miss between its 16 samples."""
     rng = np.random.default_rng(seed)
     lo_s, hi_s = rng.uniform(-6, 0, 3), rng.uniform(1, 6, 3)
     off = rng.uniform(-10, 10, 3)
@@ -483,7 +481,7 @@ def test_sweep_engine_matches_naive_on_random_boxes(seed):
         t_lo, t_hi = sorted(d.sign * np.array([lo_s[ax] - hi_m[ax], hi_s[ax] - lo_m[ax]]))
         overlap = (all(lo_s[o] < hi_m[o] and lo_m[o] < hi_s[o] for o in others)
                    and max(t_lo, 0.0) < min(t_hi, 40.0))
-        free = sweep_translation_is_free(static, moving, d, 40.0, 16)
+        free = sweep_translation_is_free(static, moving, d, 40.0)
         assert free == (not overlap), d.value
         assert naive_sweep_is_free(static, moving, d, 40.0, 16) or not free, d.value
 
@@ -536,15 +534,21 @@ def test_duality_on_fixtures(proxy, peg, cube_stacks):
 
 
 def test_refining_steps_never_flips_free_to_blocked_to_free(peg):
+    """The sampled reference only loses freedom as its grid is refined,
+    and the sweep, decided over its whole range, is blocked wherever any
+    refinement is."""
     max_distance = 2.0 * peg.aabb_diagonal
     for static, moving in itertools.combinations(peg.parts, 2):
         for d in DIRECTION_ORDER:
-            base = sweep_translation_is_free(static.mesh, moving.mesh, d, max_distance, 16)
+            base = naive_sweep_is_free(static.mesh, moving.mesh, d, max_distance, 16)
+            exact = sweep_translation_is_free(static.mesh, moving.mesh, d, max_distance)
+            assert base or not exact, (static.id, moving.id, d.value)
             for factor in (2, 3, 10):
-                finer = sweep_translation_is_free(static.mesh, moving.mesh, d, max_distance,
-                                                  16 * factor)
+                finer = naive_sweep_is_free(static.mesh, moving.mesh, d, max_distance,
+                                            16 * factor)
                 # refinement may only remove claimed freedom, never invent it
                 assert base or not finer, (static.id, moving.id, d.value, factor)
+                assert finer or not exact, (static.id, moving.id, d.value, factor)
 
 
 def test_default_sweeps_equal_the_10x_oracle_on_fixtures(proxy, peg):
@@ -571,7 +575,19 @@ def test_thin_shelf_blocks_plus_z_under_finer_sampling():
     assert not oracle_interference_free(pair)[Direction.PLUS_Z][0, 1]
     shelf, sheet = (p.mesh for p in pair.parts)
     assert not sweep_translation_is_free(shelf, sheet, Direction.PLUS_Z,
-                                         2.0 * pair.aabb_diagonal, 640)
+                                         2.0 * pair.aabb_diagonal)
+
+
+def flush_shelf_pair() -> AssemblyModel:
+    """The shelf of :func:`thin_shelf_pair` and a 1 mm sheet with the
+    shelf's own footprint, flush with it on x and y: sweeping the sheet
+    along +z, no triangle pair ever properly crosses, and only containment
+    blocks, for offsets in (41.3, 43.3) mm, between two samples of a
+    4.4 mm step."""
+    static, _ = (p.mesh for p in thin_shelf_pair().parts)
+    moving = compound_mesh(box_mesh((50, -15, 0), (60, 15, 60)),
+                           box_mesh((-40, -20, 10), (40, 20, 11)))
+    return AssemblyModel((PartModel("shelf", static, 1.0), PartModel("sheet", moving, 1.0)))
 
 
 def crossed_bars() -> AssemblyModel:
@@ -583,13 +599,13 @@ def crossed_bars() -> AssemblyModel:
     return AssemblyModel((PartModel("upper", static, 1.0), PartModel("lower", moving, 1.0)))
 
 
-@pytest.mark.parametrize("assembly", [thin_shelf_pair(), crossed_bars()],
-                         ids=["thin_shelf", "crossed_bars"])
+@pytest.mark.parametrize("assembly", [thin_shelf_pair(), crossed_bars(), flush_shelf_pair()],
+                         ids=["thin_shelf", "crossed_bars", "flush_shelf"])
 def test_narrow_blocking_windows_block_on_the_default_path(assembly):
-    """The sheet passing the shelf for 2 mm of a 4.4 mm sample step, and
-    the crossed bars, are blocked along +z by the default matrices: their
-    crossings are decided over the whole range, not at samples. Moving
-    away, along -z, is free."""
+    """The sheet passing the shelf for 2 mm of a 4.4 mm sample step, flush
+    with it or not, and the crossed bars, are blocked along +z by the
+    default matrices: their crossings and containment are decided over the
+    whole range, not at samples. Moving away, along -z, is free."""
     free = compute_relation_matrices(assembly).interference_free
     assert not free[Direction.PLUS_Z][0, 1] and not free[Direction.MINUS_Z][1, 0]
     assert free[Direction.MINUS_Z][0, 1] and free[Direction.PLUS_Z][1, 0]
@@ -643,27 +659,21 @@ def test_rotation_permutes_interference_matrices(proxy):
         assert np.array_equal(m_rot[d], m_orig[d_orig]), (d.value, d_orig.value)
 
 
-def test_sweeps_run_twice_the_diagonal_at_the_fixed_resolution(monkeypatch):
-    """Every sweep runs twice the assembly diagonal at ``STEP_COUNT``
-    samples unless a thin part raises it: neither has a setting."""
+def test_sweeps_run_twice_the_diagonal(monkeypatch):
+    """Every sweep runs twice the assembly diagonal, with no setting and
+    no sample count."""
     asm = two_cubes(gap=0.0)
-    sweeps = set()
+    sweeps = []
     monkeypatch.setattr(relations, "sweep_translation_is_free",
-                        lambda static, moving, direction, distance, n_steps:
-                        sweeps.add((distance, n_steps)))
+                        lambda static, moving, direction, distance: sweeps.append(distance))
     compute_all_interference_free(asm)
-    assert sweeps == {(2 * asm.aabb_diagonal, relations.STEP_COUNT)}
-
-
-def _forbid_sample_allocation(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("sweep offsets were allocated")
-    monkeypatch.setattr(relations, "sweep_sample_distances", forbidden)
+    assert sweeps == [2 * asm.aabb_diagonal] * len(DIRECTION_ORDER)
 
 
 def thin_plate_beside_cube() -> AssemblyModel:
-    """A 1e-5 mm plate beside a 100 mm cube: the step is capped at half the
-    plate's thickness, so the default sweep needs about 1e8 steps."""
+    """A 1e-5 mm plate beside a 100 mm cube, touching its +x face: a
+    sample step capped at half the plate's thickness would take about 1e8
+    samples."""
     a = PartModel("a", box_mesh((0, 0, 0), (100, 100, 100)), 1.0)
     b = PartModel("b", box_mesh((100, 0, 0), (200, 100, 1e-5)), 1.0)
     return AssemblyModel((a, b))
@@ -671,47 +681,27 @@ def thin_plate_beside_cube() -> AssemblyModel:
 
 def cube_on_thin_base() -> AssemblyModel:
     """The thin plate of :func:`thin_plate_beside_cube` as the static part,
-    with the cube resting on it: the cap holds whichever part is thin."""
+    with the cube resting on it."""
     a = PartModel("a", box_mesh((0, 0, 0), (100, 100, 1e-5)), 1.0)
     b = PartModel("b", box_mesh((0, 0, 1e-5), (100, 100, 100)), 1.0)
     return AssemblyModel((a, b))
 
 
-@pytest.mark.parametrize("assembly", [cube_on_thin_base(), thin_plate_beside_cube()],
+@pytest.mark.parametrize("assembly, blocked", [(cube_on_thin_base(), "-z"),
+                                               (thin_plate_beside_cube(), "-x")],
                          ids=["thin_base", "thin_plate"])
-def test_oversized_sweep_refused_before_allocation(monkeypatch, assembly):
-    _forbid_sample_allocation(monkeypatch)
-    with pytest.raises(RelationError, match=r"'b' past 'a' needs \d+ steps"):
-        compute_all_interference_free(assembly)
-
-
-def test_sweep_at_step_cap_goes_ahead(monkeypatch):
-    """A pair whose resolved count equals ``MAX_SWEEP_STEPS`` is swept;
-    one step more is refused."""
-    _forbid_sample_allocation(monkeypatch)
-    seen = []
-    monkeypatch.setattr(relations, "sweep_translation_is_free",
-                        lambda static, moving, direction, distance, n_steps: seen.append(n_steps))
-    monkeypatch.setattr(relations, "MAX_SWEEP_STEPS", relations.STEP_COUNT)
-    compute_all_interference_free(two_cubes(gap=0.0))
-    assert seen == [relations.STEP_COUNT] * len(DIRECTION_ORDER)
-    monkeypatch.setattr(relations, "MAX_SWEEP_STEPS", relations.STEP_COUNT - 1)
-    with pytest.raises(RelationError, match=r"'b' past 'a' needs 64 steps"):
-        compute_all_interference_free(two_cubes(gap=0.0))
-
-
-def test_steps_raised_for_thin_movers():
-    assert sweep_steps(max_distance=1000.0, thinnest_extent=4.0) == 500
-    assert sweep_steps(max_distance=100.0, thinnest_extent=50.0) == relations.STEP_COUNT == 64
-    assert sweep_steps(max_distance=100.0, thinnest_extent=0.0) == relations.STEP_COUNT
-
-
-def test_step_count_resolved_once_per_pair(monkeypatch, proxy):
-    calls = []
-    monkeypatch.setattr(relations, "sweep_steps",
-                        lambda *args, steps=sweep_steps: calls.append(args) or steps(*args))
-    compute_all_interference_free(proxy)
-    assert len(proxy.parts) == 4 and len(calls) == 6
+def test_thin_pairs_are_decided(assembly, blocked):
+    """Pairs with a 1e-5 mm part are decided like any other, by hand: the
+    two parts touch, the moving part is blocked only by running into the
+    static one, along ``blocked``, and the static part only along the
+    opposite direction. Every other sweep slides along a face or moves
+    away."""
+    matrices = compute_relation_matrices(assembly)
+    assert matrices.contact[0, 1]
+    free = matrices.interference_free
+    for d in DIRECTION_ORDER:
+        assert free[d][0, 1] == (d.value != blocked), d
+        assert free[d][1, 0] == (d.opposite.value != blocked), d
 
 
 # -- reachable gate -----------------------------------------------------------
