@@ -22,10 +22,10 @@ _EXPORTS = {
     "planner": ("AssemblySequence", "FixingPlan", "FixingStep", "bottom_part",
                 "candidate_orientations", "cog_height", "configure_fixing_parts",
                 "select_posture"),
-    "queries": ("intersects", "min_distance", "within_distance"),
+    "queries": ("intersects", "within_distance"),
     "relations": ("DIRECTION_ORDER", "Direction", "ReachableDirectionList", "RelationMatrices",
                   "compute_all_interference_free", "compute_contact_matrix",
-                  "compute_reachable_matrix", "compute_relation_matrices", "merge_entity"),
+                  "compute_reachable_matrix", "compute_relation_matrices"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

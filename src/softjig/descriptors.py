@@ -18,7 +18,9 @@ fields ``sweep.max_distance_mm`` and ``sweep.step_count`` may only be null
 or absent: every sweep is decided over its whole range, twice the assembly
 diagonal, with no samples to count. Posed parts may not interpenetrate.
 Any other field, at the top level or in a part, its pose or ``sweep``, is
-refused by name, so a misspelt setting cannot pass unnoticed.
+refused by name, so a misspelt setting cannot pass unnoticed, and so is a
+boolean or a string where ``mass_g``, ``contact_epsilon_mm`` or a pose
+needs a number.
 """
 
 from __future__ import annotations
@@ -52,6 +54,19 @@ def _check_fields(path: Path, where: str, obj: dict, kind: str) -> None:
             raise DescriptorError(f"{path}: {where}unknown field {key!r}")
 
 
+def _check_number(path: Path, field: str, value) -> None:
+    """Refuse a boolean or a string in ``value``, a number or lists of them:
+    ``float()`` and numpy would read either as a number."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, list):
+            stack.extend(v)
+        elif isinstance(v, (bool, str)):
+            raise DescriptorError(f"{path}: {field}: must be a number, "
+                                  f"not {'a boolean' if isinstance(v, bool) else 'a string'}")
+
+
 def load_descriptor(path) -> AssemblyModel:
     """Parse a descriptor and load its meshes into an assembly. A part
     whose posed mesh is open is refused by :class:`PartModel`, and a pair of
@@ -76,6 +91,7 @@ def load_descriptor(path) -> AssemblyModel:
         if not isinstance(entry, dict):
             raise DescriptorError(f"{path}: parts[{i}] must be an object")
         _check_fields(path, f"parts[{i}]: ", entry, "part")
+        _check_number(path, f"parts[{i}]: mass_g", entry.get("mass_g"))
         try:
             part_id = str(entry["id"])
             mesh_path = (path.parent / str(entry["mesh_path"])).resolve()
@@ -92,6 +108,8 @@ def load_descriptor(path) -> AssemblyModel:
         if pose is not None:
             if isinstance(pose, dict):
                 _check_fields(path, f"parts[{i}]: pose: ", pose, "pose")
+                for name in _FIELDS["pose"]:
+                    _check_number(path, f"parts[{i}]: pose: {name}", pose.get(name))
             try:
                 rotation = RigidOrientation(pose["rotation"])
                 translation = [float(v) for v in pose["translation_mm"]]
@@ -118,6 +136,7 @@ def load_descriptor(path) -> AssemblyModel:
             raise DescriptorError(f"{path}: sweep.{name}: must be null; sweeps are decided "
                                   f"over their whole range, twice the assembly diagonal")
     epsilon = data.get("contact_epsilon_mm")
+    _check_number(path, "contact_epsilon_mm", epsilon)
     try:
         epsilon = None if epsilon is None else float(epsilon)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -11,7 +11,9 @@ the jig.
 A posture label names the mating axis; the physical orientation is the one
 of its two verticalizations (axis up or axis down) with the lower CoG
 height. Even a single reachable flag therefore still resolves to a definite
-world orientation.
+world orientation. Each verticalization is a signed axis permutation, so a
+height is read exactly off the combined CoG and the parts' triangle boxes:
+no vertex is rotated, and a vertex that no triangle uses does not count.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ class FixingStep:
     fixed_part: str
     posture_label: Direction
     orientation: RigidOrientation
-    cog_height: float                    # mm above the model's lowest point
+    cog_height: float                    # mm above the model's lowest triangle corner
     reachable_list: ReachableDirectionList
 
     def __post_init__(self) -> None:
@@ -100,36 +102,44 @@ class FixingPlan:
         }
 
 
-_ROT_X_180 = np.array([[1, 0, 0], [0, -1, 0], [0, 0, -1]], dtype=np.float64)
-_ROT_Y_P90 = np.array([[0, 0, 1], [0, 1, 0], [-1, 0, 0]], dtype=np.float64)   # +x -> -z
-_ROT_Y_M90 = np.array([[0, 0, -1], [0, 1, 0], [1, 0, 0]], dtype=np.float64)   # +x -> +z
-_ROT_X_P90 = np.array([[1, 0, 0], [0, 0, -1], [0, 1, 0]], dtype=np.float64)   # +y -> +z
-_ROT_X_M90 = np.array([[1, 0, 0], [0, 0, 1], [0, -1, 0]], dtype=np.float64)   # +y -> -z
+_ROT_X_180 = RigidOrientation([[1, 0, 0], [0, -1, 0], [0, 0, -1]])
+_ROT_Y_P90 = RigidOrientation([[0, 0, 1], [0, 1, 0], [-1, 0, 0]])   # +x -> -z
+_ROT_Y_M90 = RigidOrientation([[0, 0, -1], [0, 1, 0], [1, 0, 0]])   # +x -> +z
+_ROT_X_P90 = RigidOrientation([[1, 0, 0], [0, 0, -1], [0, 1, 0]])   # +y -> +z
+_ROT_X_M90 = RigidOrientation([[1, 0, 0], [0, 0, 1], [0, -1, 0]])   # +y -> -z
 
-_VERTICALIZATIONS: dict[Direction, tuple[np.ndarray, np.ndarray]] = {
+_VERTICALIZATIONS: dict[Direction, tuple[RigidOrientation, RigidOrientation]] = {
     # (axis up, axis down): the two rotations placing the direction vertical
     Direction.PLUS_X: (_ROT_Y_M90, _ROT_Y_P90),
     Direction.MINUS_X: (_ROT_Y_P90, _ROT_Y_M90),
     Direction.PLUS_Y: (_ROT_X_P90, _ROT_X_M90),
     Direction.MINUS_Y: (_ROT_X_M90, _ROT_X_P90),
-    Direction.PLUS_Z: (np.eye(3), _ROT_X_180),
-    Direction.MINUS_Z: (_ROT_X_180, np.eye(3)),
+    Direction.PLUS_Z: (RigidOrientation.identity(), _ROT_X_180),
+    Direction.MINUS_Z: (_ROT_X_180, RigidOrientation.identity()),
 }
 
 
-def candidate_orientations(direction: Direction) -> list[RigidOrientation]:
+def candidate_orientations(direction: Direction) -> tuple[RigidOrientation, RigidOrientation]:
     """The two rotations aligning a direction's axis with the world z-axis,
     mapping it to +z first, then to -z."""
-    up, down = _VERTICALIZATIONS[direction]
-    return [RigidOrientation(up.copy()), RigidOrientation(down.copy())]
+    return _VERTICALIZATIONS[direction]
+
+
+def _lows(parts: list[PartModel], orientation: RigidOrientation) -> np.ndarray:
+    """World height of each part's lowest triangle corner, oriented. Only a
+    signed axis permutation is taken; under one, a box corner's world height
+    is one of its coordinates or its negative, exactly."""
+    if not np.isin(orientation.rotation, (-1.0, 0.0, 1.0)).all():
+        raise PlannerError("posture orientation must be a signed axis permutation")
+    return (np.array([p.mesh.aabb for p in parts]) @ orientation.rotation[2]).min(axis=1)
 
 
 def cog_height(parts: list[PartModel], orientation: RigidOrientation) -> float:
-    """Height of the combined CoG above the model's lowest vertex, oriented."""
+    """Height of the combined CoG above the model's lowest triangle corner,
+    oriented. The orientation must be a signed axis permutation, as every
+    candidate posture is; any other raises :class:`PlannerError`."""
     _, cog = mass_properties(parts)
-    world_cog_z = float(orientation.apply(cog)[2])
-    lowest = min(float(orientation.apply(p.mesh.vertices)[:, 2].min()) for p in parts)
-    return world_cog_z - lowest
+    return float(orientation.rotation[2] @ cog) - float(_lows(parts, orientation).min())
 
 
 def select_posture(reachable: ReachableDirectionList,
@@ -141,30 +151,24 @@ def select_posture(reachable: ReachableDirectionList,
     """
     if not reachable.any_set:
         raise PlannerError("no reachable direction to select a posture from")
-    best: tuple[Direction, RigidOrientation] | None = None
-    best_height = np.inf
-    for direction in reachable.set_directions:
-        for orientation in candidate_orientations(direction):
-            height = cog_height(parts, orientation)
-            if height < best_height:
-                best_height = height
-                best = (direction, orientation)
-    assert best is not None
-    return best
+    candidates = [(d, o) for d in reachable.set_directions for o in _VERTICALIZATIONS[d]]
+    up = np.array([o.rotation[2] for _, o in candidates])
+    _, cog = mass_properties(parts)
+    heights = up @ cog - (np.array([p.mesh.aabb for p in parts]) @ up.T).min(axis=(0, 1))
+    return candidates[int(np.argmin(heights))]   # the first of equal heights
 
 
 def bottom_part(parts: list[PartModel], orientation: RigidOrientation) -> str:
-    """Id of the part whose oriented mesh reaches lowest.
+    """Id of the part whose triangles reach lowest, oriented. The orientation
+    must be a signed axis permutation; any other raises :class:`PlannerError`.
 
     Ties within 1e-6 mm go to the heavier part, then the smaller id.
     """
     if not parts:
         raise PlannerError("bottom_part needs a non-empty model")
-    lows = [(float(orientation.apply(p.mesh.vertices)[:, 2].min()), p) for p in parts]
-    z_min = min(z for z, _ in lows)
-    tied = [p for z, p in lows if z - z_min <= BOTTOM_TIE_TOL_MM]
-    tied.sort(key=lambda p: (-p.mass, p.id))
-    return tied[0].id
+    lows = _lows(parts, orientation)
+    tied = [p for z, p in zip(lows - lows.min(), parts) if z <= BOTTOM_TIE_TOL_MM]
+    return min(tied, key=lambda p: (-p.mass, p.id)).id
 
 
 def _entity_members(assembly: AssemblyModel, sequence: AssemblySequence) -> dict[str, list[int]]:
@@ -177,9 +181,7 @@ def _entity_members(assembly: AssemblyModel, sequence: AssemblySequence) -> dict
         if ref in members:
             continue
         if ref in assembly.part_ids:
-            raise PlannerError(
-                f"entity {ref!r} belongs to a group and cannot be sequenced alone"
-            )
+            raise PlannerError(f"entity {ref!r} belongs to a group and cannot be sequenced alone")
         raise PlannerError(f"unknown sequence entity {ref!r}")
     return members
 
@@ -209,14 +211,8 @@ def configure_fixing_parts(assembly: AssemblyModel, sequence: AssemblySequence) 
     for i, entity in enumerate(sequence.steps[1:], start=2):
         reachable = matrices.reachable_between(rows, members[entity])
         if not reachable.any_set:
-            return FixingPlan(
-                steps=tuple(steps),
-                complete=False,
-                halt_reason=(
-                    f"no reachable direction between {target!r} and {entity!r} "
-                    f"at step {i - 1}"
-                ),
-            )
+            return FixingPlan(tuple(steps), complete=False, halt_reason=(
+                f"no reachable direction between {target!r} and {entity!r} at step {i - 1}"))
         rows += members[entity]
         model_parts = [assembly.parts[k] for k in rows]
         combined_id = _merge_id(live_ids, target, entity)

@@ -13,14 +13,8 @@ from softjig import (
     proxy_assembly,
 )
 from softjig.fixtures import box_mesh, compound_mesh
-from softjig.planner import (
-    FixingPlan,
-    FixingStep,
-    PlannerError,
-    bottom_part,
-    cog_height,
-    select_posture,
-)
+from softjig.parts import RigidOrientation, mass_properties
+from softjig.planner import BOTTOM_TIE_TOL_MM, FixingPlan, FixingStep, PlannerError
 from softjig.queries import (
     _segment_segment_distance_sq,
     intersects,
@@ -155,11 +149,48 @@ def oracle_interference_free(assembly: AssemblyModel) -> dict:
     return free
 
 
+# the rotation turning each direction to world +z; turning it to -z is the
+# one of the opposite direction
+_TURNS = {
+    "+x": [[0, 0, -1], [0, 1, 0], [1, 0, 0]], "+y": [[1, 0, 0], [0, 0, -1], [0, 1, 0]],
+    "-x": [[0, 0, 1], [0, 1, 0], [-1, 0, 0]], "-y": [[1, 0, 0], [0, 0, 1], [0, -1, 0]],
+    "+z": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "-z": [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
+}
+
+
+def rotated_vertex_posture(reachable, parts) -> tuple:
+    """Reference for a plan step's posture, by rotating every vertex:
+    both verticalizations (axis up, then axis down) of every reachable
+    direction rotate every vertex and take the mass properties again, and
+    the first strictly lowest CoG height wins. Returns the label, the
+    orientation, the bottom part (ties within ``BOTTOM_TIE_TOL_MM`` to the
+    heavier part, then the smaller id) and the CoG height."""
+    def height(orientation):
+        _, cog = mass_properties(parts)
+        lowest = min(float(orientation.apply(p.mesh.vertices)[:, 2].min()) for p in parts)
+        return float(orientation.apply(cog)[2]) - lowest
+
+    best, best_height = None, np.inf
+    for direction in reachable.set_directions:
+        for turn in (_TURNS[direction.value], _TURNS[direction.opposite.value]):
+            orientation = RigidOrientation(turn)
+            candidate_height = height(orientation)
+            if candidate_height < best_height:
+                best, best_height = (direction, orientation), candidate_height
+    label, orientation = best
+    lows = [(float(orientation.apply(p.mesh.vertices)[:, 2].min()), p) for p in parts]
+    z_min = min(z for z, _ in lows)
+    tied = sorted((p for z, p in lows if z - z_min <= BOTTOM_TIE_TOL_MM),
+                  key=lambda p: (-p.mass, p.id))
+    return label, orientation, tied[0].id, height(orientation)
+
+
 def merge_walk_plan(assembly: AssemblyModel, sequence) -> FixingPlan:
     """Reference for ``configure_fixing_parts``: the walk over merged
     matrices. Every group is collapsed with ``merge_entity`` first, and the
     target and the next entity are merged after every step, so each step's
-    flags come from one entry of freshly merged matrices."""
+    flags come from one entry of freshly merged matrices; each posture is
+    ``rotated_vertex_posture``'s."""
     groups = list(dict.fromkeys(p.group for p in assembly.parts if p.group is not None))
     for ref in sequence.steps:
         part = next((p for p in assembly.parts if p.id == ref), None)
@@ -186,9 +217,8 @@ def merge_walk_plan(assembly: AssemblyModel, sequence) -> FixingPlan:
             combined_id += "~"
         matrices = merge_entity(matrices, {target, entity}, combined_id)
         target = combined_id
-        label, orientation = select_posture(reachable, model_parts)
-        steps.append(FixingStep(i, bottom_part(model_parts, orientation), label, orientation,
-                                cog_height(model_parts, orientation), reachable))
+        label, orientation, fixed, height = rotated_vertex_posture(reachable, model_parts)
+        steps.append(FixingStep(i, fixed, label, orientation, height, reachable))
     return FixingPlan(tuple(steps), True, None)
 
 

@@ -12,7 +12,7 @@ from softjig import relations
 from softjig.cli import _build_parser, main
 from softjig.descriptors import load_descriptor
 from softjig.fixtures import box_mesh, proxy_assembly
-from softjig.mesh import TriangleMesh, load_mesh, save_stl_binary
+from softjig.mesh import TriangleMesh, load_mesh, save_obj, save_stl_binary
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -327,6 +327,31 @@ def test_plan_descriptor_determinism(fixture_dir, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_plan_ignores_an_obj_vertex_that_no_triangle_uses(tmp_path):
+    """A 10 g box under a 1 g column plans +z with the CoG 3.41 mm up. One
+    more vertex 50 mm below the box, in its OBJ but in no face, leaves the
+    plan JSON byte-identical: a posture's height is read off the triangles,
+    not off every vertex the file lists (with it, +x at 5 mm would win)."""
+    save_obj(box_mesh((0, 0, 0), (10, 10, 5)), tmp_path / "box.obj")
+    save_stl_binary(box_mesh((4, 4, 5), (6, 6, 20)), tmp_path / "column.stl")
+    descriptor = tmp_path / "assembly.json"
+    descriptor.write_text(json.dumps({"parts": [
+        {"id": "box", "mesh_path": "box.obj", "mass_g": 10.0},
+        {"id": "column", "mesh_path": "column.stl", "mass_g": 1.0}]}))
+    plans = []
+    for stray in ("", "v 0 0 -50\n"):
+        with open(tmp_path / "box.obj", "a") as obj:
+            obj.write(stray)
+        out = tmp_path / f"plan{len(plans)}.json"
+        assert main(["plan", str(descriptor), "--sequence", "box,column", "--out", str(out)]) == 0
+        plans.append(out.read_bytes())
+    assert load_mesh(tmp_path / "box.obj").vertices[:, 2].min() == -50.0
+    assert plans[1] == plans[0]
+    (step,) = json.loads(plans[0])["steps"]
+    assert (step["posture_label"], step["fixed_part"]) == ("+z", "box")
+    assert step["cog_height_mm"] == pytest.approx(37.5 / 11)
+
+
 # -- matrices command -------------------------------------------------------------
 
 def test_matrices_export(fixture_dir, tmp_path):
@@ -536,7 +561,8 @@ def test_every_exported_name_resolves():
     """``softjig`` imports its exports lazily: each name in ``__all__``
     must still exist in the module it is taken from."""
     import softjig
-    assert "SweepParams" not in softjig.__all__
+    for retired in ("SweepParams", "min_distance", "merge_entity"):
+        assert retired not in softjig.__all__, retired
     for name in softjig.__all__:
         assert getattr(softjig, name) is not None, name
 

@@ -178,6 +178,36 @@ def test_unknown_fields_and_falsy_sweep_exit_1_naming_them(tmp_path, capsys, cha
     a part, its pose or ``sweep``, is refused by name rather than ignored,
     and so is a ``sweep`` that is not an object, falsy ones included: each
     exits 1 with one line. The same descriptor without it loads."""
+    assert_exits_1_naming(tmp_path, capsys, change, named)
+
+
+@pytest.mark.parametrize("change, named", [
+    (lambda doc: doc["parts"][0].update(mass_g=True), "parts[0]: mass_g: must be a number"),
+    (lambda doc: doc["parts"][0].update(mass_g="300"), "parts[0]: mass_g: must be a number"),
+    (lambda doc: doc.update(contact_epsilon_mm=True), "contact_epsilon_mm: must be a number"),
+    (lambda doc: doc.update(contact_epsilon_mm="0.05"), "contact_epsilon_mm: must be a number"),
+    (lambda doc: doc["parts"][1]["pose"].update(translation_mm=[False, False, "0"]),
+     "parts[1]: pose: translation_mm: must be a number"),
+    (lambda doc: doc["parts"][1]["pose"].update(translation_mm="100"),
+     "parts[1]: pose: translation_mm: must be a number"),
+    (lambda doc: doc["parts"][1]["pose"].update(
+        rotation=[[True, False, False], [False, True, False], [False, False, True]]),
+     "parts[1]: pose: rotation: must be a number"),
+    (lambda doc: doc["parts"][1]["pose"].update(rotation=[["1", 0, 0], [0, 1, 0], [0, 0, 1]]),
+     "parts[1]: pose: rotation: must be a number"),
+], ids=["mass_true", "mass_string", "epsilon_true", "epsilon_string", "translation_mixed",
+        "translation_string", "rotation_booleans", "rotation_string"])
+def test_booleans_and_strings_for_numbers_exit_1_naming_the_field(tmp_path, capsys, change,
+                                                                    named):
+    """``float()`` and numpy read ``true`` as 1 and ``"300"`` as 300, so a
+    boolean or a string where the descriptor needs a number would load as a
+    number: each is refused with one line naming the field."""
+    assert_exits_1_naming(tmp_path, capsys, change, named)
+
+
+def assert_exits_1_naming(tmp_path, capsys, change, named):
+    """Two face-mated cubes load; after ``change`` the descriptor is refused
+    naming ``named``, and ``softjig matrices`` exits 1 with that one line."""
     mesh_name = write_cube_stl(tmp_path)
     doc = {"parts": [
         {"id": "a", "mesh_path": mesh_name, "mass_g": 1.0},

@@ -1,3 +1,4 @@
+import json
 import sys
 
 import numpy as np
@@ -13,8 +14,15 @@ from conftest import (
     tunnel_assembly,
 )
 
-from softjig.fixtures import box_mesh, cube_stack_assembly, generate_proxy_fixture, proxy_assembly
-from softjig.parts import AssemblyModel, PartModel, RigidOrientation
+from softjig import planner
+from softjig.fixtures import (
+    box_mesh,
+    cube_stack_assembly,
+    generate_proxy_fixture,
+    peg_assembly,
+    proxy_assembly,
+)
+from softjig.parts import AssemblyModel, PartModel, RigidOrientation, mass_properties
 from softjig.planner import (
     AssemblySequence,
     FixingPlan,
@@ -90,6 +98,20 @@ def test_cog_height_non_negative_in_any_orientation():
     for d in DIRECTION_ORDER:
         for orientation in candidate_orientations(d):
             assert cog_height(parts, orientation) >= 0.0
+
+
+@pytest.mark.parametrize("axis", [0, 2], ids=["about_x", "about_z"])
+def test_cog_height_and_bottom_part_refuse_other_rotations(axis):
+    """Both read heights off the parts' boxes, which only a signed axis
+    permutation maps to boxes: a 30 degree turn is refused, not answered."""
+    c, s = np.cos(np.pi / 6), np.sin(np.pi / 6)
+    turn = np.eye(3)
+    i, j = [k for k in range(3) if k != axis]
+    turn[[i, i, j, j], [i, j, i, j]] = c, -s, s, c
+    parts = [cube_part("a"), cube_part("b", lo=(0, 0, 1), hi=(1, 1, 2))]
+    for query in (cog_height, bottom_part):
+        with pytest.raises(PlannerError, match="signed axis permutation"):
+            query(parts, RigidOrientation(turn))
 
 
 # -- posture selection --------------------------------------------------------
@@ -320,6 +342,62 @@ def test_part_named_like_a_merge_keeps_the_merge_name_unique():
         assert plans[steps] == merge_walk_plan(assembly, sequence).to_json_dict()
     assert plans[("a", "b", "c")]["halt_reason"] == \
         "no reachable direction between 'a+b~' and 'c' at step 2"
+
+
+def assert_postures_match_the_reference(assembly, sequence):
+    """Every step of the plan equals ``merge_walk_plan``'s, whose postures
+    are ``rotated_vertex_posture``'s, bit for bit: label, rotation, fixed
+    part and the CoG height float (``json`` writes the shortest repr that
+    reads back to the same double)."""
+    plan = configure_fixing_parts(assembly, sequence).to_json_dict()
+    assert plan["complete"]
+    assert json.dumps(plan) == json.dumps(merge_walk_plan(assembly, sequence).to_json_dict())
+
+
+@pytest.mark.parametrize("order", ["motor,plate,bolts", "plate,bolts,motor"])
+@pytest.mark.parametrize("split_bolts", [True, False], ids=["split", "joined"])
+def test_proxy_postures_match_the_rotated_vertex_reference(split_bolts, order):
+    assert_postures_match_the_reference(proxy_assembly(split_bolts), AssemblySequence.parse(order))
+
+
+def test_fixture_postures_match_the_rotated_vertex_reference():
+    """The peg in both orders, the tunnel, and criterion 06's quarter-turned
+    proxy and tunnel."""
+    peg = peg_assembly()
+    for ids in (peg.part_ids, peg.part_ids[::-1]):
+        assert_postures_match_the_reference(peg, AssemblySequence(tuple(ids)))
+    tunnel_order = AssemblySequence(("tunnel", "slider"))
+    assert_postures_match_the_reference(tunnel_assembly(), tunnel_order)
+    assert_postures_match_the_reference(rotated_assembly(tunnel_assembly(), ROT_Z_QUARTER),
+                                        tunnel_order)
+    assert_postures_match_the_reference(rotated_assembly(proxy_assembly(), ROT_Z_QUARTER),
+                                        AssemblySequence.parse("motor,plate,bolts"))
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_stack_postures_match_the_rotated_vertex_reference(seed):
+    """A six-level stack, bottom-up and top-down."""
+    stack = cube_stack_assembly(seed, 6)
+    for ids in (stack.part_ids, stack.part_ids[::-1]):
+        assert_postures_match_the_reference(stack, AssemblySequence(tuple(ids)))
+
+
+def test_a_stack_plan_takes_the_mass_properties_twice_a_step_and_turns_no_vertex(monkeypatch):
+    """A 16-box plan takes ``mass_properties`` once to pick each posture and
+    once for its CoG height, not once per candidate, and never rotates a
+    point."""
+    calls = []
+    monkeypatch.setattr(planner, "mass_properties",
+                        lambda parts: calls.append(len(parts)) or mass_properties(parts))
+
+    def refuse(self, points):
+        raise AssertionError("RigidOrientation.apply called")
+
+    monkeypatch.setattr(RigidOrientation, "apply", refuse)
+    stack = cube_stack_assembly(3, 16)
+    plan = configure_fixing_parts(stack, AssemblySequence(tuple(stack.part_ids)))
+    assert plan.complete and len(plan.steps) == 15
+    assert len(calls) <= 2 * len(plan.steps)
 
 
 def test_planner_never_merges_matrices(proxy, monkeypatch):
