@@ -1,4 +1,8 @@
-"""Broad phase: candidate pairs of overlapping axis-aligned boxes, as a stream.
+"""Broad phase: whole-box rules, and candidate box pairs as a stream.
+
+The rules, :func:`penetration_span` (touching boxes count as apart) and
+:func:`within_reach` (contact), say from two parts' boxes whether they can
+meet, for one pair or, broadcast, for every pair by the same arithmetic.
 
 Every query that pairs triangles with triangles (``queries.within_distance``,
 ``queries.min_distance``, ``queries.penetrates_along``) or probe lines with
@@ -6,9 +10,7 @@ triangles (``rays.ray_containment``) takes its candidates from
 :func:`box_pairs`. The pairs come block by block in row-major order, so a
 scan that stops at its first hit never builds the rest, and no dense box
 test covers more than ``BLOCK_CELLS`` (box, box) cells, so memory follows
-one block instead of the product of the two sides. :func:`interiors_overlap`
-is the whole-box test of the penetration queries, where touching boxes
-count as apart.
+one block instead of the product of the two sides.
 """
 
 from __future__ import annotations
@@ -28,12 +30,50 @@ BLOCK_CELLS = 1 << 15
 SPLIT_ROWS = 1 << 8
 
 
-def interiors_overlap(lo_a: np.ndarray, hi_a: np.ndarray, lo_b: np.ndarray, hi_b: np.ndarray,
-                      axes: Iterable[int] = (0, 1, 2)) -> bool:
-    """True iff the boxes ``[lo_a, hi_a]`` and ``[lo_b, hi_b]`` share
-    interior on each of ``axes``: ``lo_a < hi_b and lo_b < hi_a`` per axis.
-    Boxes that only touch on one of them, in a slab of zero width, do not."""
-    return all(lo_a[ax] < hi_b[ax] and lo_b[ax] < hi_a[ax] for ax in axes)
+def penetration_span(lo_s: np.ndarray, hi_s: np.ndarray, lo_m: np.ndarray, hi_m: np.ndarray,
+                     axis: int, first: float, last: float) -> tuple[np.ndarray, np.ndarray]:
+    """The penetration rule: the closed sub-range ``(lo, hi)`` of the signed
+    offsets ``[first, last]`` at which the moving box ``[lo_m, hi_m]``,
+    shifted along ``axis``, shares interior with the static box
+    ``[lo_s, hi_s]`` strictly on every axis; ``(inf, -inf)`` where it does
+    at none. Boxes are ``(..., 3)``, broadcast. As fl(a - b) = -fl(b - a)
+    has the sign of a - b, the test across ``axis`` is exact, and swapping
+    the boxes and taking ``[-last, -first]`` mirrors the span.
+
+    Where the boxes share no interior, touching included, the solids in
+    them cannot penetrate. A solid, like a triangle, lies in its box, so a
+    point strictly inside both solids is interior to both boxes. A proper
+    crossing of two triangles (``queries.proper_crossings``) meets the
+    relative interior of both; a triangle on one side of a plane that meets
+    it at such a point lies in it, so triangles whose boxes meet only in a
+    slab of zero width could cross only coplanar, which is never a
+    crossing. A shift along ``axis`` moves nothing across it, and shifted
+    coordinates round monotonically.
+    """
+    t_lo, t_hi = lo_s - hi_m, hi_s - lo_m
+    along = np.arange(3) == axis
+    lo = np.maximum(t_lo, np.where(along, first, 0.0))
+    hi = np.minimum(t_hi, np.where(along, last, 0.0))
+    meet = ((t_lo < hi) & (lo < t_hi) & (lo <= hi)).all(axis=-1)
+    return np.where(meet, lo[..., axis], np.inf), np.where(meet, hi[..., axis], -np.inf)
+
+
+def padded(distance: float, *boxes: np.ndarray) -> np.ndarray:
+    """``distance`` plus 1e-9 of (``distance`` + the largest coordinate
+    magnitude of ``boxes``, broadcast), far above the distance kernel's
+    rounding."""
+    scale = np.abs(np.concatenate(np.broadcast_arrays(*boxes), axis=-1)).max(axis=-1)
+    return distance + 1e-9 * (distance + scale)
+
+
+def within_reach(lo_a: np.ndarray, hi_a: np.ndarray, lo_b: np.ndarray, hi_b: np.ndarray,
+                 distance: float) -> np.ndarray:
+    """The contact rule: whether the boxes ``[lo_a, hi_a]`` and
+    ``[lo_b, hi_b]``, broadcast, come within :func:`padded` ``distance``
+    on every axis, touching included; surfaces whose boxes do not are
+    farther apart."""
+    reach = padded(distance, lo_a, hi_a, lo_b, hi_b)[..., None]
+    return ((lo_a - reach <= hi_b) & (lo_b - reach <= hi_a)).all(axis=-1)
 
 
 def _reaching(lo: np.ndarray, hi: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray) -> np.ndarray:

@@ -19,19 +19,20 @@ or absent: every sweep is decided over its whole range, twice the assembly
 diagonal, with no samples to count. Posed parts may not interpenetrate.
 Any other field, at the top level or in a part, its pose or ``sweep``, is
 refused by name, so a misspelt setting cannot pass unnoticed, and so is a
-boolean or a string where ``mass_g``, ``contact_epsilon_mm`` or a pose
-needs a number.
+boolean or a string for a number (``mass_g``, ``contact_epsilon_mm``, a
+pose) and anything but a string for ``id``, ``mesh_path`` or a set ``group``.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from pathlib import Path
 
+from .broad import penetration_span
 from .mesh import MeshError, load_mesh
 from .parts import AssemblyModel, PartError, PartModel, RigidOrientation
 from .queries import intersects
+from .relations import part_pairs
 
 
 class DescriptorError(ValueError):
@@ -70,7 +71,8 @@ def _check_number(path: Path, field: str, value) -> None:
 def load_descriptor(path) -> AssemblyModel:
     """Parse a descriptor and load its meshes into an assembly. A part
     whose posed mesh is open is refused by :class:`PartModel`, and a pair of
-    parts that interpenetrate (:func:`softjig.queries.intersects`) by name."""
+    parts that interpenetrate (:func:`softjig.queries.intersects`, asked of
+    the pairs that the penetration rule keeps) by name."""
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
@@ -92,9 +94,15 @@ def load_descriptor(path) -> AssemblyModel:
             raise DescriptorError(f"{path}: parts[{i}] must be an object")
         _check_fields(path, f"parts[{i}]: ", entry, "part")
         _check_number(path, f"parts[{i}]: mass_g", entry.get("mass_g"))
+        group = entry.get("group")
+        for name, value in (("id", entry.get("id", "")), ("group", "" if group is None else group),
+                            ("mesh_path", entry.get("mesh_path", ""))):
+            if not isinstance(value, str):   # str() would read true as 'True'
+                raise DescriptorError(f"{path}: parts[{i}]: {name}: must be a string, "
+                                      f"not {json.dumps(value)}")
         try:
-            part_id = str(entry["id"])
-            mesh_path = (path.parent / str(entry["mesh_path"])).resolve()
+            part_id = entry["id"]
+            mesh_path = (path.parent / entry["mesh_path"]).resolve()
             mass = float(entry["mass_g"])
         except KeyError as exc:
             raise DescriptorError(f"{path}: parts[{i}] missing field {exc}") from None
@@ -121,9 +129,8 @@ def load_descriptor(path) -> AssemblyModel:
                 mesh = mesh.transformed(rotation.rotation, translation)
             except MeshError as exc:
                 raise DescriptorError(f"{path}: parts[{i}] ({part_id}): {exc}") from exc
-        group = entry.get("group")
         try:
-            parts.append(PartModel(part_id, mesh, mass, group=None if group is None else str(group)))
+            parts.append(PartModel(part_id, mesh, mass, group=group))
         except (PartError, MeshError) as exc:
             raise DescriptorError(f"{path}: parts[{i}] ({part_id}): {exc}") from exc
 
@@ -145,7 +152,10 @@ def load_descriptor(path) -> AssemblyModel:
         assembly = AssemblyModel(tuple(parts), contact_epsilon=epsilon)
     except PartError as exc:
         raise DescriptorError(f"{path}: {exc}") from exc
-    for a, b in itertools.combinations(assembly.parts, 2):
+    pairs, boxes = part_pairs(assembly)
+    first, last = penetration_span(*boxes, 0, 0.0, 0.0)
+    for i, k in pairs[first <= last]:
+        a, b = assembly.parts[i], assembly.parts[k]
         if intersects(a.mesh, b.mesh):
             raise DescriptorError(f"{path}: parts {a.id!r} and {b.id!r} interpenetrate in "
                                   f"the assembled pose")

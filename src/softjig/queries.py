@@ -8,54 +8,22 @@ Conventions that everything downstream relies on:
 * One kernel, ``penetrates_along``, decides penetration of a mesh shifted
   along an axis by any offset of a closed range, crossings and containment
   alike, with no sampling. ``intersects`` is its case of the single offset
-  0, and the translational sweeps in ``relations`` run it over each
-  sweep's range. It refuses an open mesh (``mesh.unbalanced_edges``); a
-  part's never is.
+  0, and the sweeps in ``relations`` run it over each sweep's range. It
+  refuses an open mesh (``mesh.unbalanced_edges``); a part's never is.
 * Boxes that only touch count as disjoint wherever the question is
-  penetration (``broad.interiors_overlap``): a closed solid lies in its
-  box, so solids whose boxes meet in a slab of zero width have disjoint
-  interiors. ``intersects`` answers False for them, and a sweep whose boxes
-  touch on an axis across it is free at every offset, without the kernel.
-  The same holds for triangles: the crossing scan of ``penetrates_along``
-  takes only triangle pairs whose boxes share interior across the sweep,
-  and along it at an end of the range that is offset 0.
-* ``min_distance`` is exactly symmetric in its arguments and returns the
-  same float as the all-pairs scan: it runs the distance kernel over the
-  triangle pairs whose boxes come within a point-to-surface upper bound, in
-  order of box gap, and stops once the next gap exceeds the best so far.
-* Contact is decided by ``within_distance``, a threshold query equal to
-  ``min_distance(a, b) <= epsilon``: a whole-box early-out, triangle pairs
-  whose boxes come within epsilon, the distance kernel over those pairs in
-  growing batches with early exit, and ``intersects`` last for nested solids.
-  The first batch is 64 pairs, since a touching pair usually matches on its
-  first candidates.
-* The distance kernel, ``triangle_pair_distance_sq``, stacks the 6
-  vertex-face and 18 edge-edge candidates of up to ``_STACK_PAIRS`` pairs
-  into one call of each row kernel, so a batch costs a fixed, small number
-  of numpy calls, and each row's arithmetic is that of its candidate alone.
-* ``min_distance``, ``within_distance``, ``penetrates_along`` and its ray
-  containment share one broad phase, ``broad.box_pairs``, a stream of
-  candidate pairs in blocks; the early-exit scans consume it batch by
-  batch, so a scan that stops early never generates the rest.
-* ``intersects`` and the sweeps share one crossing test,
-  ``proper_crossings``, and find where to try it in closed form, once per
-  candidate triangle pair (``crossing_intervals``): a shifted pair crosses
-  on one open interval of offsets, where the two triangles' projections
-  overlap on each of the 11 separating axes. ``penetrates_along`` tries a
-  pair whose interval meets its range at the midpoint of the two, then at
-  the offset there that maximises the least margin of ``proper_crossings``.
-  Pairs are generated and their intervals computed batch by batch inside
-  the early-exit scan, so a blocked sweep generates only the pairs up to
-  its first crossing.
-* Containment probes are computed once per mesh and kept read-only.
-* All offsets of one probe lie on one line along the sweep axis, so
-  containment is decided per probe over the whole range by signed ray
-  crossings (``rays.ray_containment``): between two crossings of its line
-  the winding number is the signed count of the crossings above. A probe
-  whose line passes within ``tol`` of a projected triangle edge or vertex
-  moves to another point of its face, from a fixed list, and counts as
-  inside if every point of the list does. ``tol`` is 1e-9 of (1 + the
-  target's largest coordinate magnitude).
+  penetration, for whole parts and for the triangle pairs of the crossing
+  scan (``broad.penetration_span`` holds the proof).
+* Contact is decided by ``within_distance``, equal to ``min_distance(a, b)
+  <= epsilon``. Both run the distance kernel over candidate pairs from the
+  one broad phase, ``broad.box_pairs``, in growing batches; a scan that
+  stops early never generates the rest.
+* A crossing is where ``proper_crossings`` holds. ``penetrates_along``
+  finds where to try it from one closed-form interval of crossing offsets
+  per candidate triangle pair (``crossing_intervals``).
+* Containment is decided per probe over the whole range, from the signed
+  crossings of its line along the sweep axis (``rays.ray_containment``).
+  The probes (``surface_probe_points``) lie inside their own solid and are
+  computed once per mesh.
 
 All tolerances are absolute millimetres.
 """
@@ -523,23 +491,55 @@ def winding_fraction(points: np.ndarray, corners: np.ndarray) -> np.ndarray:
 # -- containment probes ------------------------------------------------------
 
 def surface_probe_points(mesh: TriangleMesh, weights: np.ndarray | None = None,
-                         depth: float = 1e-6) -> np.ndarray:
-    """Containment probes: a point of every face, its centroid or the point
-    of barycentric ``weights`` of its first two corners, pulled ``depth``
-    of the mesh's diagonal inside the solid, plus one point 1e-3 of it
-    under the largest face. The inward pull keeps probes of a surface that
-    merely rests on another mesh strictly outside it (on-surface winding
-    numbers are degenerate), while probes of a penetrating surface stay
-    inside the other solid.
+                         depth: float = 1e-6, which: np.ndarray | None = None) -> np.ndarray:
+    """Containment probes, those of index ``which`` (all by default): a
+    point of every face, its centroid or the point of barycentric
+    ``weights`` of its first two corners, pulled ``depth`` of the mesh's
+    diagonal inside the solid, plus one point 1e-3 of it under the largest
+    face. The inward pull keeps probes of a surface that merely rests on
+    another mesh strictly outside it (on-surface winding numbers are
+    degenerate), while probes of a penetrating surface stay inside the
+    other solid. No probe leaves its own solid: one whose pull crosses
+    another triangle of the mesh (:func:`_first_crossing`), as on a part
+    thinner than the pull, goes halfway to the first crossing instead.
     """
     corners = mesh.corners
     normals = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
     lengths = np.linalg.norm(normals, axis=1)
     faces = np.append(np.flatnonzero(lengths > 0), np.argmax(lengths))
     depth = np.append(np.full(len(faces) - 1, depth), 1e-3)[:, None] * mesh.aabb_diagonal
+    faces, depth = (faces, depth) if which is None else (faces[which], depth[which])
     points = (corners[faces].mean(axis=1) if weights is None
               else np.append(weights, 1.0 - weights.sum()) @ corners[faces])
-    return points - depth * normals[faces] / lengths[faces, None]
+    probes = points - depth * normals[faces] / lengths[faces, None]
+    t = _first_crossing(mesh, points, probes, faces)
+    cut = np.flatnonzero(t <= 1)
+    probes[cut] = points[cut] + 0.5 * t[cut, None] * (probes[cut] - points[cut])
+    return probes
+
+
+def _first_crossing(mesh: TriangleMesh, start: np.ndarray, end: np.ndarray,
+                    own: np.ndarray) -> np.ndarray:
+    """Per segment k from ``start[k]`` to ``end[k]``, the least fraction
+    t in (0, 1] of it at which it meets a triangle other than ``own[k]``
+    (Moller-Trumbore, edges included) beyond ``tol`` from ``start[k]``, so
+    not on a face through it, as of a touching component; else inf."""
+    tol = 1e-9 * (1.0 + float(np.abs(np.concatenate(mesh.aabb)).max()))
+    d, length = end - start, np.linalg.norm(end - start, axis=1)
+    near = start + d * (tol / length)[:, None]   # candidates beyond tol only
+    k, g = broad.gather(broad.box_pairs(np.minimum(near, end), np.maximum(near, end),
+                                        *mesh.triangle_bounds))
+    k, g = k[g != own[k]], g[g != own[k]]
+    tri, d, s = mesh.corners[g], d[k], start[k] - mesh.corners[g, 0]
+    e1, e2 = tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
+    h, q = np.cross(d, e2), np.cross(s, e1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.einsum("ij,ij->i", e1, h)
+        u, v, t = (np.einsum("ij,ij->i", x, y) / a for x, y in ((s, h), (d, q), (e2, q)))
+        hit = (u >= 0) & (v >= 0) & (u + v <= 1) & (t <= 1) & (t * length[k] > tol)
+    first = np.full(len(start), np.inf)
+    np.minimum.at(first, k[hit], t[hit])
+    return first
 
 
 def _read_only_probes(mesh: TriangleMesh) -> np.ndarray:
@@ -624,7 +624,7 @@ def _holds_a_probe(target: TriangleMesh, source: TriangleMesh, axis: int, first:
     probes = np.arange(len(points))
     for k, weights in enumerate((None, *_PROBE_WEIGHTS)):
         if k:
-            points = surface_probe_points(source, weights, 1e-6 * 2 ** k)[probes]
+            points = surface_probe_points(source, weights, 1e-6 * 2 ** k, probes)
         c_lo, c_hi = points[:, axis] + first, points[:, axis] + last
         keep = (c_lo < hi[axis]) & (c_hi > lo[axis]) & np.all(
             (points[:, across] > lo[across]) & (points[:, across] < hi[across]), axis=1)
@@ -649,35 +649,25 @@ def penetrates_along(static: TriangleMesh, moving: TriangleMesh, axis: int,
     pairs are the static and moving triangles whose boxes overlap somewhere
     on the range (:func:`softjig.broad.box_pairs`, moving boxes stretched
     over it) and share interior on the two axes across ``axis``, and along
-    it at an end of the range that is 0. Those moving bounds are the ones
-    the shift leaves exact, and each is moved one ulp inward
-    (``np.nextafter``): a closed test against the moved bound is a strict
-    one against the bound. A shifted, rounded far end is not moved.
-
-    Boxes that only touch on an axis, in a slab of zero width, hold no
-    crossing. The offsets at which :func:`proper_crossings` holds form an
-    open set (strict inequalities of continuous functions), so there ``t e``
-    is interior to K = S - M (:func:`crossing_intervals`). Touching boxes
-    put every point of K on one side of 0 along that axis: across ``axis``,
-    ``t e`` is 0 on it at every offset, and along it the range runs from 0
-    away from K. Either way ``t e`` is never interior, and the shifted
-    corners, rounded monotonically, stay on their side. :func:`intersects`,
-    the range [0, 0], so tests only pairs whose boxes share interior on all
-    three axes.
+    it at an end of the range that is 0, as boxes that only touch there
+    hold no crossing (:func:`softjig.broad.penetration_span`); so
+    :func:`intersects`, the range [0, 0], tests only pairs whose boxes share
+    interior on all three axes. The moving bounds that the shift leaves
+    exact are moved one ulp inward (``np.nextafter``), which makes the
+    closed test strict against them; a shifted, rounded far end is not.
 
     Each candidate pair gets its interval of crossing offsets once
     (:func:`crossing_intervals`); one that meets the range is tried at the
     midpoint of the two, then at the offset there that maximises its least
     margin (:func:`_crosses_in`). The least margin is concave in the
     offset, so on an interval inside the exact one the midpoint has at
-    least half its largest value in range. When the whole candidate
-    stream is one batch of fewer than ``_FIRST_CROSSING_ROWS`` pairs, as
-    small meshes give, it is first tried at the middles of its pairs' box
-    windows. Batches start at ``_FIRST_CROSSING_ROWS`` pairs and double up
-    to ``_FIRST_BATCH_ROWS``; the scan stops at the first batch that blocks.
-    Both meshes must be closed 2-cycles, as parts are: the callers' box
-    culls and ray containment hold only for those, so an open one
-    (:data:`softjig.mesh.unbalanced_edges`) raises
+    least half its largest value in range. A candidate stream of one batch
+    of fewer than ``_FIRST_CROSSING_ROWS`` pairs, as small meshes give, is
+    first tried at the middles of its pairs' box windows. Batches double
+    from ``_FIRST_CROSSING_ROWS`` pairs to ``_FIRST_BATCH_ROWS``; the scan
+    stops at the first batch that blocks. Both meshes must be closed
+    2-cycles, as parts are, for the box culls and ray containment to hold:
+    an open one (:data:`softjig.mesh.unbalanced_edges`) raises
     :class:`~softjig.mesh.DegenerateMeshError`.
 
     Containment is a probe of either mesh strictly inside the other solid
@@ -726,49 +716,34 @@ def penetrates_along(static: TriangleMesh, moving: TriangleMesh, axis: int,
 
 def intersects(mesh_a: TriangleMesh, mesh_b: TriangleMesh) -> bool:
     """True iff the solids overlap with positive penetration: the
-    zero-offset case of :func:`penetrates_along`. Pure surface touching
-    returns False, and so do solids whose boxes share no interior, touching
-    boxes included: a closed solid lies in its box, so their interiors are
-    disjoint (see :func:`softjig.relations.sweep_translation_is_free`).
-    Likewise only the triangle pairs whose boxes share interior on all
-    three axes are crossing-tested; pairs whose boxes touch never cross.
+    zero-offset case of :func:`penetrates_along`, run on the span that the
+    penetration rule (:func:`softjig.broad.penetration_span`) keeps of
+    [0, 0]. Pure surface touching returns False, and so do solids whose
+    boxes share no interior, touching boxes included.
     """
-    if not broad.interiors_overlap(*mesh_a.aabb, *mesh_b.aabb):
-        return False
-    return penetrates_along(mesh_a, mesh_b, 0, (0.0, 0.0))
-
-
-def _padded(mesh_a: TriangleMesh, mesh_b: TriangleMesh, distance: float) -> float:
-    """``distance`` padded by 1e-9 of (``distance`` + the largest coordinate
-    magnitude of either mesh), far above the distance kernel's rounding."""
-    scale = float(np.abs(np.concatenate([*mesh_a.aabb, *mesh_b.aabb])).max())
-    return distance + 1e-9 * (distance + scale)
+    first, last = map(float, broad.penetration_span(*mesh_a.aabb, *mesh_b.aabb, 0, 0.0, 0.0))
+    return first <= last and penetrates_along(mesh_a, mesh_b, 0, (first, last))
 
 
 def within_distance(mesh_a: TriangleMesh, mesh_b: TriangleMesh, epsilon: float) -> bool:
     """True iff ``min_distance(mesh_a, mesh_b) <= epsilon``, decided without
     computing the distance. Exactly symmetric in the meshes.
 
-    Parts whose whole boxes are more than ``epsilon`` apart cannot touch or
-    penetrate. Otherwise the triangle pairs whose boxes come within
-    ``epsilon`` run through :func:`triangle_pair_distance_sq` in batches of
-    ``_FIRST_CONTACT_ROWS`` (64) pairs, doubling up to ``_LAST_BATCH_ROWS``,
-    stopping at the first pair within ``epsilon``; a touching pair usually
-    stops in its first batch. A pair with no candidate within ``epsilon``
-    runs a few more, smaller batches than from a 4,096-pair start, but the
-    kernel stacks at most ``_STACK_PAIRS`` pairs per call either way, so
-    its kernel calls barely grow. Failing that, the answer is
-    :func:`intersects`, which covers nested solids. Boxes are padded by
-    :func:`_padded`, so no pair whose computed distance is within
-    ``epsilon`` is skipped.
+    Parts whose whole boxes fail the contact rule
+    (:func:`softjig.broad.within_reach`) cannot touch or penetrate.
+    Otherwise the triangle pairs whose boxes come within ``epsilon``,
+    padded by :func:`softjig.broad.padded` so that none whose computed
+    distance is within it is skipped, run through
+    :func:`triangle_pair_distance_sq` in batches of ``_FIRST_CONTACT_ROWS``
+    pairs, doubling up to ``_LAST_BATCH_ROWS``, stopping at the first pair
+    within ``epsilon``; a touching pair usually stops in its first batch.
+    Failing that, the answer is :func:`intersects`, for nested solids.
     """
-    lo_a, hi_a = mesh_a.aabb
-    lo_b, hi_b = mesh_b.aabb
-    reach = _padded(mesh_a, mesh_b, epsilon)
-    if np.any(lo_a - reach > hi_b) or np.any(lo_b - reach > hi_a):
+    if not broad.within_reach(*mesh_a.aabb, *mesh_b.aabb, epsilon):
         return False
     ca, cb = mesh_a.corners, mesh_b.corners
-    pairs = broad.box_pairs(*mesh_a.triangle_bounds, *mesh_b.triangle_bounds, reach)
+    pairs = broad.box_pairs(*mesh_a.triangle_bounds, *mesh_b.triangle_bounds,
+                            broad.padded(epsilon, *mesh_a.aabb, *mesh_b.aabb))
     for ia, ib in broad.batches(pairs, _FIRST_CONTACT_ROWS, _LAST_BATCH_ROWS):
         if (np.sqrt(triangle_pair_distance_sq(ca[ia], cb[ib])) <= epsilon).any():
             return True
@@ -787,12 +762,12 @@ def min_distance(mesh_a: TriangleMesh, mesh_b: TriangleMesh) -> float:
     The bound used is the smaller of two: from the corner of ``mesh_a``
     nearest ``mesh_b``'s box centre to ``mesh_b``, and from the corners of
     the ``mesh_b`` triangle nearest that corner to ``mesh_a``. The closest
-    triangle pair's boxes come within the bound, padded by :func:`_padded`.
-    Those pairs run through :func:`triangle_pair_distance_sq` in growing
-    batches, in order of box gap, which bounds a pair's distance from
-    below. The scan stops at 0 or once the next gap exceeds the best
-    distance so far, padded, so the result is the all-pairs minimum to the
-    last bit and exactly symmetric in the meshes. Nested solids, whose
+    triangle pair's boxes come within the bound, padded by
+    :func:`softjig.broad.padded`. Those pairs run through
+    :func:`triangle_pair_distance_sq` in growing batches, in order of box
+    gap, which bounds a pair's distance from below, until 0 or a gap past
+    the best distance so far, padded: the result is the all-pairs minimum
+    to the last bit, exactly symmetric in the meshes. Nested solids, whose
     surfaces may be far apart, are at distance 0 by :func:`intersects`.
     """
     ca, cb = mesh_a.corners, mesh_b.corners
@@ -803,14 +778,15 @@ def min_distance(mesh_a: TriangleMesh, mesh_b: TriangleMesh) -> float:
     upper_sq = min(to_b.min(), *(_to_triangles_sq(q, ca).min() for q in cb[np.argmin(to_b)]))
     lo_a, hi_a = mesh_a.triangle_bounds
     lo_b, hi_b = mesh_b.triangle_bounds
+    boxes = (*mesh_a.aabb, *mesh_b.aabb)
     ia, ib = broad.gather(broad.box_pairs(lo_a, hi_a, lo_b, hi_b,
-                                          _padded(mesh_a, mesh_b, np.sqrt(upper_sq))))
+                                          broad.padded(np.sqrt(upper_sq), *boxes)))
     gap = np.maximum(np.maximum(lo_a[ia] - hi_b[ib], lo_b[ib] - hi_a[ia]), 0.0)
     gap = np.sqrt(np.einsum("ij,ij->i", gap, gap))
     order = np.argsort(gap, kind="stable")
     best = np.inf
     for (rows,) in broad.batches([(order,)], _FIRST_BATCH_ROWS, _LAST_BATCH_ROWS):
-        if best == 0.0 or gap[rows[0]] > _padded(mesh_a, mesh_b, np.sqrt(best)):
+        if best == 0.0 or gap[rows[0]] > broad.padded(np.sqrt(best), *boxes):
             break
         best = min(best, float(triangle_pair_distance_sq(ca[ia[rows]], cb[ib[rows]]).min()))
     if best == 0.0 or intersects(mesh_a, mesh_b):

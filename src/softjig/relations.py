@@ -5,20 +5,17 @@ For parts i, k of an assembled product:
 * ``contact[i, k]`` — the surfaces are within the contact tolerance.
 * ``interference_free[j][i, k]`` — part k can translate along axis
   direction j from its assembled pose all the way out of the assembly
-  without ever penetrating part i, decided by the penetration kernel
-  ``queries.penetrates_along`` over the whole translation, with no
-  sampling: triangle crossings by each pair's interval of crossing
-  offsets, containment (a probe of one part strictly inside the other) by
-  the gaps between the crossings of each probe's line.
+  without ever penetrating part i, decided over the whole translation,
+  with no sampling, by the penetration kernel ``queries.penetrates_along``.
 * ``reachable[j]`` — elementwise gate of contact with interference
   freedom: ``(C | C^T) & M_j``. A pair's six reachable flags, in the fixed
   order +x, -x, +y, -y, +z, -z, form its reachable-direction list.
 
 Each unordered pair is swept once per direction on the pair's relative
 motion (the higher-index part is always the one displaced), which makes the
-mirror identity ``M_j(i,k) == M_-j(k,i)`` hold exactly. A pair whose boxes
-share no interior on an axis across the sweep, face contact included, is
-free without the kernel; ``sweep_translation_is_free`` carries the proof.
+mirror identity ``M_j(i,k) == M_-j(k,i)`` hold exactly. One pass of the box
+rules of ``broad`` over all pairs of part boxes keeps the pairs that can
+touch and the sweeps that can penetrate; only those reach the kernels.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .broad import interiors_overlap
+from .broad import penetration_span, within_reach
 from .mesh import TriangleMesh
 from .parts import AssemblyModel
 from .queries import penetrates_along, within_distance
@@ -105,34 +102,23 @@ def sweep_translation_is_free(static: TriangleMesh, moving: TriangleMesh,
                               direction: Direction, max_distance: float) -> bool:
     """True iff ``moving``, translated along ``direction`` by any offset up
     to ``max_distance``, neither crosses ``static`` nor holds a probe of it,
-    nor has a probe inside it.
-
-    A pair whose whole boxes share no interior on one of the two axes
-    across the sweep is free outright, touching boxes included: a closed
-    solid lies in its box, and a shift along the sweep axis leaves the
-    other coordinates unchanged, so boxes that meet in a slab of zero width
-    on such an axis keep the solids' interiors disjoint at every offset.
-    No proper crossing (its segment would lie in the slab, in the relative
-    interior of both triangles, making them coplanar) and no probe strictly
-    inside the other solid can occur. Otherwise the range is the offsets in
-    (0, ``max_distance``] at which the two boxes overlap along the axis,
-    all of which :func:`softjig.queries.penetrates_along` decides, the
-    kernel that :func:`softjig.queries.intersects` runs at offset zero.
+    nor has a probe inside it: :func:`softjig.queries.penetrates_along`
+    over the span that the penetration rule
+    (:func:`softjig.broad.penetration_span`) keeps of [0, D], or of [-D, 0]
+    along a negative direction. A sweep with none is free outright.
     """
-    axis, sign = direction.axis, direction.sign
-    s_lo, s_hi = static.aabb
-    m_lo, m_hi = moving.aabb
-    if not interiors_overlap(s_lo, s_hi, m_lo, m_hi, [ax for ax in range(3) if ax != axis]):
-        return True
-    if sign > 0:
-        t_lo, t_hi = s_lo[axis] - m_hi[axis], s_hi[axis] - m_lo[axis]
-    else:
-        t_lo, t_hi = m_lo[axis] - s_hi[axis], m_hi[axis] - s_lo[axis]
-    first, last = max(float(t_lo), 0.0), min(float(t_hi), max_distance)
-    if first >= last:
-        return True
-    span = (first, last) if sign > 0 else (-last, -first)
-    return not penetrates_along(static, moving, axis, span)
+    axis, reach = direction.axis, sorted((0.0, direction.sign * max_distance))
+    first, last = map(float, penetration_span(*static.aabb, *moving.aabb, axis, *reach))
+    return first > last or not penetrates_along(static, moving, axis, (first, last))
+
+
+def part_pairs(assembly: AssemblyModel) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Every pair (i, k), i < k, of the parts in row-major order, as a
+    (pairs, 2) array, and per pair the boxes ``(lo, hi)`` of part i, then
+    of part k, with which a box rule of ``broad`` answers every pair."""
+    lo, hi = np.array([p.mesh.aabb for p in assembly.parts]).transpose(1, 0, 2)
+    i, k = np.triu_indices(len(lo), 1)
+    return np.stack([i, k], axis=1), (lo[i], hi[i], lo[k], hi[k])
 
 
 # -- relation matrices -------------------------------------------------------
@@ -166,12 +152,10 @@ class RelationMatrices:
             if m.shape != (n, n):
                 raise RelationError(f"interference matrix {d.value} has shape {m.shape}")
             np.fill_diagonal(m, False)
-            m.setflags(write=False)
             free[d] = m
         reach = {d: compute_reachable_matrix(contact, free[d]) for d in DIRECTION_ORDER}
-        contact.setflags(write=False)
-        for d in DIRECTION_ORDER:
-            reach[d].setflags(write=False)
+        for m in (contact, *free.values(), *reach.values()):
+            m.setflags(write=False)
         object.__setattr__(self, "entity_ids", tuple(self.entity_ids))
         object.__setattr__(self, "contact", contact)
         object.__setattr__(self, "interference_free", free)
@@ -223,20 +207,20 @@ def compute_contact_matrix(assembly: AssemblyModel) -> np.ndarray:
     """Symmetric boolean contact matrix over the assembly's parts.
 
     Parts are in contact when their surface distance is within the
-    assembly's contact tolerance (:func:`softjig.queries.within_distance`).
+    assembly's contact tolerance (:func:`softjig.queries.within_distance`,
+    asked of the pairs that :func:`softjig.broad.within_reach` keeps).
     Running out of memory on a pair raises :class:`RelationError` naming it.
     """
-    n = len(assembly.parts)
-    contact = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for k in range(i + 1, n):
-            a, b = assembly.parts[i], assembly.parts[k]
-            try:
-                touching = within_distance(a.mesh, b.mesh, assembly.contact_epsilon)
-            except MemoryError:
-                raise RelationError(f"out of memory deciding contact between {a.id!r} "
-                                    f"and {b.id!r}") from None
-            contact[i, k] = contact[k, i] = touching
+    contact = np.zeros((len(assembly.parts),) * 2, dtype=bool)
+    pairs, boxes = part_pairs(assembly)
+    for i, k in pairs[within_reach(*boxes, assembly.contact_epsilon)]:
+        a, b = assembly.parts[i], assembly.parts[k]
+        try:
+            touching = within_distance(a.mesh, b.mesh, assembly.contact_epsilon)
+        except MemoryError:
+            raise RelationError(f"out of memory deciding contact between {a.id!r} "
+                                f"and {b.id!r}") from None
+        contact[i, k] = contact[k, i] = touching
     return contact
 
 
@@ -248,22 +232,27 @@ def compute_all_interference_free(assembly: AssemblyModel) -> dict[Direction, np
     assembly diagonal, with the higher index moving; the result fills
     (i, k) of matrix j and (k, i) of matrix -j, so the mirror identity
     between (i, k, j) and (k, i, -j) is bit-exact. Beyond that distance an
-    axis translation cannot re-enter the assembly bounds. Running out of
-    memory raises :class:`RelationError` naming both parts.
+    axis translation cannot re-enter the assembly bounds. Only the sweeps
+    that :func:`softjig.broad.penetration_span` gives a span run
+    :func:`sweep_translation_is_free`, pair-major, then in direction order.
+    Running out of memory raises :class:`RelationError` naming both parts.
     """
     max_distance = 2.0 * assembly.aabb_diagonal
-    n = len(assembly.parts)
-    free = {d: np.zeros((n, n), dtype=bool) for d in DIRECTION_ORDER}
-    for i in range(n):
-        for k in range(i + 1, n):
-            static, moving = assembly.parts[i], assembly.parts[k]
-            for d in DIRECTION_ORDER:
-                try:
-                    result = sweep_translation_is_free(static.mesh, moving.mesh, d, max_distance)
-                except MemoryError:
-                    raise RelationError(f"out of memory sweeping {moving.id!r} past "
-                                        f"{static.id!r} along {d.value}") from None
-                free[d][i, k] = free[d.opposite][k, i] = result
+    pairs, boxes = part_pairs(assembly)
+    # (pair, j): the pair's part k has a span to sweep past part i along j
+    swept = np.stack([np.less_equal(*penetration_span(*boxes, d.axis,
+                                                      *sorted((0.0, d.sign * max_distance))))
+                      for d in DIRECTION_ORDER], axis=1)
+    free = {d: ~np.eye(len(assembly.parts), dtype=bool) for d in DIRECTION_ORDER}
+    for p, j in np.argwhere(swept):
+        (i, k), d = pairs[p], DIRECTION_ORDER[j]
+        static, moving = assembly.parts[i], assembly.parts[k]
+        try:
+            result = sweep_translation_is_free(static.mesh, moving.mesh, d, max_distance)
+        except MemoryError:
+            raise RelationError(f"out of memory sweeping {moving.id!r} past "
+                                f"{static.id!r} along {d.value}") from None
+        free[d][i, k] = free[d.opposite][k, i] = result
     return free
 
 
@@ -280,9 +269,8 @@ def compute_reachable_matrix(contact: np.ndarray, interference_free: np.ndarray)
 
 def compute_relation_matrices(assembly: AssemblyModel) -> RelationMatrices:
     """Contact, interference-free, and reachable matrices over the parts."""
-    contact = compute_contact_matrix(assembly)
-    free = compute_all_interference_free(assembly)
-    return RelationMatrices(tuple(assembly.part_ids), contact, free)
+    return RelationMatrices(tuple(assembly.part_ids), compute_contact_matrix(assembly),
+                            compute_all_interference_free(assembly))
 
 
 def merge_entity(matrices: RelationMatrices, members: set[str] | frozenset[str],
@@ -298,35 +286,20 @@ def merge_entity(matrices: RelationMatrices, members: set[str] | frozenset[str],
     members = set(members)
     if not members:
         raise RelationError("members must be non-empty")
-    for m in members:
-        matrices.index_of(m)
-    survivors = set(matrices.entity_ids) - members
-    if new_id in survivors:
+    first = min(matrices.index_of(m) for m in members)
+    ids = matrices.entity_ids
+    if new_id in set(ids) - members:
         raise RelationError(f"new id {new_id!r} collides with an existing entity")
-
-    old_ids = matrices.entity_ids
-    member_idx = np.array([i for i, e in enumerate(old_ids) if e in members])
-    first = int(member_idx[0])
-
-    new_ids: list[str] = []
-    source_rows: list[np.ndarray] = []  # per new entity: old indices it aggregates
-    for i, e in enumerate(old_ids):
-        if i == first:
-            new_ids.append(new_id)
-            source_rows.append(member_idx)
-        elif e not in members:
-            new_ids.append(e)
-            source_rows.append(np.array([i]))
+    # per new entity, in order: the old indices it aggregates
+    groups = [[k for k, e in enumerate(ids) if e in members] if i == first else [i]
+              for i, e in enumerate(ids) if i == first or e not in members]
 
     def aggregate(matrix: np.ndarray, combine) -> np.ndarray:
-        rows = np.stack([combine(matrix[idx, :], axis=0) for idx in source_rows])
-        return np.stack([combine(rows[:, idx], axis=1) for idx in source_rows]).T
+        rows = np.stack([combine(matrix[g], axis=0) for g in groups])
+        return np.stack([combine(rows[:, g], axis=1) for g in groups], axis=1)
 
     contact = aggregate(matrices.contact, np.any)
     np.fill_diagonal(contact, False)
-    free = {}
-    for d in DIRECTION_ORDER:
-        m = aggregate(matrices.interference_free[d], np.all)
-        np.fill_diagonal(m, False)
-        free[d] = m
-    return RelationMatrices(tuple(new_ids), contact, free)
+    free = {d: aggregate(matrices.interference_free[d], np.all) for d in DIRECTION_ORDER}
+    return RelationMatrices(tuple(new_id if g[0] == first else ids[g[0]] for g in groups),
+                            contact, free)

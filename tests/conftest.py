@@ -13,6 +13,7 @@ from softjig import (
     proxy_assembly,
 )
 from softjig.fixtures import box_mesh, compound_mesh
+from softjig.mesh import TriangleMesh
 from softjig.parts import RigidOrientation, mass_properties
 from softjig.planner import BOTTOM_TIE_TOL_MM, FixingPlan, FixingStep, PlannerError
 from softjig.queries import (
@@ -68,6 +69,16 @@ def tunnel_assembly() -> AssemblyModel:
         PartModel("tunnel", shell, 200.0),
         PartModel("slider", slider, 30.0),
     ))
+
+
+def slotted_sheet(thickness: float) -> tuple[TriangleMesh, TriangleMesh]:
+    """A C-shaped part, slabs at z 0-10 and z (10 + ``thickness``)-20 and a
+    back wall at x 90-100, and a sheet (x 0-80, y 0-100) of that thickness
+    snug in its slot: the sheet can leave along -x and +-y only."""
+    c = compound_mesh(box_mesh((0, 0, 0), (90, 100, 10)),
+                      box_mesh((0, 0, 10 + thickness), (90, 100, 20)),
+                      box_mesh((90, 0, 0), (100, 100, 20)))
+    return c, box_mesh((0, 0, 10), (80, 100, 10 + thickness))
 
 
 def rotated_assembly(assembly: AssemblyModel, rotation: np.ndarray) -> AssemblyModel:

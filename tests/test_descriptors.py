@@ -205,6 +205,25 @@ def test_booleans_and_strings_for_numbers_exit_1_naming_the_field(tmp_path, caps
     assert_exits_1_naming(tmp_path, capsys, change, named)
 
 
+@pytest.mark.parametrize("change, named", [
+    (lambda doc: doc["parts"][0].update(id=True), "parts[0]: id: must be a string, not true"),
+    (lambda doc: doc["parts"][0].update(id=1), "parts[0]: id: must be a string, not 1"),
+    (lambda doc: doc["parts"][0].update(id=None), "parts[0]: id: must be a string, not null"),
+    (lambda doc: doc["parts"][1].update(mesh_path=["cube.stl"]),
+     'parts[1]: mesh_path: must be a string, not ["cube.stl"]'),
+    (lambda doc: doc["parts"][1].update(group=False),
+     "parts[1]: group: must be a string, not false"),
+    (lambda doc: doc["parts"][1].update(group={"name": "g"}),
+     'parts[1]: group: must be a string, not {"name": "g"}'),
+], ids=["id_true", "id_number", "id_null", "mesh_path_list", "group_false", "group_object"])
+def test_non_strings_for_names_exit_1_naming_the_field(tmp_path, capsys, change, named):
+    """``str()`` reads ``true`` as the part id ``'True'`` and ``false`` as
+    the group ``'False'``, so anything but a string in ``id``,
+    ``mesh_path`` or a set ``group`` is refused with one line naming the
+    field; a null ``group`` still means no group."""
+    assert_exits_1_naming(tmp_path, capsys, change, named)
+
+
 def assert_exits_1_naming(tmp_path, capsys, change, named):
     """Two face-mated cubes load; after ``change`` the descriptor is refused
     naming ``named``, and ``softjig matrices`` exits 1 with that one line."""

@@ -19,6 +19,7 @@ from conftest import (
     naive_penetrates_along,
     naive_point_triangle_distance_sq,
     naive_triangle_pair_distance_sq,
+    slotted_sheet,
 )
 
 from softjig import (
@@ -850,6 +851,41 @@ def test_sliver_pair_keeps_its_whole_box_range():
         assert not penetrates_along(tetra_on(a), tetra_on(b), 2, (-4.0, 4.0))
 
 
+def test_golden_search_confirms_a_crossing_that_its_ends_and_middle_miss():
+    """A static sliver 2e-6 mm wide and a moving triangle swept along z:
+    the pair keeps its whole box window, about (0, 10) mm, and
+    ``proper_crossings`` holds on about [0.0001, 1.923] mm only. The
+    window's ends and middle miss that, so only the golden-section search
+    of ``_crosses_in`` finds the crossing; no test of the five
+    ``triangle_pair`` kinds or of random sliver sweeps needs it."""
+    a = np.array([[10.0, -1e-6, 0.0], [12.0, -1e-6, 0.0], [11.0, 1e-6, 0.0]])
+    b = np.array([[0.0, 0.0, -10.0], [0.0, 0.0, 0.0], [13.0, 0.0, 0.0]])
+    static, moving, i = tetra_on(a), tetra_on(b), np.array([0])
+    lo, hi = queries.crossing_intervals(static, moving, i, i, 2)
+    assert abs(lo[0]) < 1e-12 and abs(hi[0] - 10.0) < 1e-12
+    for t in (lo, hi, 0.5 * (lo + hi)):
+        assert not queries._crosses_at(static, moving, i, i, 2, t)
+    assert queries._crosses_at(static, moving, i, i, 2, np.array([1.0]))
+    assert queries._crosses_in(static, moving, i, i, 2, lo, hi)
+
+
+@pytest.mark.parametrize("mesh", [*slotted_sheet(0.1), box_mesh((0, 0, 0), (100, 100, 1e-5)),
+                                  box_mesh((100, 0, 0), (200, 100, 1e-5))],
+                         ids=["c_part", "sheet", "thin_base", "thin_plate"])
+def test_every_probe_lies_inside_its_own_solid(mesh):
+    """Every probe, at its face's centroid or moved to another point of its
+    face, lies strictly inside its own solid by the winding number, also
+    on parts thinner than the probe's pull: a 0.1 mm sheet, whose largest
+    face's probe would be pulled 0.128 mm, and 1e-5 mm plates, whose
+    face probes would be pulled 1.4e-4 mm or more. The pull is cut short,
+    not the probe dropped."""
+    sets = [surface_probe_points(mesh), *(surface_probe_points(mesh, w, 1e-6 * 2 ** (k + 1))
+                                          for k, w in enumerate(queries._PROBE_WEIGHTS))]
+    for points in sets:
+        assert len(points) == len(mesh.triangles) + 1
+        assert (winding_fraction(points, mesh.corners) > INSIDE_WINDING).all()
+
+
 def test_probe_points_computed_once_per_mesh(monkeypatch):
     """Counter, not timing: a whole plan computes each mesh's containment
     probes once, and the kept arrays are read-only and bit-identical to a
@@ -1035,11 +1071,11 @@ def count_rechosen(monkeypatch) -> list:
     calls = []
     original = queries.surface_probe_points
 
-    def counted(mesh, weights=None, depth=1e-6):
+    def counted(mesh, weights=None, depth=1e-6, which=None):
         if weights is not None:
             calls.append(next(k for k, w in enumerate(queries._PROBE_WEIGHTS)
                               if np.array_equal(w, weights)))
-        return original(mesh, weights, depth)
+        return original(mesh, weights, depth, which)
 
     monkeypatch.setattr(queries, "surface_probe_points", counted)
     return calls

@@ -16,6 +16,7 @@ from conftest import (
     naive_sweep_is_free,
     oracle_interference_free,
     rotated_assembly,
+    slotted_sheet,
     sweep_sample_distances,
 )
 
@@ -423,6 +424,93 @@ def test_blocked_sweep_stops_generating_candidates(monkeypatch):
     assert 0 < len(blocked["tests"]) < len(sweeps[-1]["tests"])
 
 
+# -- the box pass --------------------------------------------------------------
+
+grid_boxes = st.lists(st.tuples(st.tuples(*[st.integers(-3, 3)] * 3),
+                                st.tuples(*[st.integers(0, 3)] * 3)), min_size=1, max_size=5)
+signed_range = st.sampled_from([(0.0, 0.0), (0.0, 9.0), (-9.0, 0.0), (-2.5, 1.0), (1.0, 1.0),
+                                (2.0, 1.0), (-0.0, 4.0)])
+
+
+@given(boxes=grid_boxes, axis=st.integers(0, 2), reach=signed_range,
+       epsilon=st.sampled_from([0.0, 0.5, 1.0, 1e-12]))
+@settings(max_examples=300, deadline=None)
+def test_box_rules_answer_every_pair_as_one_pair(boxes, axis, reach, epsilon):
+    """Each box rule of ``broad``, asked once over the (n, n) pairs of some
+    integer-grid boxes, where touching and equal bounds are common (zero
+    extents included), gives every pair the very floats it gives the pair
+    alone, and the penetration span is the exact one: the closed hull of
+    the offsets in ``reach`` at which the boxes share interior on every
+    axis, with the mirrored span for the mirrored question."""
+    lo = np.array([b[0] for b in boxes], dtype=float)
+    hi = lo + np.array([b[1] for b in boxes], dtype=float)
+    first, last = reach
+    span = broad.penetration_span(lo[:, None], hi[:, None], lo, hi, axis, first, last)
+    near = broad.within_reach(lo[:, None], hi[:, None], lo, hi, epsilon)
+    for i, k in itertools.product(range(len(boxes)), repeat=2):
+        one = broad.penetration_span(lo[i], hi[i], lo[k], hi[k], axis, first, last)
+        assert (span[0][i, k], span[1][i, k]) == one
+        t_lo, t_hi = lo[i] - hi[k], hi[i] - lo[k]
+        across = all(t_lo[o] < 0 < t_hi[o] for o in range(3) if o != axis)
+        meet = across and t_lo[axis] < last and first < t_hi[axis] and first <= last \
+            and t_lo[axis] < t_hi[axis]
+        assert one == ((max(t_lo[axis], first), min(t_hi[axis], last)) if meet
+                       else (np.inf, -np.inf))
+        mirror = broad.penetration_span(lo[k], hi[k], lo[i], hi[i], axis, -last, -first)
+        assert mirror == ((-one[1], -one[0]) if meet else one)
+        reach_ik = epsilon + 1e-9 * (epsilon + np.abs([lo[i], hi[i], lo[k], hi[k]]).max())
+        pair = bool(broad.within_reach(lo[i], hi[i], lo[k], hi[k], epsilon))
+        assert near[i, k] == pair == (not (np.any(lo[i] - reach_ik > hi[k])
+                                           or np.any(lo[k] - reach_ik > hi[i])))
+
+
+def test_box_pass_sends_only_the_pairs_that_can_meet(monkeypatch):
+    """Counter on a 128-box stack: contact asks ``within_distance`` only of
+    the pairs whose boxes come within the padded tolerance (8,128 pairs were
+    asked when every pair was), and the sweeps run
+    ``sweep_translation_is_free`` only on the (pair, direction) entries
+    whose boxes share interior somewhere on the sweep (48,768 entries were
+    run), pair-major, then in direction order, each with the higher index
+    moving. The expected entries come from a scalar loop over the pairs."""
+    assembly = cube_stack_assembly(5, 128)
+    parts, eps = assembly.parts, assembly.contact_epsilon
+    max_distance = 2.0 * assembly.aabb_diagonal
+    asked, swept = [], []
+    within, sweep = relations.within_distance, relations.sweep_translation_is_free
+
+    def counted_contact(a, b, epsilon):
+        asked.append((a, b))
+        return within(a, b, epsilon)
+
+    def counted_sweep(static, moving, direction, distance):
+        swept.append((static, moving, direction))
+        return sweep(static, moving, direction, distance)
+
+    monkeypatch.setattr(relations, "within_distance", counted_contact)
+    monkeypatch.setattr(relations, "sweep_translation_is_free", counted_sweep)
+    relations.compute_contact_matrix(assembly)
+    relations.compute_all_interference_free(assembly)
+
+    near, meet = [], []
+    for a, b in itertools.combinations(parts, 2):
+        (lo_a, hi_a), (lo_b, hi_b) = a.mesh.aabb, b.mesh.aabb
+        reach = eps + 1e-9 * (eps + float(np.abs([lo_a, hi_a, lo_b, hi_b]).max()))
+        if not (np.any(lo_a - reach > hi_b) or np.any(lo_b - reach > hi_a)):
+            near.append((a.mesh, b.mesh))
+        for d in DIRECTION_ORDER:
+            ax = d.axis
+            if not all(lo_a[o] < hi_b[o] and lo_b[o] < hi_a[o] for o in range(3) if o != ax):
+                continue
+            if d.sign > 0:
+                t_lo, t_hi = lo_a[ax] - hi_b[ax], hi_a[ax] - lo_b[ax]
+            else:
+                t_lo, t_hi = lo_b[ax] - hi_a[ax], hi_b[ax] - lo_a[ax]
+            if max(t_lo, 0.0) < min(t_hi, max_distance):
+                meet.append((a.mesh, b.mesh, d))
+    assert asked == near and len(near) == 127
+    assert swept == meet and 0 < len(meet) < 48_768
+
+
 def test_fully_separated_cubes_free_in_all_directions():
     a = PartModel("a", box_mesh((0, 0, 0), (5, 5, 5)), 1.0)
     b = PartModel("b", box_mesh((20, 30, 40), (25, 35, 45)), 1.0)
@@ -649,6 +737,29 @@ def test_sliver_footed_part_resting_within_the_tolerance_slides_off(tmp_path):
         assert free[d][1, 0] == (d != Direction.PLUS_Z), d
 
 
+@pytest.mark.parametrize("thickness", [0.1, 1.0])
+def test_sheet_thinner_than_its_probe_depth_loads_in_its_slot(tmp_path, thickness):
+    """A sheet snug in the slot of a C-shaped part, 0.1 mm thin, less than
+    the 0.128 mm by which the probe under its largest face used to be
+    pulled in, which put that probe in the slab below, or 1 mm thick: the
+    descriptor loads, the parts do not interpenetrate in either order, and
+    the sheet slides out along -x and +-y and is blocked along +x, into
+    the back wall, and along +-z, into the slabs."""
+    c, sheet = slotted_sheet(thickness)
+    save_stl_binary(c, tmp_path / "c.stl")
+    save_stl_binary(sheet, tmp_path / "s.stl")
+    descriptor = tmp_path / "assembly.json"
+    descriptor.write_text(json.dumps({"parts": [
+        {"id": "c", "mesh_path": "c.stl", "mass_g": 1.0},
+        {"id": "s", "mesh_path": "s.stl", "mass_g": 1.0}]}))
+    assembly = load_descriptor(descriptor)
+    c, sheet = (p.mesh for p in assembly.parts)
+    assert not intersects(c, sheet) and not intersects(sheet, c)
+    free = compute_relation_matrices(assembly).interference_free
+    for d in DIRECTION_ORDER:
+        assert free[d][0, 1] == (d.value in ("-x", "+y", "-y")), d
+
+
 def test_rotation_permutes_interference_matrices(proxy):
     rotated = rotated_assembly(proxy, ROT_Z_QUARTER)
     m_orig = compute_all_interference_free(proxy)
@@ -660,14 +771,19 @@ def test_rotation_permutes_interference_matrices(proxy):
 
 
 def test_sweeps_run_twice_the_diagonal(monkeypatch):
-    """Every sweep runs twice the assembly diagonal, with no setting and
-    no sample count."""
-    asm = two_cubes(gap=0.0)
-    sweeps = []
-    monkeypatch.setattr(relations, "sweep_translation_is_free",
-                        lambda static, moving, direction, distance: sweeps.append(distance))
-    compute_all_interference_free(asm)
-    assert sweeps == [2 * asm.aabb_diagonal] * len(DIRECTION_ORDER)
+    """Every sweep that the box pass keeps runs twice the assembly
+    diagonal, with no setting and no sample count: the one sweep of the
+    stacked cubes whose boxes can meet (-z), and all six of a cube nested
+    in another's box."""
+    nested = AssemblyModel((PartModel("outer", box_mesh((0, 0, 0), (10, 10, 10)), 1.0),
+                            PartModel("inner", box_mesh((4, 4, 4), (6, 6, 6)), 1.0)))
+    for asm, kept in ((two_cubes(gap=0.0), [Direction.MINUS_Z]), (nested, DIRECTION_ORDER)):
+        sweeps = []
+        monkeypatch.setattr(relations, "sweep_translation_is_free",
+                            lambda static, moving, direction, distance:
+                            sweeps.append((direction, distance)))
+        compute_all_interference_free(asm)
+        assert sweeps == [(d, 2 * asm.aabb_diagonal) for d in kept]
 
 
 def thin_plate_beside_cube() -> AssemblyModel:
