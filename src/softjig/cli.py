@@ -104,9 +104,8 @@ def _load_assembly(args) -> AssemblyModel:
 
 
 def _cmd_plan(args) -> int:
-    assembly = _load_assembly(args)
     sequence = AssemblySequence.parse(args.sequence)
-    plan = configure_fixing_parts(assembly, sequence)
+    plan = configure_fixing_parts(_load_assembly(args), sequence)
 
     print(f"{'step':>4}  {'posture':>7}  fixed part")
     for step in plan.steps:

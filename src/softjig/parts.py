@@ -130,6 +130,12 @@ class AssemblyModel:
         clash = groups & set(ids)
         if clash:
             raise PartError(f"group names collide with part ids: {sorted(clash)}")
+        # finite running sums of mass and |mass * cog| keep any subset's CoG finite
+        with np.errstate(over="ignore"):
+            sums = np.cumsum([[p.mass, *p.mass * np.abs(p.cog)] for p in parts], axis=0)
+        for part, row in zip(parts, sums):
+            if not np.isfinite(row).all():
+                raise PartError(f"part {part.id!r}: mass {part.mass:g} overflows the mass totals")
         lo = np.min([p.mesh.aabb[0] for p in parts], axis=0)
         hi = np.max([p.mesh.aabb[1] for p in parts], axis=0)
         diagonal = float(np.linalg.norm(hi - lo))

@@ -18,6 +18,7 @@ no vertex is rotated, and a vertex that no triangle uses does not count.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,27 +103,30 @@ class FixingPlan:
         }
 
 
-_ROT_X_180 = RigidOrientation([[1, 0, 0], [0, -1, 0], [0, 0, -1]])
-_ROT_Y_P90 = RigidOrientation([[0, 0, 1], [0, 1, 0], [-1, 0, 0]])   # +x -> -z
-_ROT_Y_M90 = RigidOrientation([[0, 0, -1], [0, 1, 0], [1, 0, 0]])   # +x -> +z
-_ROT_X_P90 = RigidOrientation([[1, 0, 0], [0, 0, -1], [0, 1, 0]])   # +y -> +z
-_ROT_X_M90 = RigidOrientation([[1, 0, 0], [0, 0, 1], [0, -1, 0]])   # +y -> -z
+# (axis up, axis down) per direction as signed axis permutations, checked as
+# rotations on first use: importing the planner runs no matrix product
+_IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+_ROT_X_180 = ((1, 0, 0), (0, -1, 0), (0, 0, -1))
+_ROT_Y_P90 = ((0, 0, 1), (0, 1, 0), (-1, 0, 0))   # +x -> -z
+_ROT_Y_M90 = ((0, 0, -1), (0, 1, 0), (1, 0, 0))   # +x -> +z
+_ROT_X_P90 = ((1, 0, 0), (0, 0, -1), (0, 1, 0))   # +y -> +z
+_ROT_X_M90 = ((1, 0, 0), (0, 0, 1), (0, -1, 0))   # +y -> -z
 
-_VERTICALIZATIONS: dict[Direction, tuple[RigidOrientation, RigidOrientation]] = {
-    # (axis up, axis down): the two rotations placing the direction vertical
+_VERTICALIZATIONS = {
     Direction.PLUS_X: (_ROT_Y_M90, _ROT_Y_P90),
     Direction.MINUS_X: (_ROT_Y_P90, _ROT_Y_M90),
     Direction.PLUS_Y: (_ROT_X_P90, _ROT_X_M90),
     Direction.MINUS_Y: (_ROT_X_M90, _ROT_X_P90),
-    Direction.PLUS_Z: (RigidOrientation.identity(), _ROT_X_180),
-    Direction.MINUS_Z: (_ROT_X_180, RigidOrientation.identity()),
+    Direction.PLUS_Z: (_IDENTITY, _ROT_X_180),
+    Direction.MINUS_Z: (_ROT_X_180, _IDENTITY),
 }
 
 
+@functools.cache
 def candidate_orientations(direction: Direction) -> tuple[RigidOrientation, RigidOrientation]:
     """The two rotations aligning a direction's axis with the world z-axis,
     mapping it to +z first, then to -z."""
-    return _VERTICALIZATIONS[direction]
+    return tuple(RigidOrientation(rows) for rows in _VERTICALIZATIONS[direction])
 
 
 def _lows(parts: list[PartModel], orientation: RigidOrientation) -> np.ndarray:
@@ -151,7 +155,7 @@ def select_posture(reachable: ReachableDirectionList,
     """
     if not reachable.any_set:
         raise PlannerError("no reachable direction to select a posture from")
-    candidates = [(d, o) for d in reachable.set_directions for o in _VERTICALIZATIONS[d]]
+    candidates = [(d, o) for d in reachable.set_directions for o in candidate_orientations(d)]
     up = np.array([o.rotation[2] for _, o in candidates])
     _, cog = mass_properties(parts)
     heights = up @ cog - (np.array([p.mesh.aabb for p in parts]) @ up.T).min(axis=(0, 1))

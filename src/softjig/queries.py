@@ -16,7 +16,8 @@ Conventions that everything downstream relies on:
 * Contact is decided by ``within_distance``, equal to ``min_distance(a, b)
   <= epsilon``. Both run the distance kernel over candidate pairs from the
   one broad phase, ``broad.box_pairs``, in growing batches; a scan that
-  stops early never generates the rest.
+  stops early never generates the rest. The kernel's corner rows are face
+  distances; its edge rows cover the rest (``triangle_pair_distance_sq``).
 * A crossing is where ``proper_crossings`` holds. ``penetrates_along``
   finds where to try it from one closed-form interval of crossing offsets
   per candidate triangle pair (``crossing_intervals``).
@@ -58,77 +59,25 @@ _FIRST_CROSSING_ROWS = 1 << 9
 
 # -- low-level kernels -------------------------------------------------------
 
-def point_triangle_distance_sq(points: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    """Row-wise squared distance from ``points[i]`` to triangle ``triangles[i]``.
+def _cross(u: np.ndarray, v: np.ndarray, axis: int = -1) -> np.ndarray:
+    """``np.cross(u, v, axis=axis)``, to the bit, without its call overhead."""
+    tail = (slice(None),) * (-1 - axis)   # axis counts from the end
+    u0, u1, u2, v0, v1, v2 = (x[(..., k, *tail)] for x in (u, v) for k in range(3))
+    return np.stack([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0], axis=axis)
 
-    Vectorized form of the closest-point-on-triangle region walk from
-    Ericson's Real-Time Collision Detection. Each row's closest point is
-    computed only in the region that holds for it; a vertex region's
-    distance is the vertex distance that every row takes the minimum with.
-    """
-    p = np.asarray(points, dtype=np.float64)
-    tri = np.asarray(triangles, dtype=np.float64)
-    # corners as contiguous arrays, so that each step runs as one loop
-    a, b, c = np.ascontiguousarray(tri.transpose(1, 0, 2))
 
-    ab = b - a
-    ac = c - a
-    ap = p - a
-    d1 = np.einsum("ij,ij->i", ab, ap)
-    d2 = np.einsum("ij,ij->i", ac, ap)
-    bp = p - b
-    d3 = np.einsum("ij,ij->i", ab, bp)
-    d4 = np.einsum("ij,ij->i", ac, bp)
-    cp = p - c
-    d5 = np.einsum("ij,ij->i", ab, cp)
-    d6 = np.einsum("ij,ij->i", ac, cp)
-
-    vc = d1 * d4 - d3 * d2
-    vb = d5 * d2 - d1 * d6
-    va = d3 * d6 - d5 * d4
-
-    # the first region that holds: vertex a (0), vertex b (1), edge ab (2),
-    # vertex c (3), edge ac (4), edge bc (5), else the face (6)
-    holds = [(d1 <= 0) & (d2 <= 0), (d3 >= 0) & (d4 <= d3), (vc <= 0) & (d1 >= 0) & (d3 <= 0),
-             (d6 >= 0) & (d5 <= d6), (vb <= 0) & (d2 >= 0) & (d6 <= 0),
-             (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0)]
-    region = np.full(len(p), 6, dtype=np.int8)
-    for k in range(5, -1, -1):
-        region = np.where(holds[k], k, region)
-
-    best = np.full(len(p), np.inf)
-
-    def settle(rows: np.ndarray, closest: np.ndarray) -> None:
-        diff = p[rows] - closest
-        best[rows] = np.einsum("ij,ij->i", diff, diff)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.flatnonzero(region == 2)
-        denom = d1[r] - d3[r]
-        v = np.where(denom != 0, d1[r] / np.where(denom != 0, denom, 1.0), 0.0)
-        settle(r, a[r] + v[:, None] * ab[r])
-        r = np.flatnonzero(region == 4)
-        denom = d2[r] - d6[r]
-        w = np.where(denom != 0, d2[r] / np.where(denom != 0, denom, 1.0), 0.0)
-        settle(r, a[r] + w[:, None] * ac[r])
-        r = np.flatnonzero(region == 5)
-        num = d4[r] - d3[r]
-        denom = (d4[r] - d3[r]) + (d5[r] - d6[r])
-        w = np.where(denom != 0, num / np.where(denom != 0, denom, 1.0), 0.0)
-        settle(r, b[r] + w[:, None] * (c[r] - b[r]))
-    # the face, except for degenerate slivers (total 0), whose closest
-    # point falls back to vertex a
-    r = np.flatnonzero(region == 6)
-    total = va[r] + vb[r] + vc[r]
-    r, total = r[total != 0], total[total != 0]
-    settle(r, a[r] + (vb[r] / total)[:, None] * ab[r] + (vc[r] / total)[:, None] * ac[r])
-
-    # zero-area triangles can mislead the region walk; vertex distances are
-    # a free upper bound and leave non-degenerate results untouched
-    for v in (a, b, c):
-        dv = p - v
-        best = np.minimum(best, np.einsum("ij,ij->i", dv, dv))
-    return best
+def _face_distance_sq(points: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """Row-wise squared distance from ``points[i]`` to the plane of triangle
+    ``triangles[i]`` where the point projects into its closed face; inf
+    elsewhere, and for a zero-area triangle, which has no face."""
+    a, b, c = np.ascontiguousarray(triangles.transpose(1, 0, 2))
+    normal = _cross(b - a, c - a)
+    normal_sq = np.einsum("ij,ij->i", normal, normal)
+    inside = normal_sq > 0
+    for p0, p1 in ((a, b), (b, c), (c, a)):
+        inside &= np.einsum("ij,ij->i", _cross(p1 - p0, points - p0), normal) >= 0
+    height = np.einsum("ij,ij->i", normal, points - a)
+    return np.where(inside, height * height / np.where(inside, normal_sq, 1.0), np.inf)
 
 
 def _segment_segment_distance_sq(p1, q1, p2, q2) -> np.ndarray:
@@ -173,40 +122,43 @@ _EDGE_A = np.repeat(_EDGES, 3, axis=0).T
 _EDGE_B = np.tile(_EDGES, (3, 1)).T + 3
 _SEGMENT_CORNERS = np.vstack([np.hstack([_EDGE_A, _EDGE_B]), np.hstack([_EDGE_B, _EDGE_A])])
 
-# triangle pairs per stacked kernel call: a pair makes 6 point-triangle and
-# 18 segment rows, and past a few hundred pairs the larger temporaries cost
+# triangle pairs per stacked kernel call: a pair makes 6 face and 18
+# segment rows, and past a few hundred pairs the larger temporaries cost
 # more than the calls they save
 _STACK_PAIRS = 1 << 7
 
 
 def _stacked_distance_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """:func:`triangle_pair_distance_sq` of at most ``_STACK_PAIRS`` pairs,
-    each kind of candidate stacked into one kernel call."""
+    each kind of row stacked into one kernel call."""
     n = len(a)
     pair = np.stack([a, b])
     corners = pair.transpose(0, 2, 1, 3).reshape(6, n, 3)
-    # vertex-face rows: a's corners against b, then b's against a
+    # face rows: a's corners against b, then b's against a
     faces = np.take(pair, [1, 1, 1, 0, 0, 0], axis=0)
-    vertex_face = point_triangle_distance_sq(corners.reshape(-1, 3), faces.reshape(-1, 3, 3))
+    vertex_face = _face_distance_sq(corners.reshape(-1, 3), faces.reshape(-1, 3, 3))
     p1, q1, p2, q2 = np.take(corners, _SEGMENT_CORNERS, axis=0).reshape(4, -1, 3)
     edge_edge = _segment_segment_distance_sq(p1, q1, p2, q2)
     return np.minimum(vertex_face.reshape(6, n).min(axis=0), edge_edge.reshape(18, n).min(axis=0))
 
 
 def triangle_pair_distance_sq(tri_a: np.ndarray, tri_b: np.ndarray) -> np.ndarray:
-    """Row-wise squared distance between triangle pairs.
+    """Row-wise squared distance between triangle pairs: the least of 6
+    face rows (:func:`_face_distance_sq`, each corner against the other
+    triangle) and 18 segment rows (the 9 edge pairs, both orders).
 
-    Exactly symmetric: the candidate set (6 vertex-face evaluations, and
-    each of the 9 edge-edge pairs in both argument orders) is identical for
-    both argument orders, so the float minimum is too. For properly
-    crossing pairs the value is a positive overestimate; callers combine
-    with :func:`intersects`.
-
-    The candidates of up to ``_STACK_PAIRS`` pairs are stacked into one
-    :func:`point_triangle_distance_sq` call, 6 rows per pair, and one
-    segment call, 18 rows per pair, and the minimum is taken over the
-    stacked axis. Each row's arithmetic is that of its candidate alone, so
-    the result is the same to the bit however the pairs are stacked.
+    Two disjoint triangles are closest at a corner v and a face point, or
+    at two edge points. Where v's nearest point on the other triangle is on
+    its boundary, an edge through v is as near, a segment row; so a face
+    row counts only where v projects into the closed face, and a zero-area
+    triangle needs none. Rounding that moves v across an edge line hands it
+    to the segment rows; the tests hold the result within 1e-9 (d + C) of
+    the region walk's distance d, C the largest coordinate magnitude (the
+    :func:`softjig.broad.padded` margin). Crossing pairs get a positive
+    overestimate; callers combine with :func:`intersects`. Both argument
+    orders, and any stacking (:func:`_stacked_distance_sq`), run the same
+    rows, each with its own arithmetic: the result is exactly symmetric and
+    the same to the bit.
     """
     a = np.asarray(tri_a, dtype=np.float64)
     b = np.asarray(tri_b, dtype=np.float64)
@@ -235,13 +187,6 @@ def _interval_on_line(signed: np.ndarray, proj: np.ndarray) -> tuple[np.ndarray,
     cut = np.hstack([signed == 0, crossing])
     return (np.where(cut, points, np.inf).min(axis=1),
             np.where(cut, points, -np.inf).max(axis=1))
-
-
-def _cross(u: np.ndarray, v: np.ndarray, axis: int = -1) -> np.ndarray:
-    """``np.cross(u, v, axis=axis)``, to the bit, without its call overhead."""
-    tail = (slice(None),) * (-1 - axis)   # axis counts from the end
-    u0, u1, u2, v0, v1, v2 = (x[(..., k, *tail)] for x in (u, v) for k in range(3))
-    return np.stack([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0], axis=axis)
 
 
 def _plane_distances(ab: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -467,8 +412,6 @@ def winding_fraction(points: np.ndarray, corners: np.ndarray) -> np.ndarray:
     """
     pts = np.asarray(points, dtype=np.float64)
     tris = np.asarray(corners, dtype=np.float64)
-    if len(pts) == 0:
-        return np.zeros(0)
     out = np.zeros(len(pts))
     tri_chunk = max(1, _CHUNK_ROWS // max(len(pts), 1))
     for start in range(0, len(tris), tri_chunk):
@@ -750,19 +693,13 @@ def within_distance(mesh_a: TriangleMesh, mesh_b: TriangleMesh, epsilon: float) 
     return intersects(mesh_a, mesh_b)
 
 
-def _to_triangles_sq(point: np.ndarray, corners: np.ndarray) -> np.ndarray:
-    """Squared distance from one point to each triangle of ``corners``."""
-    return point_triangle_distance_sq(np.broadcast_to(point, (len(corners), 3)), corners)
-
-
 def min_distance(mesh_a: TriangleMesh, mesh_b: TriangleMesh) -> float:
     """Minimum distance between the surfaces; 0 when touching or overlapping.
 
     Any distance between two surface points bounds the result from above.
-    The bound used is the smaller of two: from the corner of ``mesh_a``
-    nearest ``mesh_b``'s box centre to ``mesh_b``, and from the corners of
-    the ``mesh_b`` triangle nearest that corner to ``mesh_a``. The closest
-    triangle pair's boxes come within the bound, padded by
+    The bound used is the distance from the corner of ``mesh_a`` nearest
+    ``mesh_b``'s box centre to the nearest corner of ``mesh_b``. The
+    closest triangle pair's boxes come within the bound, padded by
     :func:`softjig.broad.padded`. Those pairs run through
     :func:`triangle_pair_distance_sq` in growing batches, in order of box
     gap, which bounds a pair's distance from below, until 0 or a gap past
@@ -771,11 +708,10 @@ def min_distance(mesh_a: TriangleMesh, mesh_b: TriangleMesh) -> float:
     surfaces may be far apart, are at distance 0 by :func:`intersects`.
     """
     ca, cb = mesh_a.corners, mesh_b.corners
-    points = ca.reshape(-1, 3)
+    points, corners_b = ca.reshape(-1, 3), cb.reshape(-1, 3)
     centre_b = 0.5 * (mesh_b.aabb[0] + mesh_b.aabb[1])
     start = points[np.argmin(np.einsum("ij,ij->i", points - centre_b, points - centre_b))]
-    to_b = _to_triangles_sq(start, cb)
-    upper_sq = min(to_b.min(), *(_to_triangles_sq(q, ca).min() for q in cb[np.argmin(to_b)]))
+    upper_sq = np.einsum("ij,ij->i", corners_b - start, corners_b - start).min()
     lo_a, hi_a = mesh_a.triangle_bounds
     lo_b, hi_b = mesh_b.triangle_bounds
     boxes = (*mesh_a.aabb, *mesh_b.aabb)

@@ -17,6 +17,7 @@ from softjig.mesh import TriangleMesh
 from softjig.parts import RigidOrientation, mass_properties
 from softjig.planner import BOTTOM_TIE_TOL_MM, FixingPlan, FixingStep, PlannerError
 from softjig.queries import (
+    _face_distance_sq,
     _segment_segment_distance_sq,
     intersects,
     proper_crossings,
@@ -234,9 +235,10 @@ def merge_walk_plan(assembly: AssemblyModel, sequence) -> FixingPlan:
 
 
 def naive_point_triangle_distance_sq(points, triangles) -> np.ndarray:
-    """Reference for ``queries.point_triangle_distance_sq``: Ericson's
-    region walk, computing every region's closest point for every row and
-    settling each row on the first region that holds."""
+    """Reference point-triangle distance, independent of the product's face
+    rows: Ericson's region walk, computing every region's closest point for
+    every row and settling each row on the first region that holds, with
+    the vertex distances as a floor for zero-area triangles."""
     p = np.asarray(points, dtype=np.float64)
     tri = np.asarray(triangles, dtype=np.float64)
     a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
@@ -294,17 +296,19 @@ def naive_point_triangle_distance_sq(points, triangles) -> np.ndarray:
     return best
 
 
-def naive_triangle_pair_distance_sq(tri_a, tri_b) -> np.ndarray:
+def naive_triangle_pair_distance_sq(tri_a, tri_b, vertex_row=_face_distance_sq) -> np.ndarray:
     """Reference for ``queries.triangle_pair_distance_sq``: one kernel call
-    per candidate, 6 vertex-face and 18 edge-edge (each of the 9 edge pairs
-    in both argument orders), folded into a running minimum."""
+    per candidate, 6 vertex rows (``vertex_row``: the product's face rows,
+    or ``naive_point_triangle_distance_sq`` for the region walk) and 18
+    edge-edge (each of the 9 edge pairs in both argument orders), folded
+    into a running minimum."""
     a = np.asarray(tri_a, dtype=np.float64)
     b = np.asarray(tri_b, dtype=np.float64)
     edges = ((0, 1), (1, 2), (2, 0))
     best = np.full(len(a), np.inf)
     for i in range(3):
-        best = np.minimum(best, naive_point_triangle_distance_sq(a[:, i], b))
-        best = np.minimum(best, naive_point_triangle_distance_sq(b[:, i], a))
+        best = np.minimum(best, vertex_row(a[:, i], b))
+        best = np.minimum(best, vertex_row(b[:, i], a))
     for i0, i1 in edges:
         for j0, j1 in edges:
             pa, qa = a[:, i0], a[:, i1]

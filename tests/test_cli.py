@@ -1,13 +1,16 @@
 import importlib.util
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import softjig
 from softjig import relations
 from softjig.cli import _build_parser, main
 from softjig.descriptors import load_descriptor
@@ -124,6 +127,27 @@ def test_plan_infinite_mass_exits_1(tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "(b)" in err and "finite" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("masses", [{"motor": 1e308, "plate": 1e308, "bolt_a": 1e308,
+                                     "bolt_b": 1e308}, {"motor": 1e307}],
+                         ids=["every_part", "motor"])
+def test_plan_overflowing_mass_exits_1_naming_the_part(fixture_dir, tmp_path, capsys, masses):
+    """A finite mass whose total or mass moment overflows exits 1 in one
+    line naming the part, with no numpy warning and no plan written."""
+    doc = json.loads((fixture_dir / "assembly.json").read_text())
+    for part in doc["parts"]:
+        part["mesh_path"] = str(fixture_dir / part["mesh_path"])
+        part["mass_g"] = masses.get(part["id"], part["mass_g"])
+    descriptor = tmp_path / "assembly.json"
+    descriptor.write_text(json.dumps(doc))
+    out = tmp_path / "plan.json"
+    code = main(["plan", str(descriptor), "--sequence", "motor,plate,bolts", "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "part 'motor': mass" in err and "overflows" in err
 
 
 def test_plan_non_finite_translation_exits_1_naming_the_part(fixture_dir, tmp_path, capsys):
@@ -310,6 +334,36 @@ def test_out_of_memory_exits_1_naming_both_parts(tmp_path, capsys, monkeypatch, 
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "out of memory" in err
     assert "'motor'" in err and "'plate'" in err
+
+
+@pytest.mark.parametrize("sequence, message", [("motor", "at least 2 entities"),
+                                               ("motor,plate,motor", "repeats an entity")])
+def test_plan_bad_sequence_exits_1_before_the_assembly_loads(tmp_path, capsys, monkeypatch,
+                                                             sequence, message):
+    def forbidden(*args):
+        raise AssertionError("the assembly was loaded before --sequence was parsed")
+    monkeypatch.setattr("softjig.cli._load_assembly", forbidden)
+    assert main(["plan", "--fixtures", "proxy", "--sequence", sequence]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and message in err
+
+
+def test_cli_import_runs_no_matrix_product():
+    """``softjig matrices`` never plans: importing the CLI, and the planner
+    with it, checks no posture rotation (a matmul and a determinant, which
+    raise the process's peak memory) until a plan asks for one."""
+    code = ("import softjig.parts as parts\n"
+            "checked = []\n"
+            "check = parts.RigidOrientation.__post_init__\n"
+            "parts.RigidOrientation.__post_init__ = lambda self: checked.append(1) or check(self)\n"
+            "import softjig.cli\n"
+            "print(len(checked))\n"
+            "softjig.cli.main(['plan', '--fixtures', 'proxy', '--sequence', 'motor,plate,bolts'])\n"
+            "print(len(checked) > 0)")
+    env = {**os.environ, "PYTHONPATH": str(Path(softjig.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          check=True)
+    assert proc.stdout.splitlines()[0] == "0" and proc.stdout.splitlines()[-1] == "True"
 
 
 def test_plan_requires_exactly_one_source(fixture_dir):

@@ -100,6 +100,20 @@ def test_non_finite_mass_rejected_naming_the_part(mass):
         cube_part(pid="heavy", mass=mass)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mass_a, mass_b, offset_b", [(1e308, 1e308, (1, 0, 0)),
+                                                     (1.0, 1e307, (20, 0, 0))],
+                         ids=["total_mass", "mass_moment"])
+def test_overflowing_mass_rejected_naming_the_part(mass_a, mass_b, offset_b):
+    """Finite masses whose total (1e308 + 1e308) or mass moment (1e307 g at
+    20 mm) overflows are refused by the assembly, naming the part at which
+    the sum overflows, with no numpy warning."""
+    a = cube_part("a", mass=mass_a)
+    b = cube_part("b", mass=mass_b, offset=offset_b)
+    with pytest.raises(PartError, match="part 'b': mass .* overflows"):
+        AssemblyModel((a, b))
+
+
 def test_cog_computed_once_and_bit_identical(monkeypatch):
     part = generate_proxy_fixture("blind-hole-base")
     assert np.array_equal(part.cog, part.mesh.volume_centroid())

@@ -41,7 +41,6 @@ from softjig.queries import (
     intersects,
     min_distance,
     penetrates_along,
-    point_triangle_distance_sq,
     proper_crossings,
     surface_probe_points,
     triangle_pair_distance_sq,
@@ -183,10 +182,12 @@ def triangle_area(tri) -> float:
 @given(p=points3, tri=st.tuples(points3, points3, points3))
 @settings(max_examples=200, deadline=None)
 def test_point_triangle_distance_against_sampling(p, tri):
+    """The pair kernel on a triangle collapsed to the point ``p``, and the
+    region-walk reference, against dense sampling of the triangle."""
     assume(triangle_area(tri) > 1e-6)
     tri_arr = np.array([tri], dtype=float)
     p_arr = np.array([p], dtype=float)
-    d = float(np.sqrt(point_triangle_distance_sq(p_arr, tri_arr)[0]))
+    d = float(np.sqrt(triangle_pair_distance_sq(np.array([[p, p, p]], dtype=float), tri_arr)[0]))
     a, b, c = (np.asarray(v, dtype=float) for v in tri)
     # dense barycentric sampling can only find distances >= the true minimum
     grid = np.linspace(0, 1, 25)
@@ -197,14 +198,21 @@ def test_point_triangle_distance_against_sampling(p, tri):
     assert d <= sampled + 1e-9
     assert d <= min(np.linalg.norm(np.asarray(p) - v) for v in (a, b, c)) + 1e-12
     assert d >= 0
+    walk = float(np.sqrt(naive_point_triangle_distance_sq(p_arr, tri_arr)[0]))
+    assert abs(d - walk) <= 1e-9 * (d + 5)
 
 
 def test_point_triangle_distance_degenerate_needle():
-    # coincident vertices collapse the triangle to a segment; the vertex
-    # fallback still reports the touching point
-    tri = np.array([[[1, 0, 0], [1, 0, 0], [0, 0, 0]]], dtype=float)
-    p = np.array([[0.0, 0.0, 0.0]])
-    assert point_triangle_distance_sq(p, tri)[0] == 0.0
+    # coincident vertices collapse a triangle to a segment, which has no
+    # face: its edges still report the touching point, in both orders and
+    # whether the needle's end rests on a face or a corner on the needle
+    needle = np.array([[[1, 0, 0], [1, 0, 0], [0, 0, 0]]], dtype=float)
+    on_needle = np.array([[[0.5, 0, 0], [0.5, 1, 0], [0.5, 0, 1]]], dtype=float)
+    under_end = np.array([[[0, -1, -1], [0, 1, -1], [0, 0, 1]]], dtype=float)
+    for other in (on_needle, under_end):
+        assert triangle_pair_distance_sq(needle, other)[0] == 0.0
+        assert triangle_pair_distance_sq(other, needle)[0] == 0.0
+    assert naive_point_triangle_distance_sq(np.zeros((1, 3)), needle)[0] == 0.0
 
 
 @given(seed=st.integers(0, 10_000))
@@ -275,15 +283,26 @@ def triangle_pair_stacks(draw):
 @settings(max_examples=120, deadline=None)
 def test_stacked_distance_kernel_matches_per_candidate_calls(pair):
     """Bit for bit, in both argument orders: the stacked kernel against
-    ``naive_triangle_pair_distance_sq``, one call per candidate, and the
-    point-triangle kernel against the region walk that settles every row."""
+    ``naive_triangle_pair_distance_sq``, one call per candidate."""
     a, b = pair
     expected = naive_triangle_pair_distance_sq(a, b).view(np.int64)
     assert np.array_equal(triangle_pair_distance_sq(a, b).view(np.int64), expected)
     assert np.array_equal(triangle_pair_distance_sq(b, a).view(np.int64), expected)
-    for p, tri in ((a[:, 0], b), (b[:, 2], a)):
-        assert np.array_equal(point_triangle_distance_sq(p, tri).view(np.int64),
-                              naive_point_triangle_distance_sq(p, tri).view(np.int64))
+
+
+@given(pair=triangle_pair_stacks())
+@settings(max_examples=120, deadline=None)
+def test_face_rows_match_the_region_walk(pair):
+    """In both argument orders, the kernel's face rows give the distance of
+    the region walk (``naive_point_triangle_distance_sq``) in its vertex
+    rows, to within 1e-9 of (d + C), d the distance and C the largest
+    coordinate magnitude of the pair: the ``broad.padded`` margin. Crossing
+    pairs included, zero-area and sliver triangles too."""
+    a, b = pair
+    walk = np.sqrt(naive_triangle_pair_distance_sq(a, b, naive_point_triangle_distance_sq))
+    scale = np.maximum(np.abs(a).max(axis=(1, 2)), np.abs(b).max(axis=(1, 2)))
+    for d in (triangle_pair_distance_sq(a, b), triangle_pair_distance_sq(b, a)):
+        assert (np.abs(np.sqrt(d) - walk) <= 1e-9 * (walk + scale)).all()
 
 
 def test_touching_cylinders_decide_contact_in_one_small_batch(monkeypatch):
@@ -1029,8 +1048,8 @@ def test_ray_containment_matches_winding_number(seed, kind, axis):
     pi = np.repeat(np.arange(len(probes)), share.shape[1])
     points = probes[pi]
     points[:, axis] = (ends[:, :1] + share * (ends[:, 1:] - ends[:, :1])).ravel()
-    surface = point_triangle_distance_sq(np.repeat(points, len(corners), axis=0),
-                                         np.tile(corners, (len(points), 1, 1)))
+    surface = naive_point_triangle_distance_sq(np.repeat(points, len(corners), axis=0),
+                                               np.tile(corners, (len(points), 1, 1)))
     far = surface.reshape(len(points), -1).min(axis=1) > 1e-10
     inside = winding_fraction(points, corners) > INSIDE_WINDING
     assert (hit | near)[pi[inside & far]].all()
