@@ -28,11 +28,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .broad import penetration_span
 from .mesh import MeshError, load_mesh
 from .parts import AssemblyModel, PartError, PartModel, RigidOrientation
-from .queries import intersects
-from .relations import part_pairs
 
 
 class DescriptorError(ValueError):
@@ -69,10 +66,10 @@ def _check_number(path: Path, field: str, value) -> None:
 
 
 def load_descriptor(path) -> AssemblyModel:
-    """Parse a descriptor and load its meshes into an assembly. A part
-    whose posed mesh is open is refused by :class:`PartModel`, and a pair of
-    parts that interpenetrate (:func:`softjig.queries.intersects`, asked of
-    the pairs that the penetration rule keeps) by name."""
+    """Parse a descriptor and load its meshes into an assembly. An ``id`` or
+    ``group`` with a comma or outer whitespace, which no sequence can name,
+    is refused naming the field, a part whose posed mesh is open by
+    :class:`PartModel`, and interpenetrating parts by :class:`AssemblyModel`."""
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
@@ -100,6 +97,9 @@ def load_descriptor(path) -> AssemblyModel:
             if not isinstance(value, str):   # str() would read true as 'True'
                 raise DescriptorError(f"{path}: parts[{i}]: {name}: must be a string, "
                                       f"not {json.dumps(value)}")
+            if name != "mesh_path" and ("," in value or value != value.strip()):
+                raise DescriptorError(f"{path}: parts[{i}]: {name}: {value!r} cannot be named "
+                                      f"in a sequence")
         try:
             part_id = entry["id"]
             mesh_path = (path.parent / entry["mesh_path"]).resolve()
@@ -149,17 +149,9 @@ def load_descriptor(path) -> AssemblyModel:
     except (TypeError, ValueError, OverflowError) as exc:
         raise DescriptorError(f"{path}: contact_epsilon_mm: {exc}") from None
     try:
-        assembly = AssemblyModel(tuple(parts), contact_epsilon=epsilon)
+        return AssemblyModel(tuple(parts), contact_epsilon=epsilon)
     except PartError as exc:
         raise DescriptorError(f"{path}: {exc}") from exc
-    pairs, boxes = part_pairs(assembly)
-    first, last = penetration_span(*boxes, 0, 0.0, 0.0)
-    for i, k in pairs[first <= last]:
-        a, b = assembly.parts[i], assembly.parts[k]
-        if intersects(a.mesh, b.mesh):
-            raise DescriptorError(f"{path}: parts {a.id!r} and {b.id!r} interpenetrate in "
-                                  f"the assembled pose")
-    return assembly
 
 
 def descriptor_dict(parts: tuple[PartModel, ...]) -> dict:

@@ -12,7 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .broad import penetration_span
 from .mesh import DegenerateMeshError, TriangleMesh, unbalanced_edges
+from .queries import intersects
 
 DEFAULT_CONTACT_EPSILON_FACTOR = 1e-3
 MAX_CONTACT_EPSILON_FACTOR = 1e-2
@@ -44,6 +46,8 @@ class PartModel:
     def __post_init__(self) -> None:
         if not self.id:
             raise PartError("part id must be non-empty")
+        if self.group == "":
+            raise PartError(f"part {self.id!r}: group '' cannot be named in a sequence")
         if not (self.mass > 0 and math.isfinite(self.mass)):
             raise PartError(f"part {self.id!r}: mass must be finite and > 0, got {self.mass}")
         unbalanced = unbalanced_edges(self.mesh)
@@ -112,7 +116,8 @@ class AssemblyModel:
 
     ``contact_epsilon`` defaults to 1e-3 of the assembly AABB diagonal and
     must stay below 1e-2 of it; CAD mates are nominally exact and the
-    tolerance only absorbs mesh discretization.
+    tolerance only absorbs mesh discretization. The first pair of parts that
+    interpenetrates (:func:`softjig.queries.intersects`) is refused by name.
     """
 
     parts: tuple[PartModel, ...]
@@ -149,6 +154,11 @@ class AssemblyModel:
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "contact_epsilon", float(eps))
         object.__setattr__(self, "aabb_diagonal", diagonal)
+        pairs, boxes = part_pairs(self)
+        for i, k in pairs[np.less_equal(*penetration_span(*boxes, 0, 0.0, 0.0))]:
+            if intersects(parts[i].mesh, parts[k].mesh):
+                raise PartError(f"parts {parts[i].id!r} and {parts[k].id!r} interpenetrate "
+                                f"in the assembled pose")
 
     @property
     def part_ids(self) -> list[str]:
@@ -159,3 +169,12 @@ class AssemblyModel:
             if p.id == part_id:
                 return p
         raise KeyError(part_id)
+
+
+def part_pairs(assembly: AssemblyModel) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Every pair (i, k), i < k, of the parts in row-major order, as a
+    (pairs, 2) array, and per pair the boxes ``(lo, hi)`` of part i, then
+    of part k, with which a box rule of ``broad`` answers every pair."""
+    lo, hi = np.array([p.mesh.aabb for p in assembly.parts]).transpose(1, 0, 2)
+    i, k = np.triu_indices(len(lo), 1)
+    return np.stack([i, k], axis=1), (lo[i], hi[i], lo[k], hi[k])

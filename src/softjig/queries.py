@@ -154,8 +154,8 @@ def triangle_pair_distance_sq(tri_a: np.ndarray, tri_b: np.ndarray) -> np.ndarra
     triangle needs none. Rounding that moves v across an edge line hands it
     to the segment rows; the tests hold the result within 1e-9 (d + C) of
     the region walk's distance d, C the largest coordinate magnitude (the
-    :func:`softjig.broad.padded` margin). Crossing pairs get a positive
-    overestimate; callers combine with :func:`intersects`. Both argument
+    :func:`softjig.broad.padded` margin). Crossing pairs, which no two parts
+    of an ``AssemblyModel`` have, get a positive overestimate. Both argument
     orders, and any stacking (:func:`_stacked_distance_sq`), run the same
     rows, each with its own arithmetic: the result is exactly symmetric and
     the same to the bit.
@@ -669,8 +669,8 @@ def intersects(mesh_a: TriangleMesh, mesh_b: TriangleMesh) -> bool:
 
 
 def within_distance(mesh_a: TriangleMesh, mesh_b: TriangleMesh, epsilon: float) -> bool:
-    """True iff ``min_distance(mesh_a, mesh_b) <= epsilon``, decided without
-    computing the distance. Exactly symmetric in the meshes.
+    """True iff ``min_distance(mesh_a, mesh_b) <= epsilon`` for solids that
+    do not interpenetrate, without computing it; exactly symmetric.
 
     Parts whose whole boxes fail the contact rule
     (:func:`softjig.broad.within_reach`) cannot touch or penetrate.
@@ -680,17 +680,14 @@ def within_distance(mesh_a: TriangleMesh, mesh_b: TriangleMesh, epsilon: float) 
     :func:`triangle_pair_distance_sq` in batches of ``_FIRST_CONTACT_ROWS``
     pairs, doubling up to ``_LAST_BATCH_ROWS``, stopping at the first pair
     within ``epsilon``; a touching pair usually stops in its first batch.
-    Failing that, the answer is :func:`intersects`, for nested solids.
     """
     if not broad.within_reach(*mesh_a.aabb, *mesh_b.aabb, epsilon):
         return False
     ca, cb = mesh_a.corners, mesh_b.corners
     pairs = broad.box_pairs(*mesh_a.triangle_bounds, *mesh_b.triangle_bounds,
                             broad.padded(epsilon, *mesh_a.aabb, *mesh_b.aabb))
-    for ia, ib in broad.batches(pairs, _FIRST_CONTACT_ROWS, _LAST_BATCH_ROWS):
-        if (np.sqrt(triangle_pair_distance_sq(ca[ia], cb[ib])) <= epsilon).any():
-            return True
-    return intersects(mesh_a, mesh_b)
+    return any((np.sqrt(triangle_pair_distance_sq(ca[ia], cb[ib])) <= epsilon).any()
+               for ia, ib in broad.batches(pairs, _FIRST_CONTACT_ROWS, _LAST_BATCH_ROWS))
 
 
 def min_distance(mesh_a: TriangleMesh, mesh_b: TriangleMesh) -> float:

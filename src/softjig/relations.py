@@ -27,7 +27,7 @@ import numpy as np
 
 from .broad import penetration_span, within_reach
 from .mesh import TriangleMesh
-from .parts import AssemblyModel
+from .parts import AssemblyModel, part_pairs
 from .queries import penetrates_along, within_distance
 
 
@@ -110,15 +110,6 @@ def sweep_translation_is_free(static: TriangleMesh, moving: TriangleMesh,
     axis, reach = direction.axis, sorted((0.0, direction.sign * max_distance))
     first, last = map(float, penetration_span(*static.aabb, *moving.aabb, axis, *reach))
     return first > last or not penetrates_along(static, moving, axis, (first, last))
-
-
-def part_pairs(assembly: AssemblyModel) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Every pair (i, k), i < k, of the parts in row-major order, as a
-    (pairs, 2) array, and per pair the boxes ``(lo, hi)`` of part i, then
-    of part k, with which a box rule of ``broad`` answers every pair."""
-    lo, hi = np.array([p.mesh.aabb for p in assembly.parts]).transpose(1, 0, 2)
-    i, k = np.triu_indices(len(lo), 1)
-    return np.stack([i, k], axis=1), (lo[i], hi[i], lo[k], hi[k])
 
 
 # -- relation matrices -------------------------------------------------------
@@ -208,7 +199,8 @@ def compute_contact_matrix(assembly: AssemblyModel) -> np.ndarray:
 
     Parts are in contact when their surface distance is within the
     assembly's contact tolerance (:func:`softjig.queries.within_distance`,
-    asked of the pairs that :func:`softjig.broad.within_reach` keeps).
+    asked of the pairs that :func:`softjig.broad.within_reach` keeps); as
+    ``AssemblyModel`` nests no part in another, the distance alone decides.
     Running out of memory on a pair raises :class:`RelationError` naming it.
     """
     contact = np.zeros((len(assembly.parts),) * 2, dtype=bool)

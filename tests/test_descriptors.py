@@ -7,10 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from softjig import cube_stack_assembly, parts, peg_assembly, proxy_assembly, queries
 from softjig.cli import main
 from softjig.descriptors import DescriptorError, load_descriptor
 from softjig.fixtures import box_mesh
 from softjig.mesh import save_stl_binary
+from softjig.queries import intersects
+from softjig.relations import compute_contact_matrix
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -142,14 +145,20 @@ def test_interpenetrating_parts_refused_naming_both(tmp_path):
             assert load_descriptor(path).part_ids == ["a", "b"]
 
 
-def test_fixture_and_benchmark_inputs_load(tmp_path):
-    """No input of the repo's own tools has a penetrating or open part: the
-    ``softjig fixtures`` descriptor, every stack of the benchmark's pool
-    and 16 of its cylinder layouts all load."""
+def perfbench_workloads():
+    """The benchmark's input generators, ``perfbench/workloads.py``."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads    # its dataclasses look their module up
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_fixture_and_benchmark_inputs_load(tmp_path):
+    """No input of the repo's own tools has a penetrating or open part: the
+    ``softjig fixtures`` descriptor, every stack of the benchmark's pool
+    and 16 of its cylinder layouts all load."""
+    workloads = perfbench_workloads()
     assert main(["fixtures", "--out-dir", str(tmp_path / "proxy")]) == 0
     descriptors = [tmp_path / "proxy" / "assembly.json"]
     for index in range(workloads.STACK_POOL):
@@ -160,6 +169,33 @@ def test_fixture_and_benchmark_inputs_load(tmp_path):
                                                      workloads.cylinder_layout(seed)))
     for descriptor in descriptors:
         load_descriptor(descriptor)
+
+
+def test_interpenetration_is_checked_once_per_assembly_not_by_contact(monkeypatch, tmp_path):
+    """Counter: ``intersects`` runs where an assembly is built, once per
+    pair that the penetration rule keeps, 5 times in a CLI proxy plan, and
+    contact never calls it: not on the proxy, the peg, a 16-box stack or a
+    benchmark cylinder layout."""
+    workloads = perfbench_workloads()
+    cylinders = workloads.write_cylinders(tmp_path / "cylinders", workloads.cylinder_layout(0))
+    assemblies = [proxy_assembly(), peg_assembly(), cube_stack_assembly(0, levels=16),
+                  load_descriptor(cylinders)]
+    calls = []
+
+    def counted(mesh_a, mesh_b):
+        calls.append((mesh_a, mesh_b))
+        return intersects(mesh_a, mesh_b)
+
+    for module in (parts, queries):
+        monkeypatch.setattr(module, "intersects", counted)
+    for assembly in assemblies:
+        assert compute_contact_matrix(assembly).any()
+    assert calls == []
+    assert main(["fixtures", "--out-dir", str(tmp_path / "proxy")]) == 0
+    calls.clear()
+    assert main(["plan", str(tmp_path / "proxy" / "assembly.json"),
+                 "--sequence", "motor,plate,bolts"]) == 0
+    assert len(calls) == 5
 
 
 @pytest.mark.parametrize("change, named", [
@@ -221,6 +257,23 @@ def test_non_strings_for_names_exit_1_naming_the_field(tmp_path, capsys, change,
     the group ``'False'``, so anything but a string in ``id``,
     ``mesh_path`` or a set ``group`` is refused with one line naming the
     field; a null ``group`` still means no group."""
+    assert_exits_1_naming(tmp_path, capsys, change, named)
+
+
+@pytest.mark.parametrize("change, named", [
+    (lambda doc: doc["parts"][0].update(id="a,c"), "parts[0]: id: 'a,c' cannot be named"),
+    (lambda doc: doc["parts"][0].update(id=" a"), "parts[0]: id: ' a' cannot be named"),
+    (lambda doc: doc["parts"][0].update(id="a\n"), "parts[0]: id: 'a\\n' cannot be named"),
+    (lambda doc: doc["parts"][1].update(group="g,h"), "parts[1]: group: 'g,h' cannot be named"),
+    (lambda doc: doc["parts"][1].update(group="g "), "parts[1]: group: 'g ' cannot be named"),
+    (lambda doc: doc["parts"][1].update(group=""), "parts[1] (b): part 'b': group '' cannot be"),
+], ids=["id_comma", "id_leading_space", "id_trailing_newline", "group_comma",
+        "group_trailing_space", "group_empty"])
+def test_names_no_sequence_can_name_exit_1_naming_the_field(tmp_path, capsys, change, named):
+    """``--sequence`` splits at commas and strips each entry, so an ``id``
+    or ``group`` with a comma or outer whitespace, or an empty group, would
+    load and then fail every plan as an unknown sequence entity: each is
+    refused at load with one line naming the field."""
     assert_exits_1_naming(tmp_path, capsys, change, named)
 
 

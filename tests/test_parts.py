@@ -168,6 +168,29 @@ def test_assembly_unique_ids():
         AssemblyModel((cube_part("x"), cube_part("x", offset=(3, 0, 0))))
 
 
+def test_empty_group_is_refused():
+    """No sequence can name an empty group; ``None`` means no group."""
+    with pytest.raises(PartError, match="part 'a': group '' cannot be named in a sequence"):
+        PartModel("a", box_mesh((0, 0, 0), (1, 1, 1)), 1.0, group="")
+    assert PartModel("a", box_mesh((0, 0, 0), (1, 1, 1)), 1.0).group is None
+
+
+@pytest.mark.parametrize("outer, inner", [
+    (box_mesh((0, 0, 0), (20, 20, 10)), box_mesh((5, 5, 5), (15, 15, 25))),
+    (box_mesh((0, 0, 0), (10, 10, 10)), box_mesh((4, 4, 4), (6, 6, 6))),
+], ids=["sunk_block", "nested_cube"])
+def test_interpenetrating_parts_refused_naming_both(outer, inner):
+    """An assembly built in code is checked as a descriptor is: a block sunk
+    5 mm into its base, and a cube nested in another, far from its surface,
+    are each refused with one error naming both parts. Posed face to face
+    on the base, the block is accepted."""
+    with pytest.raises(PartError) as refused:
+        AssemblyModel((PartModel("base", outer, 1.0), PartModel("block", inner, 1.0)))
+    assert str(refused.value) == "parts 'base' and 'block' interpenetrate in the assembled pose"
+    resting = inner.translated((0, 0, outer.aabb[1][2] - inner.aabb[0][2]))
+    AssemblyModel((PartModel("base", outer, 1.0), PartModel("block", resting, 1.0)))
+
+
 def test_assembly_group_name_cannot_shadow_part_id():
     a = cube_part("a")
     b = PartModel("b", box_mesh((2, 0, 0), (3, 1, 1)), 1.0, group="a")

@@ -31,7 +31,7 @@ from softjig import (
 )
 from softjig.fixtures import box_mesh, compound_mesh, generate_proxy_fixture, revolve_mesh
 from softjig.cli import main
-from softjig.parts import AssemblyModel, PartModel
+from softjig.parts import AssemblyModel, PartError, PartModel
 from softjig.relations import compute_relation_matrices
 from softjig.mesh import (DegenerateMeshError, TriangleMesh, load_mesh, save_stl_binary,
                           unbalanced_edges)
@@ -906,10 +906,10 @@ def test_every_probe_lies_inside_its_own_solid(mesh):
 
 
 def test_probe_points_computed_once_per_mesh(monkeypatch):
-    """Counter, not timing: a whole plan computes each mesh's containment
-    probes once, and the kept arrays are read-only and bit-identical to a
-    fresh computation."""
-    assembly = proxy_assembly()
+    """Counter, not timing: building the proxy, whose interpenetration
+    check computes probes, and a whole plan on it compute each mesh's
+    containment probes once, and the kept arrays are read-only and
+    bit-identical to a fresh computation."""
     computed = []
     original = queries.surface_probe_points
 
@@ -918,6 +918,7 @@ def test_probe_points_computed_once_per_mesh(monkeypatch):
         return original(mesh)
 
     monkeypatch.setattr(queries, "surface_probe_points", counted)
+    assembly = proxy_assembly()
     plan = configure_fixing_parts(assembly, AssemblySequence.parse("motor,plate,bolts"))
     assert plan.complete
     assert computed and len({id(mesh) for mesh in computed}) == len(computed)
@@ -1127,12 +1128,17 @@ def side_by_side_cylinders(segments: int, bands: int) -> tuple[TriangleMesh, Tri
     return cylinder(25, 40), cylinder(12, 30).translated((offset, offset, 0))
 
 
-def side_by_side_flags(monkeypatch) -> tuple[dict, list]:
-    """The interference-free flags of the (64, 3) side-by-side cylinders,
-    with the small one moving, then fixed, and the probe moves made."""
-    calls = count_rechosen(monkeypatch)
+def side_by_side_assembly() -> AssemblyModel:
     big, small = side_by_side_cylinders(64, 3)
-    assembly = AssemblyModel((PartModel("big", big, 1.0), PartModel("small", small, 1.0)))
+    return AssemblyModel((PartModel("big", big, 1.0), PartModel("small", small, 1.0)))
+
+
+def side_by_side_flags(monkeypatch, assembly=None) -> tuple[dict, list]:
+    """The interference-free flags of the (64, 3) side-by-side cylinders,
+    or of ``assembly``, built beforehand, with the small one moving, then
+    fixed, and the probe moves made."""
+    calls = count_rechosen(monkeypatch)
+    assembly = assembly or side_by_side_assembly()
     free = compute_relation_matrices(assembly).interference_free
     return {d.value: (bool(free[d][0, 1]), bool(free[d][1, 0])) for d in free}, calls
 
@@ -1154,10 +1160,14 @@ def test_a_probe_near_an_edge_at_every_point_counts_as_inside(monkeypatch):
     """With no other point of a face to move to, a probe line that passes
     near a projected edge counts as inside: the side-by-side cylinders,
     whose grazing lines block nothing once moved, lose free directions and
-    gain none."""
+    gain none. They are built first: building them checks them at offset
+    0, where those lines count as inside too, and refuses the pair."""
     expected, _ = side_by_side_flags(monkeypatch)
+    assembly = side_by_side_assembly()
     monkeypatch.setattr(queries, "_PROBE_WEIGHTS", queries._PROBE_WEIGHTS[:0])
-    flags, calls = side_by_side_flags(monkeypatch)
+    with pytest.raises(PartError, match="parts 'big' and 'small' interpenetrate"):
+        side_by_side_assembly()
+    flags, calls = side_by_side_flags(monkeypatch, assembly)
     assert calls == []
     lost = [(d, k) for d in flags for k in (0, 1) if expected[d][k] and not flags[d][k]]
     gained = [(d, k) for d in flags for k in (0, 1) if flags[d][k] and not expected[d][k]]

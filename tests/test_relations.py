@@ -23,8 +23,8 @@ from conftest import (
 from softjig import broad, cube_stack_assembly, queries, relations
 from softjig.descriptors import load_descriptor
 from softjig.fixtures import box_mesh, compound_mesh, generate_proxy_fixture, revolve_mesh
-from softjig.mesh import save_stl_binary
-from softjig.parts import AssemblyModel, PartModel
+from softjig.mesh import TriangleMesh, save_stl_binary
+from softjig.parts import AssemblyModel, PartError, PartModel
 from softjig.queries import intersects, min_distance, triangle_pair_distance_sq, within_distance
 from softjig.relations import (
     DIRECTION_ORDER,
@@ -83,16 +83,19 @@ def test_proxy_contact_matrix(proxy):
     assert np.array_equal(contact, contact.T)
 
 
-def test_nested_cube_contacts_through_intersects():
+def test_nested_cube_is_refused_not_put_in_contact():
+    """A cube nested in another, far from its surface: its closest triangle
+    pair is beyond epsilon, so no distance puts it in contact, and the
+    assembly refuses the pair as interpenetrating."""
     outer = box_mesh((0, 0, 0), (10, 10, 10))
     inner = box_mesh((4, 4, 4), (6, 6, 6))
-    assembly = AssemblyModel((PartModel("outer", outer, 1.0), PartModel("inner", inner, 1.0)),
-                             contact_epsilon=0.1)
     d = triangle_pair_distance_sq(np.repeat(outer.corners, 12, axis=0),
                                   np.tile(inner.corners, (12, 1, 1)))
-    assert np.sqrt(d.min()) > assembly.contact_epsilon
-    assert within_distance(outer, inner, 0.1) and within_distance(inner, outer, 0.1)
-    assert compute_contact_matrix(assembly)[0, 1]
+    assert np.sqrt(d.min()) > 0.1
+    assert not within_distance(outer, inner, 0.1) and not within_distance(inner, outer, 0.1)
+    with pytest.raises(PartError, match="parts 'outer' and 'inner' interpenetrate"):
+        AssemblyModel((PartModel("outer", outer, 1.0), PartModel("inner", inner, 1.0)),
+                      contact_epsilon=0.1)
 
 
 def test_contact_guard_no_per_leaf_distance_calls(monkeypatch):
@@ -157,11 +160,11 @@ def lateral_sweep(assembly: AssemblyModel, direction: Direction) -> tuple[float,
     return (first, last) if direction.sign > 0 else (-last, -first)
 
 
-def sheared_sweeps(sweep) -> list:
-    """``sweep`` over the +-x ranges of the stacked cylinders sheared by
-    ``SHEAR_Z_BY_Y``: the upper one slides on a tilted face, so the boxes
-    of the resting triangles share interior across x, and stays free."""
-    assembly = rotated_assembly(stacked_cylinders(), SHEAR_Z_BY_Y)
+def sheared_sweeps(sweep, assembly: AssemblyModel) -> list:
+    """``sweep`` over the +-x ranges of ``assembly``, the stacked cylinders
+    sheared by ``SHEAR_Z_BY_Y``: the upper one slides on a tilted face, so
+    the boxes of the resting triangles share interior across x, and stays
+    free."""
     lower, upper = (p.mesh for p in assembly.parts)
     return [sweep(lower, upper, 0, lateral_sweep(assembly, d))
             for d in (Direction.PLUS_X, Direction.MINUS_X)]
@@ -175,8 +178,10 @@ def test_crossing_rows_pruned_on_stacked_cylinders(monkeypatch):
     expected ones. The lateral sweeps are decided by the box cull; driven
     with their ranges directly, their triangles' boxes only touch across
     the sweep, so they have no candidate. The rows are counted on the -z
-    sweep and on the sheared cylinders' +-x sweeps, which have candidates."""
+    sweep and on the sheared cylinders' +-x sweeps, which have candidates.
+    The sheared cylinders are built first: building runs the kernel."""
     assembly = stacked_cylinders()
+    sheared_assembly = rotated_assembly(assembly, SHEAR_Z_BY_Y)
     lower, upper = (p.mesh for p in assembly.parts)
     sweeps = []
     penetrates, box_pairs, narrow = relations.penetrates_along, broad.box_pairs, queries._narrow
@@ -198,7 +203,7 @@ def test_crossing_rows_pruned_on_stacked_cylinders(monkeypatch):
     monkeypatch.setattr(queries, "_narrow", counted)
     free = compute_all_interference_free(assembly)
     lateral_blocked = [sweep(lower, upper, d.axis, lateral_sweep(assembly, d)) for d in LATERAL]
-    assert sheared_sweeps(sweep) == [False] * 2
+    assert sheared_sweeps(sweep, sheared_assembly) == [False] * 2
 
     assert len(sweeps) == 7
     blocked, lateral, sheared = sweeps[:1], sweeps[1:5], sweeps[5:]
@@ -220,8 +225,10 @@ def test_sweeps_window_only_the_pairs_they_need(monkeypatch):
     before its first crossing. The lateral sweeps are decided by the box
     cull; driven with their ranges directly, they have no candidate and
     send nothing. A free sweep of the sheared cylinders along +-x sends
-    every candidate pair of the dense oracle, in row-major order."""
+    every candidate pair of the dense oracle, in row-major order. The
+    sheared cylinders are built first: building runs the kernel."""
     assembly = stacked_cylinders()
+    sheared_assembly = rotated_assembly(assembly, SHEAR_Z_BY_Y)
     lower, upper = (p.mesh for p in assembly.parts)
     sweeps = []
     penetrates, box_pairs, intervals = (relations.penetrates_along, broad.box_pairs,
@@ -247,7 +254,7 @@ def test_sweeps_window_only_the_pairs_they_need(monkeypatch):
     free = compute_all_interference_free(assembly)
     for d in LATERAL:
         sweep(lower, upper, d.axis, lateral_sweep(assembly, d))
-    sheared_sweeps(sweep)
+    sheared_sweeps(sweep, sheared_assembly)
 
     for s in sweeps:
         sent = np.concatenate(s["sent"])
@@ -588,15 +595,19 @@ def test_grid_box_pairs_match_analytic_rules(a, b, epsilon):
     depth = np.minimum(hi_a, hi_b) - np.maximum(lo_a, lo_b)
     mesh_a, mesh_b = box_mesh(lo_a, hi_a), box_mesh(lo_b, hi_b)
     gap = float(np.linalg.norm(np.maximum(0.0, -depth)))
+    penetrating = bool((depth > 0).all())
+    assert (min_distance(mesh_a, mesh_b) <= epsilon) == (gap <= epsilon)
+    assert intersects(mesh_a, mesh_b) == intersects(mesh_b, mesh_a) == penetrating
+    parts = (PartModel("a", mesh_a, 1.0), PartModel("b", mesh_b, 1.0))
+    if penetrating:
+        with pytest.raises(PartError, match="parts 'a' and 'b' interpenetrate"):
+            AssemblyModel(parts)
+        return
     assert within_distance(mesh_a, mesh_b, epsilon) == within_distance(mesh_b, mesh_a, epsilon) \
-        == (min_distance(mesh_a, mesh_b) <= epsilon) == (gap <= epsilon)
-    assembly = AssemblyModel((PartModel("a", mesh_a, 1.0), PartModel("b", mesh_b, 1.0)))
+        == (gap <= epsilon)
+    assembly = AssemblyModel(parts)
     contact = compute_contact_matrix(assembly)
     assert contact[0, 1] == contact[1, 0] == (gap <= assembly.contact_epsilon)
-    penetrating = bool((depth > 0).all())
-    assert intersects(mesh_a, mesh_b) == intersects(mesh_b, mesh_a) == penetrating
-    if penetrating:
-        return
     free = compute_all_interference_free(assembly)
     for d in DIRECTION_ORDER:
         ax = d.axis
@@ -773,11 +784,14 @@ def test_rotation_permutes_interference_matrices(proxy):
 def test_sweeps_run_twice_the_diagonal(monkeypatch):
     """Every sweep that the box pass keeps runs twice the assembly
     diagonal, with no setting and no sample count: the one sweep of the
-    stacked cubes whose boxes can meet (-z), and all six of a cube nested
-    in another's box."""
-    nested = AssemblyModel((PartModel("outer", box_mesh((0, 0, 0), (10, 10, 10)), 1.0),
-                            PartModel("inner", box_mesh((4, 4, 4), (6, 6, 6)), 1.0)))
-    for asm, kept in ((two_cubes(gap=0.0), [Direction.MINUS_Z]), (nested, DIRECTION_ORDER)):
+    stacked cubes whose boxes can meet (-z), and all six of a cube in the
+    cavity of a hollow box, one closed part whose inner shell faces in."""
+    cavity = box_mesh((3, 3, 3), (7, 7, 7))
+    hollow = compound_mesh(box_mesh((0, 0, 0), (10, 10, 10)),
+                           TriangleMesh(cavity.vertices, cavity.triangles[:, ::-1]))
+    caged = AssemblyModel((PartModel("hollow", hollow, 1.0),
+                           PartModel("inner", box_mesh((4, 4, 4), (6, 6, 6)), 1.0)))
+    for asm, kept in ((two_cubes(gap=0.0), [Direction.MINUS_Z]), (caged, DIRECTION_ORDER)):
         sweeps = []
         monkeypatch.setattr(relations, "sweep_translation_is_free",
                             lambda static, moving, direction, distance:
